@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
-from .deformation import FamilyError, build_family, verify_main_theorem
+from .deformation import FamilyError, build_family, check_hypotheses, verify_main_theorem
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -26,14 +28,9 @@ from .laurent import (
     to_string,
     variable_names,
 )
-from .mutation import (
-    MutationError,
-    MutationSpec,
-    apply_mutation,
-    is_mutation,
-    polygon_facets,
-)
+from .mutation import MutationError, MutationSpec, is_mutation, polygon_facets
 from .mutgraph import explore_graph
+from .polyhedra import Polyhedron
 from .render import render_svg
 from ._version import __version__
 
@@ -95,6 +92,39 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
     return MutationSpec.from_direction(direction, divisor)
 
 
+def _mutated_or_fail(f: LaurentPolynomial, spec: MutationSpec, context: dict) -> LaurentPolynomial:
+    ok, report = is_mutation(f, spec)
+    if not ok:
+        raise DomainFailure(
+            {
+                "error": "not a mutation: some positive-level slice is not divisible",
+                **context,
+                "report": report.to_dict(),
+            }
+        )
+    return report.mutated
+
+
+def _family_or_fail(f: LaurentPolynomial, spec: MutationSpec):
+    try:
+        return build_family(f, spec)
+    except FamilyError as exc:
+        raise DomainFailure({"error": str(exc), "failures": exc.failures})
+
+
+FAMILY_SLICES = (
+    ("Delta_0", "delta0"),
+    ("Delta_inf", "delta_inf"),
+    ("Delta_0^0", "delta00"),
+    ("Delta_0^1", "delta01"),
+)
+
+
+def _family_items(polyhedron) -> list:
+    """The four family slices to draw; ``polyhedron`` maps a field name to its polyhedron."""
+    return [(label, polyhedron(name)) for label, name in FAMILY_SLICES]
+
+
 def _maybe_svg(args, items) -> Optional[str]:
     path = getattr(args, "svg", None)
     if path is None:
@@ -131,36 +161,24 @@ def _cmd_facets(args):
 def _cmd_check(args):
     f = _load_polynomial(args)
     spec = _mutation_spec(f, args)
-    from .deformation import _hypothesis_failures
-
-    failures, details = _hypothesis_failures(f, spec)
+    hyp = check_hypotheses(f, spec)
     payload = {
         "polynomial": to_string(f),
         "spec": spec.to_dict(),
-        "hypothesis_failures": failures,
-        "details": details,
+        "hypothesis_failures": hyp.failures,
+        "details": hyp.details,
     }
     summary = [
-        f"is mutation: {details['mutation']['is_mutation']}",
-        f"hypothesis failures: {len(failures)}",
-    ] + [f"  {msg}" for msg in failures]
-    return payload, (1 if failures else 0), summary
+        f"is mutation: {hyp.report.all_divisible}",
+        f"hypothesis failures: {len(hyp.failures)}",
+    ] + [f"  {msg}" for msg in hyp.failures]
+    return payload, (1 if hyp.failures else 0), summary
 
 
 def _cmd_mutate(args):
     f = _load_polynomial(args)
     spec = _mutation_spec(f, args)
-    ok, report = is_mutation(f, spec)
-    if not ok:
-        raise DomainFailure(
-            {
-                "error": "not a mutation: some positive-level slice is not divisible",
-                "polynomial": to_string(f),
-                "spec": spec.to_dict(),
-                "report": report.to_dict(),
-            }
-        )
-    g = apply_mutation(f, spec)
+    g = _mutated_or_fail(f, spec, {"polynomial": to_string(f), "spec": spec.to_dict()})
     payload = {
         "polynomial": to_string(f),
         "spec": spec.to_dict(),
@@ -176,20 +194,9 @@ def _cmd_mutate(args):
 def _cmd_family(args):
     f = _load_polynomial(args)
     spec = _mutation_spec(f, args)
-    try:
-        fd = build_family(f, spec)
-    except FamilyError as exc:
-        raise DomainFailure({"error": str(exc), "failures": exc.failures})
+    fd = _family_or_fail(f, spec)
     payload = fd.to_dict()
-    svg = _maybe_svg(
-        args,
-        [
-            ("Delta_0", fd.delta0),
-            ("Delta_inf", fd.delta_inf),
-            ("Delta_0^0", fd.delta00),
-            ("Delta_0^1", fd.delta01),
-        ],
-    )
+    svg = _maybe_svg(args, _family_items(partial(getattr, fd)))
     if svg:
         payload["svg"] = svg
     summary = [
@@ -206,16 +213,8 @@ def _cmd_verify(args):
     payload = report.to_dict()
     family_ok = len(report.checks) > 1 and report.checks[1].status == "pass"
     if getattr(args, "svg", None) is not None and family_ok:
-        fd = build_family(f, spec)
-        payload["svg"] = _maybe_svg(
-            args,
-            [
-                ("Delta_0", fd.delta0),
-                ("Delta_inf", fd.delta_inf),
-                ("Delta_0^0", fd.delta00),
-                ("Delta_0^1", fd.delta01),
-            ],
-        )
+        details = report.checks[1].details
+        payload["svg"] = _maybe_svg(args, _family_items(lambda name: Polyhedron.from_dict(details[name])))
     summary = [f"passed: {report.passed}"] + [
         f"  {c.name}: {c.status}" for c in report.checks
     ]
@@ -242,32 +241,14 @@ def _cmd_graph(args):
 
 def _cmd_render(args):
     f = _load_polynomial(args)
-    items = []
     if args.family:
-        spec = _mutation_spec(f, args)
-        try:
-            fd = build_family(f, spec)
-        except FamilyError as exc:
-            raise DomainFailure({"error": str(exc), "failures": exc.failures})
-        items = [
-            ("Delta_0", fd.delta0),
-            ("Delta_inf", fd.delta_inf),
-            ("Delta_0^0", fd.delta00),
-            ("Delta_0^1", fd.delta01),
-        ]
+        fd = _family_or_fail(f, _mutation_spec(f, args))
+        items = _family_items(partial(getattr, fd))
     else:
-        items.append(("Delta(f)", newton_polytope(f)))
+        items = [("Delta(f)", newton_polytope(f))]
         if getattr(args, "by", None) is not None:
-            spec = _mutation_spec(f, args)
-            ok, report = is_mutation(f, spec)
-            if not ok:
-                raise DomainFailure(
-                    {
-                        "error": "not a mutation: some positive-level slice is not divisible",
-                        "report": report.to_dict(),
-                    }
-                )
-            items.append(("Delta(mutated)", newton_polytope(apply_mutation(f, spec))))
+            g = _mutated_or_fail(f, _mutation_spec(f, args), {})
+            items.append(("Delta(mutated)", newton_polytope(g)))
     render_svg(items, args.output)
     payload = {"path": args.output, "labels": [label for label, _ in items]}
     return payload, 0, [f"wrote {args.output}"]
@@ -355,10 +336,22 @@ def _emit(payload: dict, pretty: bool, summary: list[str]) -> None:
         print(json.dumps(payload))
 
 
+def _join_covector(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--u -1,0`` as ``--u=-1,0``: argparse reads a lone value
+    that starts with a minus sign and is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--u" and re.match(r"-\d", arg):
+            out[-1] = "--u=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_covector(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlat import IntVec, primitive_from_rational, unit_vector
-from .laurent import LaurentPolynomial, divide_exact, newton_polytope, slices, to_string
-from .mutation import MutationSpec, apply_mutation, is_mutation, _to_adapted
+from .laurent import LaurentPolynomial, newton_polytope, slices, to_string
+from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
     AdmissibilityVerdict,
     Cone,
@@ -135,13 +135,29 @@ class FamilyData:
         }
 
 
-def _hypothesis_failures(f: LaurentPolynomial, spec: MutationSpec) -> tuple[list[str], dict]:
+@dataclass(frozen=True)
+class Hypotheses:
+    """The family hypotheses for one mutation, checked once.
+
+    ``report`` holds the per-level divisions and the mutated polynomial;
+    ``newton`` is Delta(f) in the adapted frame. The family construction
+    reuses both instead of dividing or hulling again.
+    """
+
+    failures: list[str]
+    details: dict
+    report: MutationCheck
+    newton: Polyhedron
+
+
+def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
+    """Divisibility of the positive levels, the origin inside Delta(f), and levels on both sides of zero."""
     ok, report = is_mutation(f, spec)
     failures = []
     details: dict = {"mutation": report.to_dict()}
     if not ok:
         failures.append("mutation:non-divisible levels " + str(report.failing_levels()))
-    nf = newton_polytope(_to_adapted(f, spec))
+    nf = newton_polytope(spec.to_adapted(f))
     origin_ok = contains_origin_interior(nf)
     details["origin_interior"] = origin_ok
     if not origin_ok:
@@ -150,17 +166,19 @@ def _hypothesis_failures(f: LaurentPolynomial, spec: MutationSpec) -> tuple[list
     details["levels"] = {"low": report.low, "high": report.high, "straddles_zero": levels_ok}
     if not levels_ok:
         failures.append("levels:divided exponents must straddle zero")
-    return failures, details
+    return Hypotheses(failures, details, report, nf)
 
 
 def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
     """Run the whole construction; FamilyError on any hypothesis failure."""
-    failures, _ = _hypothesis_failures(f, spec)
-    if failures:
-        raise FamilyError("; ".join(failures), failures)
+    return _family(f, spec, check_hypotheses(f, spec))
+
+
+def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses) -> FamilyData:
+    if hyp.failures:
+        raise FamilyError("; ".join(hyp.failures), hyp.failures)
     n = spec.rank
-    fa = _to_adapted(f, spec)
-    sigma = cone_over(newton_polytope(fa), 0)
+    sigma = cone_over(hyp.newton, 0)
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
     delta0 = slice_project(sigma, u, 1)
@@ -168,20 +186,17 @@ def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
     tail = kernel_slice(sigma, u)
     assert tailcone(delta0) == tail and tailcone(delta_inf) == tail, "slice tailcones must agree with the kernel slice"
 
-    sd = slices(fa, n - 1)
-    g = spec.divisor
-    pts00 = []
-    for level in sorted(sd.slices):
-        if level <= 0:
-            continue
-        q = divide_exact(sd.slices[level], g ** level)
-        assert q is not None
-        pts00 += [
-            (Fraction(1, level),) + tuple(Fraction(c, level) for c in e)
-            for e in q.support()
-        ]
+    # The positive-level slices of the mutated polynomial in the adapted
+    # frame are the quotients f_i / g^i.
+    quotients = slices(spec.to_adapted(hyp.report.mutated), n - 1).slices
+    pts00 = [
+        (Fraction(1, level),) + tuple(Fraction(c, level) for c in e)
+        for level, q in quotients.items()
+        if level > 0
+        for e in q.support()
+    ]
     delta00 = hull(pts00, tail.rays)
-    pts01 = [(Fraction(0),) + tuple(Fraction(c) for c in e) for e in g.support()]
+    pts01 = [(Fraction(0),) + tuple(Fraction(c) for c in e) for e in spec.divisor.support()]
     delta01 = hull(pts01, tail.rays)
     assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
 
@@ -256,15 +271,15 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     checks: list[CheckResult] = []
     data: dict = {"polynomial": to_string(f), "spec": spec.to_dict()}
 
-    failures, details = _hypothesis_failures(f, spec)
-    checks.append(CheckResult("hypotheses", "fail" if failures else "pass", {**details, "failures": failures}))
-    if failures:
+    hyp = check_hypotheses(f, spec)
+    checks.append(CheckResult("hypotheses", "fail" if hyp.failures else "pass", {**hyp.details, "failures": hyp.failures}))
+    if hyp.failures:
         for name in ("family", "mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts"):
             checks.append(CheckResult(name, "skipped", {"reason": "hypotheses failed"}))
         return VerificationReport(False, tuple(checks), data)
 
     try:
-        family = build_family(f, spec)
+        family = _family(f, spec, hyp)
         fam_ok = True
         fam_details = {
             "delta0": family.delta0.to_dict(),
@@ -283,9 +298,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
             checks.append(CheckResult(name, "skipped", {"reason": "family construction failed"}))
         return VerificationReport(False, tuple(checks), data)
 
-    mutated = apply_mutation(f, spec)
-    mutated_adapted = _to_adapted(mutated, spec)
-    sigma_prime = cone_over(newton_polytope(mutated_adapted), 0)
+    mutated = hyp.report.mutated
+    sigma_prime = cone_over(newton_polytope(spec.to_adapted(mutated)), 0)
     data["mutated"] = to_string(mutated)
     data["sigma_rays"] = [[str(c) for c in r] for r in family.sigma.rays]
     data["sigma_infinity_rays"] = [[str(c) for c in r] for r in family.sigma_inf.rays]

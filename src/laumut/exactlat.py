@@ -41,10 +41,6 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def zero_vector(rank: int) -> IntVec:
-    return (0,) * rank
-
-
 def unit_vector(rank: int, i: int) -> IntVec:
     return tuple(1 if j == i else 0 for j in range(rank))
 
@@ -55,10 +51,6 @@ def content(v: Iterable[int]) -> int:
     for a in v:
         g = gcd(g, a)
     return g
-
-
-def is_primitive(v: Iterable[int]) -> bool:
-    return content(v) == 1
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:
@@ -206,104 +198,6 @@ def inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMat:
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     out = tuple(tuple(int(x) for x in row[n:]) for row in m)
     return out
-
-
-# -- Smith decomposition ----------------------------------------------------
-
-
-def smith_decomposition(mat: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """(U, D, V) with U*mat*V = D diagonal, U and V unimodular.
-
-    Diagonal entries are nonnegative and each divides the next; zero
-    entries come last. Works for any rectangular integer matrix.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        raise ValueError("smith_decomposition needs a nonempty matrix")
-    d = [list(row) for row in mat]
-    if any(len(row) != cols for row in d):
-        raise ValueError("ragged matrix")
-    u = [list(row) for row in identity_matrix(rows)]
-    v = [list(row) for row in identity_matrix(cols)]
-
-    def row_op(i1, i2, a, b, c, e):
-        # rows i1, i2 <- a*r1 + b*r2, c*r1 + e*r2 with a*e - b*c = +/-1
-        for x in (d, u):
-            r1, r2 = x[i1], x[i2]
-            x[i1] = [a * p + b * q for p, q in zip(r1, r2)]
-            x[i2] = [c * p + e * q for p, q in zip(r1, r2)]
-
-    def col_op(j1, j2, a, b, c, e):
-        for x in (d, v):
-            for r in x:
-                p, q = r[j1], r[j2]
-                r[j1] = a * p + b * q
-                r[j2] = c * p + e * q
-
-    def clear_at(t):
-        # Plain eliminations when the pivot divides the target leave the
-        # pivot row/column alone; the gcd op only fires when it strictly
-        # shrinks |pivot|, so the alternation terminates.
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    a, b = d[t][t], d[i][t]
-                    if b % a == 0:
-                        row_op(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        row_op(t, i, x, y, -(b // g), a // g)
-                    dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    a, b = d[t][t], d[t][j]
-                    if b % a == 0:
-                        col_op(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_op(t, j, x, y, -(b // g), a // g)
-                    dirty = True
-            if not dirty:
-                return
-
-    limit = min(rows, cols)
-    for t in range(limit):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        if i != t:
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for x in (d, v):
-                for r in x:
-                    r[t], r[j] = r[j], r[t]
-        clear_at(t)
-
-    # divisibility chain d_i | d_{i+1}
-    done = False
-    while not done:
-        done = True
-        for t in range(limit - 1):
-            a, b = d[t][t], d[t + 1][t + 1]
-            if a and b % a:
-                col_op(t, t + 1, 1, 1, 0, 1)
-                clear_at(t)
-                done = False
-    for t in range(limit):
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-
-    to_mat = lambda x: tuple(tuple(row) for row in x)
-    return to_mat(u), to_mat(d), to_mat(v)
 
 
 def adapted_basis(u: Sequence[int]) -> tuple[IntVec, tuple[IntVec, ...]]:

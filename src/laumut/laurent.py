@@ -118,17 +118,6 @@ class LaurentPolynomial:
             n >>= 1
         return out
 
-    def scale(self, c) -> "LaurentPolynomial":
-        c = Fraction(c)
-        if not c:
-            return LaurentPolynomial.zero(self.rank)
-        return LaurentPolynomial(self.rank, tuple((e, c * q) for e, q in self.terms))
-
-    def shift(self, exponent: Sequence[int]) -> "LaurentPolynomial":
-        """Multiply by the monomial with the given exponent."""
-        d = tuple(exponent)
-        return LaurentPolynomial(self.rank, tuple(sorted((tuple(a + b for a, b in zip(e, d)), c) for e, c in self.terms)))
-
     def _check(self, other: "LaurentPolynomial"):
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")

@@ -12,9 +12,9 @@ flip of the divided variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exactlat import (
     IntMat,
@@ -30,7 +30,7 @@ from .exactlat import (
     primitive_from_rational,
     vsub,
 )
-from .laurent import LaurentPolynomial, SliceDecomposition, act_unimodular, divide_exact, parse, slices, to_string
+from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, slices, to_string
 from .polyhedra import Polyhedron, contains_origin_interior, polygon_edges
 
 
@@ -114,6 +114,10 @@ class MutationSpec:
             self.divisor,
         )
 
+    def to_adapted(self, f: LaurentPolynomial) -> LaurentPolynomial:
+        """f in the adapted frame: kernel coordinates first, divided one last."""
+        return act_unimodular(f, inverse_unimodular(self.basis))
+
     def divisor_in_ambient(self) -> LaurentPolynomial:
         """The divisor transported back to the original coordinates."""
         terms = [(mat_vec(self.basis, e + (0,)), c) for e, c in self.divisor.terms]
@@ -144,11 +148,17 @@ class SliceCheck:
 
 @dataclass(frozen=True)
 class MutationCheck:
-    """Per-level divisibility report for a polynomial against a spec."""
+    """Per-level divisibility report for a polynomial against a spec.
+
+    ``mutated`` is the mutated polynomial when every level divides and
+    None otherwise. It is derived from the same divisions as the report,
+    so ``to_dict`` and equality leave it out.
+    """
 
     low: int
     high: int
     checks: tuple[SliceCheck, ...]
+    mutated: Optional[LaurentPolynomial] = field(default=None, compare=False, repr=False)
 
     @property
     def all_divisible(self) -> bool:
@@ -166,50 +176,35 @@ class MutationCheck:
         }
 
 
-def _to_adapted(f: LaurentPolynomial, spec: MutationSpec) -> LaurentPolynomial:
-    return act_unimodular(f, inverse_unimodular(spec.basis))
-
-
 def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, MutationCheck]:
-    """Check divisibility of every positive-level slice; never raises on
-    a clean domain failure, the report carries the failing levels."""
+    """Divide every positive-level slice once by its divisor power.
+
+    Never raises on a clean domain failure: the report carries the
+    failing levels, and the mutated polynomial when there are none.
+    """
     if f.rank != spec.rank:
         raise ValueError("polynomial rank does not match the mutation spec")
     if f.is_zero():
         raise ValueError("cannot mutate the zero polynomial")
-    sd = slices(_to_adapted(f, spec), spec.rank - 1)
-    checks = []
-    for level in sorted(sd.slices):
-        if level <= 0:
-            continue
-        q = divide_exact(sd.slices[level], spec.divisor ** level)
-        checks.append(SliceCheck(level, q is not None))
-    report = MutationCheck(sd.low, sd.high, tuple(checks))
-    return report.all_divisible, report
+    sd = slices(spec.to_adapted(f), spec.rank - 1)
+    g = spec.divisor
+    quotients = {level: divide_exact(part, g ** level) for level, part in sd.slices.items() if level > 0}
+    checks = tuple(SliceCheck(level, q is not None) for level, q in quotients.items())
+    if any(q is None for q in quotients.values()):
+        return False, MutationCheck(sd.low, sd.high, checks)
+    parts = {level: part * g ** (-level) if level < 0 else part for level, part in sd.slices.items()}
+    parts.update(quotients)
+    mutated = act_unimodular(replace(sd, slices=parts).reassemble(), spec.basis)
+    return True, MutationCheck(sd.low, sd.high, checks, mutated)
 
 
 def apply_mutation(f: LaurentPolynomial, spec: MutationSpec) -> LaurentPolynomial:
     """The mutated polynomial; raises :class:`MutationError` at the first
     non-divisible positive level."""
-    if f.rank != spec.rank:
-        raise ValueError("polynomial rank does not match the mutation spec")
-    if f.is_zero():
-        raise ValueError("cannot mutate the zero polynomial")
-    sd = slices(_to_adapted(f, spec), spec.rank - 1)
-    parts: dict[int, LaurentPolynomial] = {}
-    for level in sorted(sd.slices):
-        part = sd.slices[level]
-        if level > 0:
-            q = divide_exact(part, spec.divisor ** level)
-            if q is None:
-                raise MutationError(level)
-            parts[level] = q
-        elif level < 0:
-            parts[level] = part * spec.divisor ** (-level)
-        else:
-            parts[level] = part
-    rebuilt = SliceDecomposition(spec.rank, spec.rank - 1, parts, sd.low, sd.high).reassemble()
-    return act_unimodular(rebuilt, spec.basis)
+    ok, report = is_mutation(f, spec)
+    if not ok:
+        raise MutationError(report.failing_levels()[0])
+    return report.mutated
 
 
 # -- facet mutations of polygons ----------------------------------------------

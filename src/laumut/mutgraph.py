@@ -34,7 +34,6 @@ from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import (
     FacetInfo,
     MutationSpec,
-    apply_mutation,
     facet_mutation_spec,
     is_mutation,
     polygon_facets,
@@ -138,8 +137,7 @@ def mutation_neighbors(f: LaurentPolynomial) -> list[NeighborOutcome]:
     for info in polygon_facets(p):
         spec = facet_mutation_spec(p, info.index)
         ok, report = is_mutation(f, spec)
-        mutated = apply_mutation(f, spec) if ok else None
-        out.append(NeighborOutcome(info, spec, ok, mutated, tuple(report.failing_levels())))
+        out.append(NeighborOutcome(info, spec, ok, report.mutated, tuple(report.failing_levels())))
     return out
 
 

@@ -661,12 +661,14 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
         if cert["kind"] == "lattice_polyhedron":
             return is_lattice_polyhedron((p, q)[cert["which"]])
         if cert["kind"] == "refinement":
+            listed = set()
             for cell in cert["cells"]:
                 vs, ws = cell["vertex_pair"]
                 v = tuple(Fraction(c) for c in vs)
                 w = tuple(Fraction(c) for c in ws)
                 if v not in p.vertices or w not in q.vertices:
                     return False
+                listed.add((v, w))
                 iv = all(_is_integral(c) for c in v)
                 iw = all(_is_integral(c) for c in w)
                 if not (iv or iw):
@@ -675,6 +677,12 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
                     r = tuple(int(Fraction(c)) for c in rs)
                     if p.support_minimum(r) != dot(r, v) or q.support_minimum(r) != dot(r, w):
                         return False
-            return True
+            # The full-dimensional cells are the normal cones of p + q at its
+            # vertices, and each vertex is the sum of exactly one vertex pair;
+            # every such pair must be listed, or the cells need not cover.
+            corners = set(minkowski_sum(p, q).vertices)
+            return all(
+                (v, w) in listed for v in p.vertices for w in q.vertices if vadd(v, w) in corners
+            )
         return False
     return verdict.status == STATUS_UNKNOWN

@@ -1,13 +1,16 @@
 import json
+import sys
 
 import pytest
 
+from laumut import laurent
 from laumut.cli import main
 from laumut.deformation import VerificationReport
 from laumut.laurent import parse
 
 F3 = "x^-1*y + 2*y + x*y + y^-1"
 F4 = "x^-1 + x^-1*y + y + y^-1 + x*y^-1"
+F3_MUTATION = ("--f", F3, "--divide", "y", "--by", "1 + x")
 
 
 def run(capsys, *argv):
@@ -72,6 +75,14 @@ def test_mutate_direction_covector(capsys):
     code, payload, _ = run_json(capsys, "mutate", "--f", F3, "--u", "0,1", "--by", "1 + x")
     assert code == 0
     assert parse(payload["mutated"]) == parse("x^-1*y + y + y^-1 + x*y^-1")
+
+
+def test_mutate_negative_covector_space_separated(capsys):
+    argv = ("mutate", "--f", F4, "--by", "1 + y")
+    joined = run(capsys, *argv, "--u=-1,0")
+    spaced = run(capsys, *argv, "--u", "-1,0")
+    assert joined[0] == 0
+    assert spaced == joined
 
 
 def test_mutate_not_divisible_is_domain_failure(capsys):
@@ -220,3 +231,46 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip().startswith("laumut ")
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record each call of ``fn`` made through any laumut module that imported it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "laumut" or name.startswith("laumut."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,divisions",
+    [
+        (("check", *F3_MUTATION), 1),
+        (("mutate", *F3_MUTATION), 1),
+        (("family", *F3_MUTATION), 1),
+        (("verify", *F3_MUTATION), 1),
+        (("verify", *F3_MUTATION, "--svg", "v.svg"), 1),
+        (("render", *F3_MUTATION, "-o", "r.svg"), 1),
+        (("graph", "--f", F4, "--depth", "2"), 15),
+    ],
+)
+def test_one_division_per_positive_level(capsys, monkeypatch, tmp_path, argv, divisions):
+    monkeypatch.chdir(tmp_path)
+    calls = count_calls(monkeypatch, laurent.divide_exact)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == divisions
+
+
+def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, laurent.newton_polytope)
+    run(capsys, "verify", *F3_MUTATION)
+    plain = len(calls)
+    run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))
+    assert len(calls) - plain <= plain

@@ -18,7 +18,6 @@ from laumut.exactlat import (
     matrix_rank,
     primitive_from_rational,
     primitive_vector,
-    smith_decomposition,
     transpose,
     xgcd,
 )
@@ -103,37 +102,6 @@ def test_matrix_rank():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2
     assert matrix_rank([(0, 0)]) == 0
-
-
-def test_smith_examples():
-    u, d, v = smith_decomposition([[2, 0], [0, 3]])
-    assert [d[i][i] for i in range(2)] == [1, 6]
-    u, d, v = smith_decomposition([[1, 0], [0, 1]])
-    assert d == identity_matrix(2)
-    u, d, v = smith_decomposition([[2, 4]])
-    assert d == ((2, 0),)
-
-
-def test_smith_properties():
-    rng = random.Random(17)
-    for _ in range(150):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
-        u, d, v = smith_decomposition(m)
-        assert is_unimodular(u) and is_unimodular(v)
-        assert mat_mul(mat_mul(u, m), v) == d
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0 and b >= 0
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
 
 
 def test_adapted_basis_examples():

@@ -426,3 +426,23 @@ def test_verify_admissibility_rejects_tampered_witness():
     fake = AdmissibilityVerdict(STATUS_NO, "forged", witness=(2,))
     # u = 2 gives minima 1 and 2/3; the first is integral, so the claim fails
     assert not verify_admissibility(p, q, fake)
+
+
+def test_verify_admissibility_rejects_incomplete_refinement():
+    # (1/2,1/2) and (1/3,1/3) are not admissible; a refinement certificate
+    # with no cells proves nothing about them.
+    p = hull([(Fraction(1, 2), Fraction(1, 2))])
+    q = hull([(Fraction(1, 3), Fraction(1, 3))])
+    assert is_admissible_pair(p, q).status == STATUS_NO
+    forged = AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "refinement", "cells": []})
+    assert not verify_admissibility(p, q, forged)
+    # A genuine certificate with any one cell left out is rejected too.
+    p = hull(V((-1, -1), (0, 1)) + [(Fraction(-1, 2), Fraction(1))])
+    q = hull(V((-1, 1)) + [(Fraction(1, 2), Fraction(1))])
+    v = is_admissible_pair(p, q)
+    assert v.status == STATUS_YES and v.certificate["kind"] == "refinement"
+    assert verify_admissibility(p, q, v)
+    cells = v.certificate["cells"]
+    for i in range(len(cells)):
+        cert = {"kind": "refinement", "cells": cells[:i] + cells[i + 1:]}
+        assert not verify_admissibility(p, q, AdmissibilityVerdict(STATUS_YES, v.reason, certificate=cert))
