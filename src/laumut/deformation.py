@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactlat import IntVec, primitive_from_rational, unit_vector
+from .exactlat import IntVec, mat_vec, primitive_from_rational, unit_vector
 from .laurent import LaurentPolynomial, newton_polytope, slices, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -253,6 +253,12 @@ class VerificationReport:
         )
 
 
+def _to_ambient(p: Polyhedron, spec: MutationSpec) -> Polyhedron:
+    """A polytope from the adapted frame, moved back to the original
+    coordinates: the basis maps vertices to vertices, so only they move."""
+    return hull([mat_vec(spec.basis, v) for v in p.vertices])
+
+
 def _grading_last(rays) -> list[list[str]]:
     return [[str(c) for c in r[1:] + (r[0],)] for r in rays]
 
@@ -299,7 +305,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
         return VerificationReport(False, tuple(checks), data)
 
     mutated = hyp.report.mutated
-    sigma_prime = cone_over(newton_polytope(spec.to_adapted(mutated)), 0)
+    nf_mut_adapted = newton_polytope(spec.to_adapted(mutated))
+    sigma_prime = cone_over(nf_mut_adapted, 0)
     data["mutated"] = to_string(mutated)
     data["sigma_rays"] = [[str(c) for c in r] for r in family.sigma.rays]
     data["sigma_infinity_rays"] = [[str(c) for c in r] for r in family.sigma_inf.rays]
@@ -348,8 +355,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
         )
     )
 
-    nf = newton_polytope(f)
-    nf_mut = newton_polytope(mutated)
+    nf = _to_ambient(hyp.newton, spec)
+    nf_mut = _to_ambient(nf_mut_adapted, spec)
     if contains_origin_interior(nf) and contains_origin_interior(nf_mut):
         counts_f = dual_ehrhart_counts(nf, kmax)
         counts_m = dual_ehrhart_counts(nf_mut, kmax)

@@ -56,6 +56,9 @@ class MutationSpec:
     direction: IntVec
     basis: IntMat
     divisor: LaurentPolynomial
+    # The inverse basis, worked out once per spec on first use; it is
+    # derived from ``basis``, so equality, repr and to_dict leave it out.
+    _inverse: Optional[IntMat] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.rank
@@ -92,7 +95,9 @@ class MutationSpec:
                 raise ValueError("divisor is not supported on the kernel of the direction")
             te = mat_vec(inv, e)
             terms.append((te[:-1], c))
-        return MutationSpec(len(u), u, basis, LaurentPolynomial.from_terms(len(u) - 1, terms))
+        spec = MutationSpec(len(u), u, basis, LaurentPolynomial.from_terms(len(u) - 1, terms))
+        object.__setattr__(spec, "_inverse", inv)
+        return spec
 
     @staticmethod
     def from_adapted(direction: Sequence[int], basis: Sequence[Sequence[int]], divisor: LaurentPolynomial) -> "MutationSpec":
@@ -116,7 +121,9 @@ class MutationSpec:
 
     def to_adapted(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """f in the adapted frame: kernel coordinates first, divided one last."""
-        return act_unimodular(f, inverse_unimodular(self.basis))
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", inverse_unimodular(self.basis))
+        return act_unimodular(f, self._inverse)
 
     def divisor_in_ambient(self) -> LaurentPolynomial:
         """The divisor transported back to the original coordinates."""

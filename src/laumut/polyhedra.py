@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlat import (
@@ -404,20 +405,51 @@ def polar_dual(p: Polyhedron) -> Polyhedron:
 
 
 def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
-    """Lattice point counts of the k-th dilates of the polar dual, k=1..kmax."""
+    """Lattice point counts of the k-th dilates of the polar dual, k=1..kmax.
+
+    Counted fibre by fibre. Once u_0..u_{j-1} are fixed, the projection
+    of the dual P* onto its first j+1 coordinates bounds u_j to an exact
+    interval, so each dilate kP* is walked one coordinate prefix at a
+    time, and the last coordinate adds the length of its interval
+    without being walked. Each projection's halfspaces are scaled to
+    integers once; the k loop uses integer floor and ceiling division
+    only. A dilate costs about the lattice points of the dilated
+    (r-1)-dimensional projection times the facets per projection,
+    instead of the volume of the dual's dilated bounding box.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     dual = polar_dual(p)
-    bounds = [max(abs(v[i]) for v in dual.vertices) for i in range(p.rank)]
-    counts = []
-    for k in range(1, kmax + 1):
-        boxes = [range(-int(k * b), int(k * b) + 1) for b in bounds]
-        n = 0
-        for u in product(*boxes):
-            if all(dot(u, v) >= -k for v in p.vertices):
-                n += 1
-        counts.append(n)
-    return counts
+    # levels[j] bounds u_j given the prefix u_0..u_{j-1}: (a, c, rest)
+    # stands for a*u_j + <rest, prefix> >= k*c, a lower bound if a > 0 and
+    # an upper one if a < 0. Facets with a = 0 only restate earlier levels.
+    levels = []
+    for j in range(1, p.rank + 1):
+        proj = dual if j == p.rank else hull([v[:j] for v in dual.vertices])
+        lower, upper = [], []
+        for normal, offset in proj.halfspaces:
+            d = offset.denominator
+            a = normal[-1] * d
+            if a:
+                bound = (a, offset.numerator, tuple(x * d for x in normal[:-1]))
+                (lower if a > 0 else upper).append(bound)
+        levels.append((lower, upper))
+    return [_fibre_count(levels, k) for k in range(1, kmax + 1)]
+
+
+def _fibre_count(levels, k: int) -> int:
+    """Lattice points of the k-th dilate cut out by ``levels``."""
+    last = len(levels) - 1
+
+    def walk(j: int, prefix: tuple) -> int:
+        lower, upper = levels[j]
+        lo = max(-((sum(map(mul, rest, prefix)) - k * c) // a) for a, c, rest in lower)
+        hi = min((k * c - sum(map(mul, rest, prefix))) // a for a, c, rest in upper)
+        if j == last:
+            return max(hi - lo + 1, 0)
+        return sum(walk(j + 1, prefix + (x,)) for x in range(lo, hi + 1))
+
+    return walk(0, ())
 
 
 def vertex_cycle(p: Polyhedron) -> list[QVec]:
@@ -528,9 +560,23 @@ def _witness_bound(explicit: Optional[int]) -> int:
 
 
 def _witness_candidates(rank: int, bound: int):
-    cands = [c for c in product(range(-bound, bound + 1), repeat=rank) if any(c)]
-    cands.sort(key=lambda t: (max(abs(x) for x in t), tuple(-x for x in t)))
-    return cands
+    """Nonzero integer vectors with coordinates up to ``bound``, generated
+    lazily: by sup norm, then descending lexicographically."""
+    for s in range(1, bound + 1):
+        yield from _sup_shell(rank, s)
+
+
+def _sup_shell(rank: int, s: int):
+    """Vectors of sup norm exactly s, descending lexicographically."""
+    if rank == 0:
+        return
+    for x in range(s, -s - 1, -1):
+        if abs(x) == s:
+            rests = product(range(s, -s - 1, -1), repeat=rank - 1)
+        else:
+            rests = _sup_shell(rank - 1, s)
+        for rest in rests:
+            yield (x,) + rest
 
 
 def _is_integral(x: Fraction) -> bool:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from laumut import laurent
+from laumut import exactlat, laurent
 from laumut.cli import main
 from laumut.deformation import VerificationReport
 from laumut.laurent import parse
@@ -274,3 +274,29 @@ def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_pa
     plain = len(calls)
     run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))
     assert len(calls) - plain <= plain
+
+
+def test_verify_hulls_each_support_once(capsys, monkeypatch):
+    # Delta(f) and Delta(mutated) once each, plus the Newton polytope that
+    # the one division takes of its dividend.
+    calls = count_calls(monkeypatch, laurent.newton_polytope)
+    assert run(capsys, "verify", *F3_MUTATION)[0] == 0
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", *F3_MUTATION),
+        ("mutate", *F3_MUTATION),
+        ("family", *F3_MUTATION),
+        ("verify", *F3_MUTATION),
+        ("verify", *F3_MUTATION, "--svg", "v.svg"),
+        ("render", *F3_MUTATION, "-o", "r.svg"),
+    ],
+)
+def test_one_basis_inversion_per_spec(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    calls = count_calls(monkeypatch, exactlat.inverse_unimodular)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,7 +29,13 @@ from laumut.mutation import (
     is_mutation,
     polygon_facets,
 )
-from laumut.polyhedra import hull, minkowski_sum
+from laumut.polyhedra import (
+    contains_origin_interior,
+    dual_ehrhart_counts,
+    hull,
+    minkowski_sum,
+    polar_dual,
+)
 
 
 def random_unimodular(rng, n):
@@ -114,6 +121,28 @@ def test_is_mutation_failure_level():
     with pytest.raises(MutationError) as info:
         apply_mutation(f, spec)
     assert info.value.level == 1
+
+
+def test_dual_counts_match_box_scan_on_random_rank3_pairs(box_scan):
+    # The box scan costs the volume of the dual's dilated bounding box, so
+    # pairs whose box exceeds 10,000 points at k = 3 are passed over.
+    rng = random.Random(131)
+    checked = 0
+    while checked < 4:
+        f, spec = random_mutable_pair(rng, 3)
+        polytopes = [newton_polytope(f), newton_polytope(apply_mutation(f, spec))]
+        if not all(contains_origin_interior(p) for p in polytopes):
+            continue
+        boxes = [
+            prod(2 * int(3 * max(abs(v[i]) for v in polar_dual(p).vertices)) + 1 for i in range(3))
+            for p in polytopes
+        ]
+        if max(boxes) > 10_000:
+            continue
+        counts = [dual_ehrhart_counts(p, 3) for p in polytopes]
+        assert counts == [box_scan(p, 3) for p in polytopes]
+        assert counts[0] == counts[1]
+        checked += 1
 
 
 def test_worked_mutation_and_involution():

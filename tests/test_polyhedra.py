@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
+from laumut.laurent import act_unimodular, newton_polytope, parse
 from laumut.polyhedra import (
     AdmissibilityVerdict,
     Cone,
@@ -10,6 +13,7 @@ from laumut.polyhedra import (
     STATUS_NO,
     STATUS_UNKNOWN,
     STATUS_YES,
+    _witness_candidates,
     cone_over,
     contains_origin_interior,
     dual_cone,
@@ -279,6 +283,45 @@ def test_dual_ehrhart_counts_square():
     assert dual_ehrhart_counts(square, 4) == [5, 13, 25, 41]
 
 
+# Reflexive polygons of the worked examples: F3, F4 (the pentagon, also as
+# dP7), the hexagon, P1xP1 and P2.
+WORKED_POLYGONS = (
+    "x^-1*y + 2*y + x*y + y^-1",
+    "x^-1 + x^-1*y + y + y^-1 + x*y^-1",
+    "x + x*y + y + x^-1 + y^-1",
+    "x + x*y + y + x^-1 + x^-1*y^-1 + y^-1",
+    "x + y + x^-1 + y^-1",
+    "x + y + x^-1*y^-1",
+)
+SHEARS = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 2), (0, 1)), ((2, 3), (1, 2)))
+
+
+@pytest.mark.parametrize("shear", SHEARS)
+def test_dual_counts_match_box_scan_on_sheared_polygons(box_scan, shear):
+    for text in WORKED_POLYGONS:
+        p = newton_polytope(act_unimodular(parse(text), shear))
+        assert dual_ehrhart_counts(p, 6) == box_scan(p, 6)
+
+
+def test_dual_counts_match_box_scan_with_rational_dual_vertices(box_scan):
+    for p in (
+        hull(V((2, 0), (0, 2), (-2, -2))),
+        hull(V((Fraction(1, 2), 0), (0, Fraction(1, 3)), (-1, Fraction(-2, 5)))),
+        hull(V((3, 1, 0), (0, 2, 1), (-1, -1, 2), (-1, 0, -3))),
+    ):
+        assert not is_lattice_polyhedron(polar_dual(p))
+        assert dual_ehrhart_counts(p, 5) == box_scan(p, 5)
+
+
+@pytest.mark.parametrize("rank,kmax", [(1, 12), (2, 12), (3, 8), (4, 3)])
+def test_dual_counts_of_reflexive_simplex_closed_form(rank, kmax):
+    # conv(e_1..e_r, -(e_1+...+e_r)) has as polar dual a translate of
+    # (r+1) times the standard simplex: C((r+1)k + r, r) points in its k-th dilate.
+    verts = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
+    simplex = hull(verts + [(Fraction(-1),) * rank])
+    assert dual_ehrhart_counts(simplex, kmax) == [comb((rank + 1) * k + rank, rank) for k in range(1, kmax + 1)]
+
+
 # -- polygon walks -----------------------------------------------------------------
 
 
@@ -418,6 +461,14 @@ def test_witness_bound_env(monkeypatch):
     monkeypatch.setenv("LAUMUT_WITNESS_BOUND", "0")
     with pytest.raises(ValueError):
         is_admissible_pair(p, q)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_witness_candidates_keep_the_sorted_order(rank):
+    for bound in range(4):
+        box = [c for c in product(range(-bound, bound + 1), repeat=rank) if any(c)]
+        box.sort(key=lambda t: (max(abs(x) for x in t), tuple(-x for x in t)))
+        assert list(_witness_candidates(rank, bound)) == box
 
 
 def test_verify_admissibility_rejects_tampered_witness():
