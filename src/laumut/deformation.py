@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .exactlat import IntVec, mat_vec, primitive_from_rational, unit_vector
 from .laurent import LaurentPolynomial, newton_polytope, slices, to_string
@@ -80,11 +80,15 @@ def sigma_infinity_from_decomposition(
             raise ValueError(f"{name} has rank {p.rank}, expected {rank}")
         if tailcone(p) != tail:
             raise FamilyError(f"{name} does not have the required tailcone", [f"tailcone:{name}"])
-    for name, pair in (
-        ("delta00/delta01", (delta00, delta01)),
-        ("delta01/delta_inf", (delta01, delta_inf)),
-    ):
-        verdict = is_admissible_pair(*pair)
+    # Lazy, so the second pair is only decided once the first is certified.
+    adm = (is_admissible_pair(*pair) for pair in ((delta00, delta01), (delta01, delta_inf)))
+    return _glue(tail, delta00, delta01, delta_inf, adm)
+
+
+def _glue(tail: Cone, delta00: Polyhedron, delta01: Polyhedron, delta_inf: Polyhedron, adm: Iterable) -> Cone:
+    """The gluing step of :func:`sigma_infinity_from_decomposition`, for
+    callers that already hold the shared tailcone and both verdicts."""
+    for name, verdict in zip(("delta00/delta01", "delta01/delta_inf"), adm):
         if verdict.status != STATUS_YES:
             err = FamilyError(
                 f"admissibility of the pair {name} is not certified: "
@@ -97,7 +101,7 @@ def sigma_infinity_from_decomposition(
     gens = [r + (0,) for r in tail.rays]
     gens += [primitive_from_rational(v + (Fraction(1),)) for v in delta00.vertices]
     gens += [primitive_from_rational(v + (Fraction(-1),)) for v in low.vertices]
-    return Cone.from_generators(rank + 1, gens)
+    return Cone.from_generators(tail.rank + 1, gens)
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,9 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses) -> Family
     delta01 = hull(pts01, tail.rays)
     assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
 
+    # delta00 and delta01 are hulls over tail.rays; delta_inf's tail was asserted above.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
-    sigma_inf = sigma_infinity_from_decomposition(tail, delta00, delta01, delta_inf)
+    sigma_inf = _glue(tail, delta00, delta01, delta_inf, adm)
     return FamilyData(
         f=f,
         spec=spec,

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -124,53 +122,54 @@ def matrix_columns(a) -> tuple:
     return transpose(a)
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix given by its rows (int or Fraction entries)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix, in place.
+
+    Pivot p at (r, c), after pivot ``prev``, turns every other row into
+    ``(p*row - row[c]*m[r]) / prev``, exactly, since each entry stays a minor
+    of the input (Sylvester's identity). Returns ``(rank, sign)``; the pivot
+    columns then hold d*I for the last pivot d, and a full-rank square
+    matrix has determinant sign*d.
+    """
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        row = m[rank]
+        p = row[c]
+        for i, other in enumerate(m):
+            if i != rank:
+                f = other[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(other, row)]
+        prev = p
         rank += 1
-        row += 1
-        if row == len(m):
+        if rank == len(m):
             break
-    return rank
+    return rank, sign
+
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix given by its rows (int or Fraction entries)."""
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([int(x * d) for x in row])
+    return _bareiss(m)[0]
 
 
 def determinant(a: Sequence[Sequence[int]]) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if det.denominator != 1:
-        raise AssertionError("integer determinant came out fractional")
-    return int(det)
+    m = [list(row) for row in a]
+    rank, sign = _bareiss(m)
+    if rank < n:
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 def is_unimodular(a) -> bool:
@@ -185,19 +184,10 @@ def inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMat:
     n = len(a)
     if abs(determinant(a)) != 1:
         raise ValueError("matrix is not unimodular")
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = tuple(tuple(int(x) for x in row[n:]) for row in m)
-    return out
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    _bareiss(m)
+    # m is now [d*I | d*a^-1] with d = +/-1, so a^-1 = d * (right block).
+    return tuple(tuple(m[0][0] * x for x in row[n:]) for row in m)
 
 
 def adapted_basis(u: Sequence[int]) -> tuple[IntVec, tuple[IntVec, ...]]:

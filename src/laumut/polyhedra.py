@@ -64,62 +64,68 @@ def extreme_rays(constraints: Sequence[IntVec], rank: int) -> tuple[list[IntVec]
     constraints contains their common tight set. That test is sound
     exactly because the maintained ray list stays irredundant.
 
+    Tight sets are int bitmasks carried along, as in cdd (Fukuda-Prodon,
+    "Double description method revisited", 1996): bit j marks the j-th
+    nonzero constraint as tight, a new ray gets its parents' common mask
+    plus the new bit, and a pair with fewer than ``rank - len(lineality) - 2``
+    common bits is dropped unscanned. An insertion costs one dot product
+    per ray plus one mask test per (pair, ray).
+
     Rays are primitive integer vectors; output is independent of input
     order only up to representatives, so callers sort constraints first
     when canonical output matters.
     """
     lineality = [unit_vector(rank, i) for i in range(rank)]
     rays: list[IntVec] = []
-    seen: list[IntVec] = []
+    masks: list[int] = []
+    bit = 1
     for a in constraints:
         if len(a) != rank:
             raise ValueError(f"constraint of length {len(a)} in rank {rank}")
         if not any(a):
             continue
-        lvals = [dot(a, l) for l in lineality]
+        lvals = [sum(map(mul, a, l)) for l in lineality]
+        vals = [sum(map(mul, a, r)) for r in rays]
         if any(lvals):
+            # Lineality vectors vanish on all earlier constraints: projecting keeps tight sets.
             j0 = next(j for j, val in enumerate(lvals) if val)
             l0, v0 = lineality[j0], lvals[j0]
             if v0 < 0:
                 l0, v0 = vneg(l0), -v0
-            new_lin = []
-            for j, l in enumerate(lineality):
-                if j == j0:
-                    continue
-                lv = dot(a, l)
-                new_lin.append(primitive_vector(vsub(vscale(v0, l), vscale(lv, l0))) if lv else l)
+            lineality = [
+                primitive_vector(vsub(vscale(v0, l), vscale(lv, l0))) if lv else l
+                for j, (l, lv) in enumerate(zip(lineality, lvals))
+                if j != j0
+            ]
             rays = [
-                primitive_vector(vsub(vscale(v0, r), vscale(dot(a, r), l0))) if dot(a, r) else r
-                for r in rays
+                primitive_vector(vsub(vscale(v0, r), vscale(val, l0))) if val else r
+                for r, val in zip(rays, vals)
             ]
             rays.append(l0)
-            lineality = new_lin
+            masks = [m | bit for m in masks] + [bit - 1]
         else:
-            vals = [dot(a, r) for r in rays]
+            masks = [m | bit if val == 0 else m for m, val in zip(masks, vals)]
             if min(vals, default=0) < 0:
-                act = [
-                    frozenset(j for j, c in enumerate(seen) if dot(c, r) == 0)
-                    for r in rays
-                ]
-                newrays = [r for r, val in zip(rays, vals) if val >= 0]
+                survivors: dict[IntVec, int] = {}
+                for r, m, val in zip(rays, masks, vals):
+                    if val >= 0:
+                        survivors.setdefault(r, m)
                 pos = [i for i, val in enumerate(vals) if val > 0]
                 neg = [i for i, val in enumerate(vals) if val < 0]
+                need = rank - len(lineality) - 2
                 for ip in pos:
                     for im in neg:
-                        common = act[ip] & act[im]
-                        if any(
-                            k != ip and k != im and common <= act[k]
-                            for k in range(len(rays))
+                        common = masks[ip] & masks[im]
+                        if common.bit_count() < need or any(
+                            common & m == common and k != ip and k != im
+                            for k, m in enumerate(masks)
                         ):
                             continue
                         comb = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
-                        newrays.append(primitive_vector(comb))
-                uniq: list[IntVec] = []
-                for r in newrays:
-                    if r not in uniq:
-                        uniq.append(r)
-                rays = uniq
-        seen.append(a)
+                        survivors.setdefault(primitive_vector(comb), common | bit)
+                rays = list(survivors)
+                masks = list(survivors.values())
+        bit <<= 1
     return sorted(set(rays)), sorted(lineality)
 
 
@@ -158,9 +164,6 @@ class Cone:
 
     def is_pointed(self) -> bool:
         return not self.lineality
-
-    def dim(self) -> int:
-        return matrix_rank(self.rays) if self.rays else 0
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -214,7 +217,7 @@ class Polyhedron:
     def dim(self) -> int:
         v0 = self.vertices[0]
         spans = [vsub(v, v0) for v in self.vertices[1:]] + list(self.rays)
-        return matrix_rank(spans) if spans else 0
+        return matrix_rank(spans)
 
     def translate(self, t: Sequence) -> "Polyhedron":
         t = tuple(Fraction(c) for c in t)
@@ -604,8 +607,7 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron, tail: Cone) -> list[dict]:
             cons.update(q.rays)
             ray_r, ray_l = extreme_rays(sorted(cons), rank)
             gens = ray_r + ray_l + [vneg(l) for l in ray_l]
-            dim = matrix_rank(gens) if gens else 0
-            if dim < rank:
+            if matrix_rank(gens) < rank:
                 continue
             cells.append(
                 {

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from laumut.exactlat import dot
+from laumut.exactlat import dot, primitive_vector, unit_vector, vneg, vscale, vsub
 from laumut.polyhedra import polar_dual
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -39,3 +39,61 @@ def box_scan_dual_counts(p, kmax):
 @pytest.fixture
 def box_scan():
     return box_scan_dual_counts
+
+
+def recompute_extreme_rays(constraints, rank):
+    """Oracle for ``extreme_rays``: the same double description method,
+    but every ray's tight set is recomputed against all earlier
+    constraints on each step instead of being carried as a bitmask."""
+    lineality = [unit_vector(rank, i) for i in range(rank)]
+    rays = []
+    seen = []
+    for a in constraints:
+        if len(a) != rank:
+            raise ValueError(f"constraint of length {len(a)} in rank {rank}")
+        if not any(a):
+            continue
+        lvals = [dot(a, l) for l in lineality]
+        if any(lvals):
+            j0 = next(j for j, val in enumerate(lvals) if val)
+            l0, v0 = lineality[j0], lvals[j0]
+            if v0 < 0:
+                l0, v0 = vneg(l0), -v0
+            new_lin = []
+            for j, l in enumerate(lineality):
+                if j == j0:
+                    continue
+                lv = dot(a, l)
+                new_lin.append(primitive_vector(vsub(vscale(v0, l), vscale(lv, l0))) if lv else l)
+            rays = [
+                primitive_vector(vsub(vscale(v0, r), vscale(dot(a, r), l0))) if dot(a, r) else r
+                for r in rays
+            ]
+            rays.append(l0)
+            lineality = new_lin
+        else:
+            vals = [dot(a, r) for r in rays]
+            if min(vals, default=0) < 0:
+                act = [frozenset(j for j, c in enumerate(seen) if dot(c, r) == 0) for r in rays]
+                newrays = [r for r, val in zip(rays, vals) if val >= 0]
+                pos = [i for i, val in enumerate(vals) if val > 0]
+                neg = [i for i, val in enumerate(vals) if val < 0]
+                for ip in pos:
+                    for im in neg:
+                        common = act[ip] & act[im]
+                        if any(k != ip and k != im and common <= act[k] for k in range(len(rays))):
+                            continue
+                        comb = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
+                        newrays.append(primitive_vector(comb))
+                uniq = []
+                for r in newrays:
+                    if r not in uniq:
+                        uniq.append(r)
+                rays = uniq
+        seen.append(a)
+    return sorted(set(rays)), sorted(lineality)
+
+
+@pytest.fixture
+def recompute_dd():
+    return recompute_extreme_rays

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from laumut import deformation
 from laumut.deformation import (
     FamilyError,
     VerificationReport,
@@ -13,7 +14,7 @@ from laumut.deformation import (
 )
 from laumut.laurent import parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, hull, tailcone
+from laumut.polyhedra import Cone, hull, is_admissible_pair, tailcone
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -85,6 +86,34 @@ def test_build_family_hypothesis_failures():
         "origin:not in the interior of the Newton polytope",
         "levels:divided exponents must straddle zero",
     ]
+
+
+def count_admissibility_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return is_admissible_pair(p, q)
+
+    monkeypatch.setattr(deformation, "is_admissible_pair", counted)
+    return calls
+
+
+def test_build_family_decides_each_pair_once(monkeypatch):
+    calls = count_admissibility_calls(monkeypatch)
+    fam = worked_family()
+    assert len(calls) == 2
+    assert [v.status for v in fam.admissibility] == ["yes", "yes"]
+
+
+def test_sigma_infinity_stops_at_the_first_uncertified_pair(monkeypatch):
+    fam = worked_family()
+    p00 = hull([(F(1, 2), F(0))], fam.tail.rays)
+    p01 = hull([(F(1, 3), F(0))], fam.tail.rays)
+    calls = count_admissibility_calls(monkeypatch)
+    with pytest.raises(FamilyError):
+        sigma_infinity_from_decomposition(fam.tail, p00, p01, fam.delta_inf)
+    assert calls == [(p00, p01)]
 
 
 def test_sigma_infinity_recovery_identity():

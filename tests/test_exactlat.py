@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -102,6 +103,35 @@ def test_matrix_rank():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2
     assert matrix_rank([(0, 0)]) == 0
+    assert matrix_rank([]) == 0
+    assert matrix_rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+    assert matrix_rank([(0, 1, 2), (0, 2, 4), (0, 0, 0), (1, 0, Fraction(-5, 7))]) == 2
+
+
+def test_determinant_matches_the_leibniz_formula():
+    def leibniz(a):
+        total = 0
+        for perm in permutations(range(len(a))):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(a)) for j in range(i + 1, len(a)))
+            term = sign
+            for i, j in enumerate(perm):
+                term *= a[i][j]
+            total += term
+        return total
+
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a[-1] = [2 * x for x in a[0]]
+        assert determinant(a) == leibniz(a)
+        assert matrix_rank(a) == n or determinant(a) == 0
+    assert determinant([]) == 1
+    with pytest.raises(ValueError):
+        inverse_unimodular(((2, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        inverse_unimodular(((1, 2), (2, 4)))
 
 
 def test_adapted_basis_examples():

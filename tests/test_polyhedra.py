@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from laumut import polyhedra
+from laumut.exactlat import matrix_rank, vneg
 from laumut.laurent import act_unimodular, newton_polytope, parse
 from laumut.polyhedra import (
     AdmissibilityVerdict,
@@ -18,6 +20,7 @@ from laumut.polyhedra import (
     contains_origin_interior,
     dual_cone,
     dual_ehrhart_counts,
+    extreme_rays,
     from_halfspaces,
     hull,
     is_admissible_pair,
@@ -320,6 +323,86 @@ def test_dual_counts_of_reflexive_simplex_closed_form(rank, kmax):
     verts = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
     simplex = hull(verts + [(Fraction(-1),) * rank])
     assert dual_ehrhart_counts(simplex, kmax) == [comb((rank + 1) * k + rank, rank) for k in range(1, kmax + 1)]
+
+
+# -- double description kernel ------------------------------------------------------
+
+
+def random_constraints(rng, rank, kinds):
+    """A shuffled constraint list; zero rows, repeated rows and +/- pairs
+    (equations) are mixed in, and some lists leave the last coordinate
+    free so that lineality survives to the end. ``kinds`` collects which
+    of these the list contains."""
+    rows = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, rank + 5))]
+    if rng.random() < 0.25:
+        rows = [r[:-1] + (0,) for r in rows]
+    extra = []
+    for r in rows:
+        roll = rng.random()
+        if roll < 0.15:
+            extra.append(r)
+            kinds.add("duplicate")
+        elif roll < 0.3 and any(r):
+            extra.append(vneg(r))
+            kinds.add("equation")
+    rows += extra + [(0,) * rank] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        rows.sort()
+    if any(not any(r) for r in rows):
+        kinds.add("zero")
+    if matrix_rank(rows) < rank:
+        kinds.add("lineality")
+    return rows
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_extreme_rays_match_recomputed_tight_sets(recompute_dd, rank):
+    rng = random.Random(4000 + rank)
+    kinds = set()
+    for _ in range(80):
+        cons = random_constraints(rng, rank, kinds)
+        assert extreme_rays(cons, rank) == recompute_dd(cons, rank)
+    assert kinds == {"duplicate", "equation", "zero", "lineality"}
+
+
+def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_dd, monkeypatch):
+    # Record the homogenised hull and from_halfspaces inputs that the
+    # Newton polytopes and polar duals of the worked polygons produce.
+    calls = []
+
+    def recording(constraints, rank):
+        calls.append((list(constraints), rank))
+        return extreme_rays(constraints, rank)
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", recording)
+    for text in WORKED_POLYGONS:
+        for shear in SHEARS:
+            polar_dual(newton_polytope(act_unimodular(parse(text), shear)))
+    assert len(calls) > 100
+    for constraints, rank in calls:
+        assert extreme_rays(constraints, rank) == recompute_dd(constraints, rank)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_extreme_rays_are_extreme(rank):
+    # Checked with plain sums and ranks only: every ray lies in the cone
+    # and its tight constraints have corank one modulo the lineality space.
+    def pair(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rng = random.Random(7000 + rank)
+    for _ in range(60):
+        cons = random_constraints(rng, rank, set())
+        rows = [c for c in cons if any(c)]
+        rays, lineality = extreme_rays(cons, rank)
+        assert len(lineality) == rank - matrix_rank(rows)
+        assert all(pair(c, l) == 0 for c in rows for l in lineality)
+        assert len(set(rays)) == len(rays)
+        for r in rays:
+            assert all(pair(c, r) >= 0 for c in rows)
+            tight = [c for c in rows if pair(c, r) == 0]
+            assert matrix_rank(tight) == rank - len(lineality) - 1
 
 
 # -- polygon walks -----------------------------------------------------------------
