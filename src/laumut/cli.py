@@ -185,9 +185,9 @@ def _cmd_mutate(args):
         "mutated": to_string(g),
         "support": [[str(c) for c in e] for e in g.support()],
     }
-    svg = _maybe_svg(args, [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))])
-    if svg:
-        payload["svg"] = svg
+    if args.svg is not None:
+        items = [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))]
+        payload["svg"] = _maybe_svg(args, items)
     return payload, 0, [f"mutated: {to_string(g)}"]
 
 

@@ -251,6 +251,21 @@ def polygon_facets(p: Polyhedron) -> list[FacetInfo]:
     return out
 
 
+def validate_mutable_polygon(p: Polyhedron) -> None:
+    """Raise unless p is a lattice polygon with primitive vertices and
+    the origin in its interior (the setting where every facet carries a
+    standard mutation attempt)."""
+    if p.rank != 2:
+        raise ValueError("mutation graphs are defined for rank 2")
+    if not contains_origin_interior(p):
+        raise ValueError("polygon must contain the origin in its interior")
+    for v in p.vertices:
+        if any(c.denominator != 1 for c in v):
+            raise ValueError("polygon must be a lattice polygon")
+        if content(int(c) for c in v) != 1:
+            raise ValueError("polygon vertices must be primitive")
+
+
 def facet_mutation_spec(p: Polyhedron, facet_index: int) -> MutationSpec:
     """Standard mutation attached to one edge of a lattice polygon.
 
@@ -260,15 +275,16 @@ def facet_mutation_spec(p: Polyhedron, facet_index: int) -> MutationSpec:
     lex-positive primitive direction t along the edge, so the divided
     variable is the one the edge normal grades by.
     """
-    if not contains_origin_interior(p):
-        raise ValueError("facet mutations need the origin in the polygon's interior")
-    for v in p.vertices:
-        if any(c.denominator != 1 for c in v) or content(int(c) for c in v) != 1:
-            raise ValueError("facet mutations need primitive lattice vertices")
+    validate_mutable_polygon(p)
     facets = polygon_facets(p)
     if not 0 <= facet_index < len(facets):
         raise ValueError(f"facet index out of range 0..{len(facets) - 1}")
-    u = facets[facet_index].direction
+    return _facet_spec(facets[facet_index])
+
+
+def _facet_spec(facet: FacetInfo) -> MutationSpec:
+    """The standard mutation of one facet of a validated polygon."""
+    u = facet.direction
     divisor = LaurentPolynomial.from_terms(1, {(0,): Fraction(1), (1,): Fraction(1)})
     w, kernel = adapted_basis(u)
     basis = matrix_from_columns(list(kernel) + [w])

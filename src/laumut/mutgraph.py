@@ -22,7 +22,6 @@ from typing import Optional
 from .exactlat import (
     IntMat,
     IntVec,
-    content,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -34,26 +33,12 @@ from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import (
     FacetInfo,
     MutationSpec,
-    facet_mutation_spec,
+    _facet_spec,
     is_mutation,
     polygon_facets,
+    validate_mutable_polygon,
 )
-from .polyhedra import Polyhedron, contains_origin_interior, vertex_cycle
-
-
-def validate_mutable_polygon(p: Polyhedron) -> None:
-    """Raise unless p is a lattice polygon with primitive vertices and
-    the origin in its interior (the setting where every facet carries a
-    standard mutation attempt)."""
-    if p.rank != 2:
-        raise ValueError("mutation graphs are defined for rank 2")
-    if not contains_origin_interior(p):
-        raise ValueError("polygon must contain the origin in its interior")
-    for v in p.vertices:
-        if any(c.denominator != 1 for c in v):
-            raise ValueError("polygon must be a lattice polygon")
-        if content(int(c) for c in v) != 1:
-            raise ValueError("polygon vertices must be primitive")
+from .polyhedra import Polyhedron, vertex_cycle
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ def mutation_neighbors(f: LaurentPolynomial) -> list[NeighborOutcome]:
     validate_mutable_polygon(p)
     out = []
     for info in polygon_facets(p):
-        spec = facet_mutation_spec(p, info.index)
+        spec = _facet_spec(info)
         ok, report = is_mutation(f, spec)
         out.append(NeighborOutcome(info, spec, ok, report.mutated, tuple(report.failing_levels())))
     return out

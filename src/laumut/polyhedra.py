@@ -1,12 +1,12 @@
 """Exact rational convex polyhedra and cones.
 
 Everything runs through one double description kernel
-(:func:`extreme_rays`): polytope hulls, halfspace intersections, dual
-cones and slice projections are all obtained by dualizing homogenized
-generator cones twice. All arithmetic is exact (ints and Fractions),
-every public object is immutable, and generator/facet lists are sorted,
-so equal polyhedra are structurally equal and all output is
-deterministic.
+(:func:`extreme_rays`). A polyhedron is handled as its homogenization
+(points at height 1, rays at height 0 in a new first coordinate): that
+cone is canonicalized from generators or from normals and read back.
+All arithmetic is exact (ints and Fractions), every public object is
+immutable, and generator/facet lists are sorted, so equal polyhedra are
+structurally equal and all output is deterministic.
 
 Conventions: a halfspace is a pair ``(normal, offset)`` meaning
 ``<normal, x> >= offset`` with a primitive integer normal and a rational
@@ -17,12 +17,10 @@ line; cones may (their lineality basis is tracked separately).
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -191,6 +189,12 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone.from_generators(cone.rank, cone.facet_normals)
 
 
+def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
+    """The cone ``{x : <n, x> >= 0 for every normal}``, canonically presented."""
+    ray_r, ray_l = extreme_rays(sorted({n for n in normals if any(n)}), rank)
+    return Cone.from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
+
+
 # -- polyhedra ----------------------------------------------------------------
 
 
@@ -243,25 +247,32 @@ class Polyhedron:
         return hull(verts, rays)
 
 
-def _split_homogeneous(gens: Sequence[IntVec]) -> tuple[list[QVec], list[IntVec]]:
-    verts: list[QVec] = []
-    rays: list[IntVec] = []
-    for g in gens:
-        if g[0] > 0:
-            verts.append(tuple(Fraction(c, g[0]) for c in g[1:]))
-        elif g[0] == 0:
-            rays.append(g[1:])
-        else:  # pragma: no cover - x0 >= 0 is always enforced
-            raise AssertionError("negative homogenizing coordinate")
-    return verts, rays
+def _dehomogenize(cone: Cone) -> Polyhedron:
+    """The polyhedron whose homogenization is ``cone``: generators at
+    positive height in the first coordinate give its vertices, those at
+    height 0 its rays, and facet normals other than ``x0 >= 0`` its
+    halfspaces."""
+    if cone.lineality:
+        raise ValueError("polyhedron contains a line")
+    verts = [tuple(Fraction(c, g[0]) for c in g[1:]) for g in cone.rays if g[0]]
+    if not verts:
+        raise ValueError("empty polyhedron")
+    rays = [g[1:] for g in cone.rays if not g[0]]
+    halfspaces = []
+    for c in cone.facet_normals:
+        normal = c[1:]
+        if any(normal):
+            g = content(normal)
+            halfspaces.append((tuple(x // g for x in normal), Fraction(-c[0], g)))
+    return Polyhedron(cone.rank - 1, tuple(sorted(verts)), tuple(sorted(rays)), tuple(sorted(halfspaces)))
 
 
 def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Polyhedron:
     """Convex hull of points plus a recession cone spanned by rays.
 
-    Vertices may be rational. The irredundant halfspace description is
-    computed by dualizing the homogenization (points at height 1, rays
-    at height 0); dualizing back yields the canonical vertex/ray sets.
+    Vertices may be rational. The homogenization (points at height 1,
+    rays at height 0) is canonicalized as a cone, which yields both the
+    irredundant halfspaces and the vertex/ray sets.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
@@ -269,24 +280,9 @@ def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Poly
     rank = len(pts[0])
     if any(len(p) != rank for p in pts) or any(len(r) != rank for r in rays):
         raise ValueError("mixed dimensions in hull input")
-    gens = {primitive_from_rational((Fraction(1),) + p) for p in pts}
-    gens.update((0,) + primitive_vector(tuple(r)) for r in rays)
-    dual_r, dual_l = extreme_rays(sorted(gens), rank + 1)
-    constraints = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
-    gen_r, gen_l = extreme_rays(constraints + [unit_vector(rank + 1, 0)], rank + 1)
-    if gen_l:
-        raise ValueError("polyhedron contains a line")
-    verts, prays = _split_homogeneous(gen_r)
-    if not verts:
-        raise ValueError("empty polyhedron")
-    halfspaces = []
-    for c in constraints:
-        normal = c[1:]
-        if not any(normal):
-            continue
-        g = content(normal)
-        halfspaces.append((tuple(x // g for x in normal), Fraction(-c[0], g)))
-    return Polyhedron(rank, tuple(sorted(verts)), tuple(sorted(prays)), tuple(sorted(halfspaces)))
+    gens = [primitive_from_rational((Fraction(1),) + p) for p in pts]
+    gens += [(0,) + primitive_vector(tuple(r)) for r in rays]
+    return _dehomogenize(Cone.from_generators(rank + 1, gens))
 
 
 def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: int) -> Polyhedron:
@@ -297,7 +293,6 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
     """
     hcons = [unit_vector(rank + 1, 0)]
     for normal, offset in halfspaces:
-        normal = tuple(normal)
         offset = Fraction(offset)
         if not any(normal):
             if offset > 0:
@@ -305,13 +300,7 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
             continue
         d = offset.denominator
         hcons.append((-int(offset * d),) + tuple(x * d for x in normal))
-    gen_r, gen_l = extreme_rays(sorted(set(hcons)), rank + 1)
-    if gen_l:
-        raise ValueError("polyhedron contains a line")
-    verts, prays = _split_homogeneous(gen_r)
-    if not verts:
-        raise ValueError("empty polyhedron")
-    return hull(verts, prays)
+    return _dehomogenize(_cone_from_normals(rank + 1, hcons))
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -363,11 +352,9 @@ def slice_project(cone: Cone, u: Sequence[int], level: int) -> Polyhedron:
     if in_dual(cone, u) or in_dual(cone, vneg(u)):
         raise ValueError("direction not admissible for slicing: +/-u is nonnegative on the cone")
     w, kernel = adapted_basis(u)
-    halfspaces = []
-    for n in cone.facet_normals:
-        normal = tuple(dot(n, k) for k in kernel)
-        halfspaces.append((normal, Fraction(-level * dot(n, w))))
-    return from_halfspaces(halfspaces, len(u) - 1)
+    normals = [unit_vector(len(u), 0)]
+    normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
+    return _dehomogenize(_cone_from_normals(len(u), normals))
 
 
 def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:
@@ -376,9 +363,7 @@ def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:
     if content(u) != 1:
         raise ValueError("slice direction must be a primitive functional")
     _, kernel = adapted_basis(u)
-    cons = sorted({tuple(dot(n, k) for k in kernel) for n in cone.facet_normals})
-    ray_r, ray_l = extreme_rays([c for c in cons if any(c)], len(u) - 1)
-    return Cone.from_generators(len(u) - 1, ray_r + ray_l + [vneg(l) for l in ray_l])
+    return _cone_from_normals(len(u) - 1, [tuple(dot(n, k) for k in kernel) for n in cone.facet_normals])
 
 
 def is_lattice_polyhedron(p: Polyhedron) -> bool:
@@ -398,13 +383,9 @@ def polar_dual(p: Polyhedron) -> Polyhedron:
     """Polar dual ``{u : <u, x> >= -1 on p}`` (origin must be interior)."""
     if not contains_origin_interior(p):
         raise ValueError("polar dual needs the origin in the interior")
-    halfspaces = []
-    for v in p.vertices:
-        d = 1
-        for c in v:
-            d = lcm(d, c.denominator)
-        halfspaces.append((tuple(int(c * d) for c in v), Fraction(-d)))
-    return from_halfspaces(halfspaces, p.rank)
+    normals = [unit_vector(p.rank + 1, 0)]
+    normals += [primitive_from_rational((Fraction(1),) + v) for v in p.vertices]
+    return _dehomogenize(_cone_from_normals(p.rank + 1, normals))
 
 
 def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
@@ -465,29 +446,15 @@ def vertex_cycle(p: Polyhedron) -> list[QVec]:
         raise ValueError("vertex cycle is defined for rank 2")
     if p.rays:
         raise ValueError("vertex cycle needs a bounded polyhedron")
-    verts = list(p.vertices)
+    verts = sorted(p.vertices)
     if len(verts) <= 2:
-        return sorted(verts)
-    m = len(verts)
-    cx = sum(v[0] for v in verts) / m
-    cy = sum(v[1] for v in verts) / m
-
-    def angle_key(v):
-        dx, dy = v[0] - cx, v[1] - cy
-        half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-        return half, dx, dy
-
-    def cmp(a, b):
-        ha, xa, ya = angle_key(a)
-        hb, xb, yb = angle_key(b)
-        if ha != hb:
-            return ha - hb
-        cross = xa * yb - ya * xb
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    ordered = sorted(verts, key=functools.cmp_to_key(cmp))
-    i = ordered.index(min(ordered))
-    return ordered[i:] + ordered[:i]
+        return verts
+    # Counterclockwise from the lex-min vertex: the chain below the chord to
+    # the lex-max vertex left to right, then the chain above it back.
+    (x0, y0), (x1, y1) = verts[0], verts[-1]
+    below = [v for v in verts if (x1 - x0) * (v[1] - y0) < (y1 - y0) * (v[0] - x0)]
+    above = [v for v in verts if (x1 - x0) * (v[1] - y0) > (y1 - y0) * (v[0] - x0)]
+    return verts[:1] + below + verts[-1:] + above[::-1]
 
 
 def polygon_edges(p: Polyhedron) -> list[tuple[QVec, QVec]]:

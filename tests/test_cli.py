@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from laumut import exactlat, laurent
+from laumut import cli, exactlat, laurent
 from laumut.cli import main
 from laumut.deformation import VerificationReport
 from laumut.laurent import parse
@@ -274,6 +274,17 @@ def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_pa
     plain = len(calls)
     run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))
     assert len(calls) - plain <= plain
+
+
+def test_plain_mutate_builds_no_newton_polytopes(capsys, monkeypatch, tmp_path):
+    # Only the CLI's own calls count: the division still takes the Newton
+    # polytope of its dividend inside laurent.
+    built = []
+    monkeypatch.setattr(cli, "newton_polytope",lambda f: built.append(f) or laurent.newton_polytope(f))
+    assert run(capsys, "mutate", *F3_MUTATION)[0] == 0
+    assert built == []
+    assert run(capsys, "mutate", *F3_MUTATION, "--svg", str(tmp_path / "m.svg"))[0] == 0
+    assert len(built) == 2
 
 
 def test_verify_hulls_each_support_once(capsys, monkeypatch):

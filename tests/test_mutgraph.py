@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from laumut import mutation, mutgraph
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
 from laumut.mutgraph import (
@@ -91,6 +92,20 @@ def test_validate_mutable_polygon():
         validate_mutable_polygon(P((0, 0), (1, 0), (0, 1)))  # origin on boundary
     with pytest.raises(ValueError):
         validate_mutable_polygon(P((2, 0), (-2, 2), (0, -2)))  # non-primitive vertex
+
+
+def test_mutation_neighbors_enumerates_facets_once(monkeypatch):
+    calls = []
+    facets = mutation.polygon_facets
+
+    def counted(p):
+        calls.append(p)
+        return facets(p)
+
+    monkeypatch.setattr(mutgraph, "polygon_facets", counted)
+    monkeypatch.setattr(mutation, "polygon_facets", counted)
+    assert len(mutation_neighbors(parse(FPRIME))) == 5
+    assert len(calls) == 1
 
 
 def test_mutation_neighbors_of_worked_example():

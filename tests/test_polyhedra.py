@@ -414,6 +414,28 @@ def test_vertex_cycle_ccw_from_lex_min():
     assert len(polygon_edges(p)) == 3
 
 
+def test_vertex_cycle_of_random_lattice_polygons():
+    # Oracle-free: a counterclockwise convex cycle turns left at every
+    # vertex and sweeps every other vertex counterclockwise from the start.
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    rng = random.Random(61)
+    checked = 0
+    while checked < 200:
+        pts = V(*[(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(3, 12))])
+        p = hull(pts)
+        if len(p.vertices) < 3:
+            continue
+        checked += 1
+        cyc = vertex_cycle(p)
+        m = len(cyc)
+        assert cyc[0] == min(p.vertices)
+        assert sorted(cyc) == sorted(p.vertices)
+        assert all(cross(cyc[i], cyc[(i + 1) % m], cyc[(i + 2) % m]) > 0 for i in range(m))
+        assert all(cross(cyc[0], cyc[i], cyc[i + 1]) > 0 for i in range(1, m - 1))
+
+
 def test_vertex_cycle_segment_and_point():
     assert vertex_cycle(hull(V((1, 0), (-1, 0)))) == V((-1, 0), (1, 0))
     assert vertex_cycle(hull(V((2, 3)))) == V((2, 3))
@@ -530,6 +552,41 @@ def test_admissible_pair_unknown_when_witnesses_exceed_bound():
 def test_hull_rejects_line_spanning_rays():
     with pytest.raises(ValueError):
         hull([(Fraction(0), Fraction(0))], [(0, 1), (0, -1)])
+
+
+def test_hull_rejects_zero_ray():
+    with pytest.raises(ValueError):
+        hull(V((0, 0)), [(1, 0), (0, 0)])
+
+
+SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
+SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
+
+
+@pytest.mark.parametrize(
+    "convert,passes",
+    [
+        (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 2),
+        (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 2),
+        (lambda: from_halfspaces(SQUARE.halfspaces, 2), 3),
+        (lambda: slice_project(SIGMA, (0, 0, 1), 1), 3),
+        (lambda: slice_project(SIGMA, (0, 0, 1), -1), 3),
+        (lambda: polar_dual(SQUARE), 3),
+        (lambda: kernel_slice(SIGMA, (0, 0, 1)), 3),
+        (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 2),
+    ],
+    ids=["hull", "hull_rays", "from_halfspaces", "slice_up", "slice_down", "polar_dual", "kernel_slice", "from_generators"],
+)
+def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
+    calls = []
+
+    def counted(constraints, rank):
+        calls.append(rank)
+        return extreme_rays(constraints, rank)
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", counted)
+    convert()
+    assert len(calls) <= passes
 
 
 def test_witness_bound_env(monkeypatch):
