@@ -111,12 +111,13 @@ class LaurentPolynomial:
             return inv ** (-n)
         out = LaurentPolynomial.constant(self.rank, 1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def _check(self, other: "LaurentPolynomial"):
         if self.rank != other.rank:
@@ -342,10 +343,43 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
 
 
 def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
-    """Convex hull of the support."""
+    """Convex hull of the support.
+
+    In ranks 1 and 2 the support is first cut down to its extreme
+    points, so the hull sees only the vertices however many terms f has.
+    """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
-    return polyhedra.hull([tuple(Fraction(c) for c in e) for e in f.support()])
+    support = f.support()  # sorted, as every polynomial's terms are
+    if f.rank == 1:
+        support = sorted({support[0], support[-1]})
+    elif f.rank == 2:
+        support = _plane_extreme_points(support)
+    return polyhedra.hull([tuple(Fraction(c) for c in e) for e in support])
+
+
+def _plane_extreme_points(points: Sequence[IntVec]) -> list[IntVec]:
+    """Vertices of the convex hull of sorted distinct points in the plane.
+
+    Andrew's monotone chain: the lower chain left to right, then the
+    upper chain back. Only strict left turns survive, so points inside
+    an edge, collinear supports included, are dropped.
+    """
+    if len(points) < 3:
+        return list(points)
+
+    def chain(seq: Iterable[IntVec]) -> list[IntVec]:
+        out: list[IntVec] = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    return chain(points)[:-1] + chain(reversed(points))[:-1]
 
 
 @dataclass(frozen=True)

@@ -195,14 +195,23 @@ def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, Mutatio
         raise ValueError("cannot mutate the zero polynomial")
     sd = slices(spec.to_adapted(f), spec.rank - 1)
     g = spec.divisor
-    quotients = {level: divide_exact(part, g ** level) for level, part in sd.slices.items() if level > 0}
-    checks = tuple(SliceCheck(level, q is not None) for level, q in quotients.items())
-    if any(q is None for q in quotients.values()):
-        return False, MutationCheck(sd.low, sd.high, checks)
-    parts = {level: part * g ** (-level) if level < 0 else part for level, part in sd.slices.items()}
-    parts.update(quotients)
+    parts = dict(sd.slices)
+    checks = []
+    # One running power g^k serves level k and level -k; keeping all the
+    # powers instead would hold every g^k of the walk in memory at once.
+    power = g
+    for k in range(1, max(sd.high, -sd.low) + 1):
+        if k > 1:
+            power = power * g
+        if k in parts:
+            parts[k] = divide_exact(parts[k], power)
+            checks.append(SliceCheck(k, parts[k] is not None))
+        if -k in parts:
+            parts[-k] = parts[-k] * power
+    if not all(c.divisible for c in checks):
+        return False, MutationCheck(sd.low, sd.high, tuple(checks))
     mutated = act_unimodular(replace(sd, slices=parts).reassemble(), spec.basis)
-    return True, MutationCheck(sd.low, sd.high, checks, mutated)
+    return True, MutationCheck(sd.low, sd.high, tuple(checks), mutated)
 
 
 def apply_mutation(f: LaurentPolynomial, spec: MutationSpec) -> LaurentPolynomial:

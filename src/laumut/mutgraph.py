@@ -110,13 +110,15 @@ class NeighborOutcome:
     failing_levels: tuple[int, ...]
 
 
-def mutation_neighbors(f: LaurentPolynomial) -> list[NeighborOutcome]:
+def mutation_neighbors(f: LaurentPolynomial, p: Optional[Polyhedron] = None) -> list[NeighborOutcome]:
     """Attempt the standard mutation at every facet of Delta(f).
 
-    Divisibility failures are outcomes, not errors; polygon-level
-    precondition violations (origin, primitivity) do raise.
+    ``p`` is Delta(f) when the caller already has it; it is hulled from
+    f otherwise. Divisibility failures are outcomes, not errors;
+    polygon-level precondition violations (origin, primitivity) do raise.
     """
-    p = newton_polytope(f)
+    if p is None:
+        p = newton_polytope(f)
     validate_mutable_polygon(p)
     out = []
     for info in polygon_facets(p):
@@ -240,12 +242,13 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
     graph = MutationGraph(depth)
     key0 = form0.key()
     graph.nodes[key0] = GraphNode(key0, form0.vertices, f, map0, 0)
+    polygons = {key0: p0}  # Delta(representative) of every node
     frontier = [key0]
     for level in range(depth):
         discovered: list[str] = []
         for key in frontier:
             node = graph.nodes[key]
-            for res in mutation_neighbors(node.representative):
+            for res in mutation_neighbors(node.representative, polygons[key]):
                 if not res.succeeded:
                     graph.failures.append(
                         FailureRecord(
@@ -275,12 +278,11 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
                 tkey = qform.key()
                 if tkey not in graph.nodes:
                     graph.nodes[tkey] = GraphNode(tkey, qform.vertices, res.mutated, qmap, level + 1)
+                    polygons[tkey] = q
                     discovered.append(tkey)
                 else:
                     known = graph.nodes[tkey]
-                    cert = certificate_between(
-                        q, qmap, newton_polytope(known.representative), known.transform
-                    )
+                    cert = certificate_between(q, qmap, polygons[tkey], known.transform)
                     graph.merges.append(MergeRecord(tkey, key, res.facet.index, cert))
                 graph.edges.append(
                     GraphEdge(

@@ -1,9 +1,13 @@
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from laumut.exactlat import dot, primitive_vector, unit_vector, vneg, vscale, vsub
-from laumut.polyhedra import polar_dual
+from laumut.laurent import act_unimodular, divide_exact, slices
+from laumut.mutation import MutationCheck, SliceCheck
+from laumut.polyhedra import hull, polar_dual
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -97,3 +101,34 @@ def recompute_extreme_rays(constraints, rank):
 @pytest.fixture
 def recompute_dd():
     return recompute_extreme_rays
+
+
+def per_level_power_is_mutation(f, spec):
+    """Oracle for ``is_mutation``: every level builds its own divisor power
+    g ** |level| from scratch instead of sharing one running power."""
+    sd = slices(spec.to_adapted(f), spec.rank - 1)
+    g = spec.divisor
+    quotients = {level: divide_exact(part, g ** level) for level, part in sd.slices.items() if level > 0}
+    checks = tuple(SliceCheck(level, q is not None) for level, q in quotients.items())
+    if any(q is None for q in quotients.values()):
+        return False, MutationCheck(sd.low, sd.high, checks)
+    parts = {level: part * g ** (-level) if level < 0 else part for level, part in sd.slices.items()}
+    parts.update(quotients)
+    mutated = act_unimodular(replace(sd, slices=parts).reassemble(), spec.basis)
+    return True, MutationCheck(sd.low, sd.high, checks, mutated)
+
+
+@pytest.fixture
+def per_level_powers():
+    return per_level_power_is_mutation
+
+
+def full_support_hull(f):
+    """Oracle for ``newton_polytope``: the hull of every exponent of f,
+    with no extreme-point prefilter."""
+    return hull([tuple(Fraction(c) for c in e) for e in f.support()])
+
+
+@pytest.fixture
+def support_hull():
+    return full_support_hull

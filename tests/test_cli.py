@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -192,6 +193,19 @@ def test_graph_outputs(capsys, tmp_path):
     on_disk = json.loads(jpath.read_text())
     assert on_disk == payload
     assert dpath.read_text().startswith("digraph mutations {")
+
+
+def test_graph_output_bytes_pinned(capsys, tmp_path):
+    # sha256 of the stdout and DOT file that F4 at depth 3 has always printed.
+    dpath = tmp_path / "g.dot"
+    code, out, _ = run(capsys, "graph", "--f", F4, "--depth", "3", "--dot", str(dpath))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be4a4b3339b27eac5ac20c17a18cba813651d1f6caf2400ce8549cc42d7bbdfb"
+    )
+    assert hashlib.sha256(dpath.read_bytes()).hexdigest() == (
+        "d7c467fa3f514854de62f1da515b03e94db00db576f615713ae4ab5982169895"
+    )
 
 
 def test_graph_depth_determinism(capsys):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from laumut import polyhedra
 from laumut.laurent import (
     LaurentPolynomial,
     ParseError,
@@ -216,3 +218,75 @@ def test_pow():
     assert m ** -2 == parse("1/4*x^-6")
     with pytest.raises(ValueError):
         f ** -1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 33])
+def test_pow_stops_squaring_at_the_top_bit(monkeypatch, n):
+    squarings = []
+    mul = LaurentPolynomial.__mul__
+
+    def counted(a, b):
+        squarings.append(a is b)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+    got = parse("1 + x") ** n
+    # g**33 squares g five times, up to g**32, and never builds g**64.
+    assert squarings.count(True) == n.bit_length() - 1
+    assert len(squarings) == n.bit_length() - 1 + bin(n).count("1")
+    assert got == LaurentPolynomial.from_terms(1, {(k,): comb(n, k) for k in range(n + 1)})
+
+
+def _line_support(rng):
+    """2-6 points on one lattice line, not necessarily consecutive."""
+    base = (rng.randint(-3, 3), rng.randint(-3, 3))
+    step = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -2), (-3, 2)])
+    ts = rng.sample(range(-4, 5), rng.randint(2, 6))
+    return [(base[0] + t * step[0], base[1] + t * step[1]) for t in ts]
+
+
+def _lattice_support(rng):
+    """Every lattice point of a small rectangle or right triangle, so each
+    edge carries points strictly between its ends."""
+    a, b = rng.randint(1, 4), rng.randint(1, 4)
+    pts = [(x, y) for x in range(a + 1) for y in range(b + 1)]
+    if rng.random() < 0.5:
+        pts = [(x, y) for x, y in pts if b * x + a * y <= a * b]
+    return pts
+
+
+def _newton_supports():
+    rng = random.Random(29)
+    out = []
+    for _ in range(100):
+        out.append((1, [(e,) for e in rng.sample(range(-6, 7), rng.randint(1, 6))]))
+    box = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    for size in (1, 2, 3, 4):
+        for _ in range(25):
+            out.append((2, rng.sample(box, size)))
+    for _ in range(50):
+        out.append((2, _line_support(rng)))
+    for _ in range(40):
+        out.append((2, _lattice_support(rng)))
+    for _ in range(60):
+        out.append((2, rng.sample(box, rng.randint(5, 20))))
+    return out
+
+
+def test_newton_polytope_hulls_only_the_extreme_points(monkeypatch, support_hull):
+    hulled = []
+    full_hull = polyhedra.hull
+
+    def spy(points, rays=()):
+        hulled.append(sorted(points))
+        return full_hull(points, rays)
+
+    monkeypatch.setattr(polyhedra, "hull", spy)
+    supports = _newton_supports()
+    assert len(supports) >= 300
+    for rank, support in supports:
+        f = LaurentPolynomial.from_terms(rank, {e: 1 for e in support})
+        hulled.clear()
+        p = newton_polytope(f)
+        assert p == support_hull(f), support
+        assert hulled == [sorted(p.vertices)], support

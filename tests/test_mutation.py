@@ -87,6 +87,44 @@ def random_mutable_pair(rng, rank):
     return act_unimodular(adapted, basis), spec
 
 
+def _random_levelled_pair(rng, rank, levels, failing):
+    """A spec and a polynomial occupying exactly ``levels`` in its adapted
+    frame; positive levels carry q * g^level except those in ``failing``,
+    which carry an arbitrary slice."""
+    basis = random_unimodular(rng, rank)
+    direction = tuple(inverse_unimodular(basis)[-1])
+    g = random_poly(rng, rank - 1, terms=rng.randint(2, 3), positive=True)
+    spec = MutationSpec.from_adapted(direction, basis, g)
+    terms = []
+    for level in levels:
+        part = random_poly(rng, rank - 1, terms=rng.randint(1, 2))
+        if level > 0 and level not in failing:
+            part = part * g ** level
+        terms += [(e + (level,), c) for e, c in part.terms]
+    return act_unimodular(LaurentPolynomial.from_terms(rank, terms), basis), spec
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_is_mutation_matches_per_level_powers(rank, per_level_powers):
+    rng = random.Random(40 + rank)
+    shapes = {"both": range(-3, 4), "positive": range(0, 4), "negative": range(-3, 0), "zero": [0]}
+    seen = set()
+    for i in range(48):
+        shape = list(shapes)[i % 4]
+        # Gaps between levels keep the running power moving past empty ones.
+        levels = [lv for lv in shapes[shape] if lv in (0, -3, 3) or rng.random() < 0.6]
+        levels = levels or [0]
+        positive = [lv for lv in levels if lv > 0]
+        failing = {lv for lv in positive if rng.random() < 0.3}
+        f, spec = _random_levelled_pair(rng, rank, levels, failing)
+        got = is_mutation(f, spec)
+        want = per_level_powers(f, spec)
+        assert got == want
+        assert got[1].mutated == want[1].mutated
+        seen.add((shape, got[0]))
+    assert {("both", False), ("positive", False), ("negative", True), ("zero", True)} <= seen
+
+
 def test_from_direction_worked_example():
     spec = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
     assert spec.direction == (0, 1)

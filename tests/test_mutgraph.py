@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from laumut import mutation, mutgraph
+from laumut import laurent, mutation, mutgraph
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
 from laumut.mutgraph import (
@@ -106,6 +106,29 @@ def test_mutation_neighbors_enumerates_facets_once(monkeypatch):
     monkeypatch.setattr(mutation, "polygon_facets", counted)
     assert len(mutation_neighbors(parse(FPRIME))) == 5
     assert len(calls) == 1
+
+
+def test_explore_hulls_each_polygon_once(monkeypatch):
+    # The root once, then each successful edge's mutated polynomial once;
+    # neighbours and merges reuse the polygon kept for every node.
+    planar = []
+    real = laurent.newton_polytope
+
+    def counted(f):
+        if f.rank == 2:
+            planar.append(f)
+        return real(f)
+
+    monkeypatch.setattr(laurent, "newton_polytope", counted)
+    monkeypatch.setattr(mutgraph, "newton_polytope", counted)
+    graph = explore_graph(parse(FPRIME), 3)
+    assert len(planar) == 1 + len(graph.edges) == 28
+    assert graph.merges
+
+
+def test_mutation_neighbors_takes_a_known_polygon():
+    f = parse(FPRIME)
+    assert mutation_neighbors(f, newton_polytope(f)) == mutation_neighbors(f)
 
 
 def test_mutation_neighbors_of_worked_example():
