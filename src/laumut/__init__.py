@@ -17,7 +17,6 @@ from .laurent import (
     divide_exact,
     newton_polytope,
     parse,
-    slices,
     to_string,
 )
 from .polyhedra import (
@@ -65,7 +64,6 @@ __all__ = [
     "divide_exact",
     "newton_polytope",
     "parse",
-    "slices",
     "to_string",
     "AdmissibilityVerdict",
     "Cone",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactlat import IntVec, mat_vec, primitive_from_rational, unit_vector
-from .laurent import LaurentPolynomial, newton_polytope, slices, to_string
+from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
     AdmissibilityVerdict,
@@ -190,14 +190,12 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses) -> Family
     tail = kernel_slice(sigma, u)
     assert tailcone(delta0) == tail and tailcone(delta_inf) == tail, "slice tailcones must agree with the kernel slice"
 
-    # The positive-level slices of the mutated polynomial in the adapted
-    # frame are the quotients f_i / g^i.
-    quotients = slices(spec.to_adapted(hyp.report.mutated), n - 1).slices
+    # In the adapted frame the terms of the mutated polynomial at a
+    # positive last exponent i are those of the quotient f_i / g^i.
     pts00 = [
-        (Fraction(1, level),) + tuple(Fraction(c, level) for c in e)
-        for level, q in quotients.items()
-        if level > 0
-        for e in q.support()
+        (Fraction(1, e[-1]),) + tuple(Fraction(c, e[-1]) for c in e[:-1])
+        for e in spec.to_adapted(hyp.report.mutated).support()
+        if e[-1] > 0
     ]
     delta00 = hull(pts00, tail.rays)
     pts01 = [(Fraction(0),) + tuple(Fraction(c) for c in e) for e in spec.divisor.support()]

@@ -382,47 +382,6 @@ def _plane_extreme_points(points: Sequence[IntVec]) -> list[IntVec]:
     return chain(points)[:-1] + chain(reversed(points))[:-1]
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """Grouping of terms by the exponent of one distinguished variable.
-
-    ``slices[i]`` collects the terms whose distinguished exponent is i,
-    with that coordinate removed (so each slice has rank one less);
-    ``low``/``high`` are the extreme occupied levels.
-    """
-
-    rank: int
-    direction_index: int
-    slices: dict[int, LaurentPolynomial]
-    low: int
-    high: int
-
-    def reassemble(self) -> LaurentPolynomial:
-        terms: list[tuple[IntVec, Fraction]] = []
-        j = self.direction_index
-        for level, part in self.slices.items():
-            for e, c in part.terms:
-                terms.append((e[:j] + (level,) + e[j:], c))
-        return LaurentPolynomial.from_terms(self.rank, terms)
-
-
-def slices(f: LaurentPolynomial, direction_index: int) -> SliceDecomposition:
-    """Split off one variable: f = sum_i slices[i] * t^i."""
-    if f.is_zero():
-        raise ValueError("cannot slice the zero polynomial")
-    if not 0 <= direction_index < f.rank:
-        raise ValueError("direction index out of range")
-    j = direction_index
-    levels: dict[int, dict[IntVec, Fraction]] = {}
-    for e, c in f.terms:
-        levels.setdefault(e[j], {})[e[:j] + e[j + 1:]] = c
-    out = {
-        i: LaurentPolynomial.from_terms(f.rank - 1, terms)
-        for i, terms in sorted(levels.items())
-    }
-    return SliceDecomposition(f.rank, j, out, min(out), max(out))
-
-
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[LaurentPolynomial]:
     """The Laurent polynomial q with a = q*b, or None if none exists.
 

@@ -1,18 +1,20 @@
 """Mutations of Laurent polynomials.
 
 A mutation divides one variable direction by a polynomial in the
-remaining directions: pick a primitive functional u, a unimodular basis
-adapted to it (kernel vectors first, then w with u(w) = 1), and a
-divisor g in the kernel variables. Writing f = sum_i f_i t^i in the
-adapted frame (t the divided variable, levels i = u(e)), the mutation
-replaces f_i by f_i / g^i. It is defined exactly when g^i divides f_i
-for every positive level, and then it is an involution up to the sign
-flip of the divided variable.
+remaining directions: pick a primitive functional u and a divisor g
+supported on the kernel of u. Grading f by u, its degree-k part f_k
+collects the terms whose exponents e have level u(e) = k, and the
+mutation replaces f_k by f_k / g^k. It is defined exactly when g^k
+divides f_k for every positive level, and then it is an involution up
+to the sign flip of u. The levels are read straight off f's own
+exponents; the adapted frame (a unimodular basis whose kernel vectors
+come first, then w with u(w) = 1) is only the coordinate system of the
+flat family, where g lives in the kernel coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,7 +32,7 @@ from .exactlat import (
     primitive_from_rational,
     vsub,
 )
-from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, slices, to_string
+from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, to_string
 from .polyhedra import Polyhedron, contains_origin_interior, polygon_edges
 
 
@@ -184,7 +186,7 @@ class MutationCheck:
 
 
 def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, MutationCheck]:
-    """Divide every positive-level slice once by its divisor power.
+    """Divide every positive level of f once by its divisor power.
 
     Never raises on a clean domain failure: the report carries the
     failing levels, and the mutated polynomial when there are none.
@@ -193,14 +195,19 @@ def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, Mutatio
         raise ValueError("polynomial rank does not match the mutation spec")
     if f.is_zero():
         raise ValueError("cannot mutate the zero polynomial")
-    sd = slices(spec.to_adapted(f), spec.rank - 1)
-    g = spec.divisor
-    parts = dict(sd.slices)
+    # Each level is an ordered run of f's sorted terms, so it is already
+    # a polynomial in canonical form.
+    levels: dict[int, list] = {}
+    for e, c in f.terms:
+        levels.setdefault(dot(spec.direction, e), []).append((e, c))
+    parts = {k: LaurentPolynomial(f.rank, tuple(terms)) for k, terms in levels.items()}
+    low, high = min(parts), max(parts)
+    g = spec.divisor_in_ambient()
     checks = []
     # One running power g^k serves level k and level -k; keeping all the
     # powers instead would hold every g^k of the walk in memory at once.
     power = g
-    for k in range(1, max(sd.high, -sd.low) + 1):
+    for k in range(1, max(high, -low) + 1):
         if k > 1:
             power = power * g
         if k in parts:
@@ -209,9 +216,11 @@ def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, Mutatio
         if -k in parts:
             parts[-k] = parts[-k] * power
     if not all(c.divisible for c in checks):
-        return False, MutationCheck(sd.low, sd.high, tuple(checks))
-    mutated = act_unimodular(replace(sd, slices=parts).reassemble(), spec.basis)
-    return True, MutationCheck(sd.low, sd.high, tuple(checks), mutated)
+        return False, MutationCheck(low, high, tuple(checks))
+    # g lies on level 0, so every part keeps its level and the parts'
+    # exponents stay disjoint.
+    mutated = LaurentPolynomial(f.rank, tuple(sorted(t for part in parts.values() for t in part.terms)))
+    return True, MutationCheck(low, high, tuple(checks), mutated)
 
 
 def apply_mutation(f: LaurentPolynomial, spec: MutationSpec) -> LaurentPolynomial:

@@ -17,7 +17,6 @@ line; cones may (their lineality basis is tracked separately).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,7 +42,6 @@ from .exactlat import (
 Halfspace = tuple[IntVec, Fraction]
 
 DEFAULT_WITNESS_BOUND = 10
-WITNESS_BOUND_ENV = "LAUMUT_WITNESS_BOUND"
 
 
 # -- double description kernel ----------------------------------------------
@@ -159,9 +157,6 @@ class Cone:
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays)
-
-    def is_pointed(self) -> bool:
-        return not self.lineality
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -514,21 +509,6 @@ class AdmissibilityVerdict:
         return out
 
 
-def _witness_bound(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(WITNESS_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_WITNESS_BOUND
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WITNESS_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ValueError(f"{WITNESS_BOUND_ENV} must be positive")
-    return val
-
-
 def _witness_candidates(rank: int, bound: int):
     """Nonzero integer vectors with coordinates up to ``bound``, generated
     lazily: by sup norm, then descending lexicographically."""
@@ -553,7 +533,7 @@ def _is_integral(x: Fraction) -> bool:
     return x.denominator == 1
 
 
-def _refinement_cells(p: Polyhedron, q: Polyhedron, tail: Cone) -> list[dict]:
+def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
     """Full-dimensional cells of the common refinement of both normal fans.
 
     Cell(v, w) = {u : u is minimized at v on p and at w on q}, intersected
@@ -590,7 +570,7 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron, tail: Cone) -> list[dict]:
 
 
 def is_admissible_pair(
-    p: Polyhedron, q: Polyhedron, witness_bound: Optional[int] = None
+    p: Polyhedron, q: Polyhedron, witness_bound: int = DEFAULT_WITNESS_BOUND
 ) -> AdmissibilityVerdict:
     """Decide whether every integral functional bounded below on both
     polyhedra attains an integral minimum on at least one of them.
@@ -598,8 +578,7 @@ def is_admissible_pair(
     Tri-state: "yes" with a certificate, "no" with a witness (or with
     unequal tailcones), or "unknown" when neither a certificate applies
     nor the bounded witness scan finds a counterexample. The scan bound
-    defaults to 10 and can be overridden by the LAUMUT_WITNESS_BOUND
-    environment variable or the keyword argument.
+    defaults to 10 and can be raised with the keyword argument.
     """
     if p.rank != q.rank:
         raise ValueError("rank mismatch in admissible pair test")
@@ -617,43 +596,39 @@ def is_admissible_pair(
             "second polyhedron has integral vertices",
             certificate={"kind": "lattice_polyhedron", "which": 1},
         )
-    tail = tailcone(p)
-    if tail.is_pointed():
-        # Complete for pointed tails: each full-dimensional cell picks one
-        # vertex from each polyhedron; its lattice points split into those
-        # with integral value at v and those with integral value at w, and
-        # a full-rank monoid is not covered by two proper subgroups, so
-        # some u in the cell has both values fractional unless v or w is
-        # integral. Conversely integrality of v or w settles all u in the
-        # cell at once.
-        cells = _refinement_cells(p, q, tail)
-        bad = [c for c in cells if not (c["integral"][0] or c["integral"][1])]
-        if not bad:
-            return AdmissibilityVerdict(
-                STATUS_YES,
-                "normal-fan refinement certificate: every full-dimensional cell "
-                "has an integral minimizing vertex",
-                certificate={"kind": "refinement", "cells": cells},
-            )
-    bound = _witness_bound(witness_bound)
-    for u in _witness_candidates(p.rank, bound):
-        if not in_dual(tail, u):
-            continue
+    # Complete, since a polyhedron never contains a line and so its tail
+    # is pointed: each full-dimensional cell picks one vertex from each
+    # polyhedron; its lattice points split into those with integral value
+    # at v and those with integral value at w, and a full-rank monoid is
+    # not covered by two proper subgroups, so some u in the cell has both
+    # values fractional unless v or w is integral. Conversely integrality
+    # of v or w settles all u in the cell at once.
+    cells = _refinement_cells(p, q)
+    bad = [c for c in cells if not (c["integral"][0] or c["integral"][1])]
+    if not bad:
+        return AdmissibilityVerdict(
+            STATUS_YES,
+            "normal-fan refinement certificate: every full-dimensional cell "
+            "has an integral minimizing vertex",
+            certificate={"kind": "refinement", "cells": cells},
+        )
+    for u in _witness_candidates(p.rank, witness_bound):
         mp = p.support_minimum(u)
+        if mp is None:
+            continue  # unbounded below on the shared tail
         mq = q.support_minimum(u)
-        assert mp is not None and mq is not None
         if not _is_integral(mp) and not _is_integral(mq):
             return AdmissibilityVerdict(
                 STATUS_NO,
                 f"functional with fractional minima {mp} and {mq}",
                 witness=u,
             )
-    # A pointed tail with a clean refinement already returned "yes"; a bad
-    # cell means a witness exists, and the scan will see it once the bound
-    # is large enough. Report honestly rather than guess.
+    # A clean refinement already returned "yes"; a bad cell means a
+    # witness exists, and the scan will see it once the bound is large
+    # enough. Report honestly rather than guess.
     return AdmissibilityVerdict(
         STATUS_UNKNOWN,
-        f"no certificate applies and no witness found with coordinates up to {bound}",
+        f"no certificate applies and no witness found with coordinates up to {witness_bound}",
     )
 
 
@@ -663,8 +638,7 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
         if verdict.witness is None:
             return set(p.rays) != set(q.rays)
         u = verdict.witness
-        tail = tailcone(p)
-        if set(p.rays) != set(q.rays) or not in_dual(tail, u):
+        if set(p.rays) != set(q.rays):
             return False
         mp = p.support_minimum(u)
         mq = q.support_minimum(u)

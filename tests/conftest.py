@@ -1,11 +1,10 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from laumut.exactlat import dot, primitive_vector, unit_vector, vneg, vscale, vsub
-from laumut.laurent import act_unimodular, divide_exact, slices
+from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
 from laumut.mutation import MutationCheck, SliceCheck
 from laumut.polyhedra import hull, polar_dual
 
@@ -104,18 +103,26 @@ def recompute_dd():
 
 
 def per_level_power_is_mutation(f, spec):
-    """Oracle for ``is_mutation``: every level builds its own divisor power
-    g ** |level| from scratch instead of sharing one running power."""
-    sd = slices(spec.to_adapted(f), spec.rank - 1)
+    """Oracle for ``is_mutation``: the adapted-frame algorithm. f moves to
+    the adapted frame, its terms are grouped by their last exponent, every
+    level builds its own divisor power g ** |level| from scratch, and the
+    reassembled polynomial moves back to the original coordinates."""
+    n = spec.rank - 1
+    levels = {}
+    for e, c in spec.to_adapted(f).terms:
+        levels.setdefault(e[n], []).append((e[:n], c))
+    parts = {level: LaurentPolynomial.from_terms(n, terms) for level, terms in sorted(levels.items())}
+    low, high = min(parts), max(parts)
     g = spec.divisor
-    quotients = {level: divide_exact(part, g ** level) for level, part in sd.slices.items() if level > 0}
+    quotients = {level: divide_exact(part, g ** level) for level, part in parts.items() if level > 0}
     checks = tuple(SliceCheck(level, q is not None) for level, q in quotients.items())
     if any(q is None for q in quotients.values()):
-        return False, MutationCheck(sd.low, sd.high, checks)
-    parts = {level: part * g ** (-level) if level < 0 else part for level, part in sd.slices.items()}
+        return False, MutationCheck(low, high, checks)
+    parts = {level: part * g ** (-level) if level < 0 else part for level, part in parts.items()}
     parts.update(quotients)
-    mutated = act_unimodular(replace(sd, slices=parts).reassemble(), spec.basis)
-    return True, MutationCheck(sd.low, sd.high, checks, mutated)
+    terms = [(e + (level,), c) for level, part in parts.items() for e, c in part.terms]
+    mutated = act_unimodular(LaurentPolynomial.from_terms(spec.rank, terms), spec.basis)
+    return True, MutationCheck(low, high, checks, mutated)
 
 
 @pytest.fixture

@@ -282,6 +282,25 @@ def test_one_division_per_positive_level(capsys, monkeypatch, tmp_path, argv, di
     assert len(calls) == divisions
 
 
+@pytest.mark.parametrize(
+    "argv,changes",
+    [
+        (("mutate", *F3_MUTATION), 0),
+        (("check", *F3_MUTATION), 1),
+        (("family", *F3_MUTATION), 2),
+        (("verify", *F3_MUTATION), 3),
+        (("graph", "--f", F4, "--depth", "2"), 0),
+    ],
+)
+def test_frame_changes_only_in_the_family(capsys, monkeypatch, argv, changes):
+    # Mutations read their levels off the ambient exponents; only the
+    # family's own coordinates (Delta(f), the mutated polynomial for
+    # Delta_0^0, and Delta(mutated) for the cone match) move frames.
+    calls = count_calls(monkeypatch, laurent.act_unimodular)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == changes
+
+
 def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, laurent.newton_polytope)
     run(capsys, "verify", *F3_MUTATION)

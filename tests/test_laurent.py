@@ -12,7 +12,6 @@ from laumut.laurent import (
     divide_exact,
     newton_polytope,
     parse,
-    slices,
     to_string,
 )
 from laumut.exactlat import inverse_unimodular, mat_mul
@@ -123,34 +122,6 @@ def test_newton_polytope_vertices():
     assert p.rays == ()
     with pytest.raises(ValueError):
         newton_polytope(LaurentPolynomial.zero(2))
-
-
-def test_slices_and_reassemble():
-    f = parse("x^-1*y + 2*y + x*y + y^-1")
-    dec = slices(f, 1)
-    assert dec.low == -1 and dec.high == 1
-    assert dec.slices[1] == parse("x^-1 + 2 + x")
-    assert dec.slices[-1] == parse("1", rank=1)
-    assert dec.reassemble() == f
-
-
-def test_slices_random_reassemble():
-    rng = random.Random(11)
-    for _ in range(40):
-        rank = rng.randint(1, 4)
-        f = random_poly(rng, rank, terms=rng.randint(1, 7))
-        j = rng.randrange(rank)
-        dec = slices(f, j)
-        assert dec.reassemble() == f
-        for part in dec.slices.values():
-            assert part.rank == rank - 1 and not part.is_zero()
-
-
-def test_slices_rejects_bad_input():
-    with pytest.raises(ValueError):
-        slices(LaurentPolynomial.zero(2), 0)
-    with pytest.raises(ValueError):
-        slices(parse("x + y"), 2)
 
 
 def test_divide_exact_examples():

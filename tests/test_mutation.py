@@ -17,7 +17,6 @@ from laumut.laurent import (
     divide_exact,
     newton_polytope,
     parse,
-    slices,
     to_string,
 )
 from laumut.mutation import (
@@ -252,12 +251,14 @@ def test_newton_slices_shift_by_divisor_polytope():
         fa = act_unimodular(f, inv)
         ga = act_unimodular(g, inv)
         dp = newton_polytope(spec.divisor)
-        sf = slices(fa, fa.rank - 1)
-        sg = slices(ga, ga.rank - 1)
-        assert set(sf.slices) == set(sg.slices)
-        for i, part in sf.slices.items():
-            before = newton_polytope(part)
-            after = newton_polytope(sg.slices[i])
+        sf, sg = {}, {}
+        for h, levels in ((fa, sf), (ga, sg)):
+            for e, c in h.terms:
+                levels.setdefault(e[-1], []).append((e[:-1], c))
+        assert set(sf) == set(sg)
+        for i, terms in sf.items():
+            before = newton_polytope(LaurentPolynomial.from_terms(fa.rank - 1, terms))
+            after = newton_polytope(LaurentPolynomial.from_terms(ga.rank - 1, sg[i]))
             if i > 0:
                 scaled = dp
                 for _ in range(i - 1):

@@ -549,6 +549,20 @@ def test_admissible_pair_unknown_when_witnesses_exceed_bound():
     assert verify_admissibility(p, q, settled)
 
 
+def test_admissible_pair_witness_scan_skips_functionals_unbounded_on_the_tail():
+    # Both polyhedra recede along (-1, 0), so the scan passes over (1, 1),
+    # (1, 0) and (1, -1), which are unbounded below on that ray, and finds
+    # the first functional bounded on both with two fractional minima.
+    F = Fraction
+    p = hull([(F(1, 2), F(1, 2))], [(-1, 0)])
+    q = hull([(F(1, 3), F(1, 3))], [(-1, 0)])
+    v = is_admissible_pair(p, q)
+    assert v.status == STATUS_NO and v.witness == (0, 1)
+    assert verify_admissibility(p, q, v)
+    forged = AdmissibilityVerdict(STATUS_NO, "forged", witness=(1, 1))
+    assert not verify_admissibility(p, q, forged)
+
+
 def test_hull_rejects_line_spanning_rays():
     with pytest.raises(ValueError):
         hull([(Fraction(0), Fraction(0))], [(0, 1), (0, -1)])
@@ -587,20 +601,6 @@ def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, p
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     convert()
     assert len(calls) <= passes
-
-
-def test_witness_bound_env(monkeypatch):
-    p = hull([(Fraction(1, 2),)])
-    q = hull([(Fraction(1, 3),)])
-    monkeypatch.setenv("LAUMUT_WITNESS_BOUND", "1")
-    v = is_admissible_pair(p, q)
-    assert v.status == STATUS_NO and v.witness == (1,)
-    monkeypatch.setenv("LAUMUT_WITNESS_BOUND", "junk")
-    with pytest.raises(ValueError):
-        is_admissible_pair(p, q)
-    monkeypatch.setenv("LAUMUT_WITNESS_BOUND", "0")
-    with pytest.raises(ValueError):
-        is_admissible_pair(p, q)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
