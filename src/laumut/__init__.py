@@ -32,7 +32,6 @@ from .polyhedra import (
     kernel_slice,
     minkowski_sum,
     polar_dual,
-    slice_project,
     tailcone,
     verify_admissibility,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "kernel_slice",
     "minkowski_sum",
     "polar_dual",
-    "slice_project",
     "tailcone",
     "verify_admissibility",
     "MutationError",

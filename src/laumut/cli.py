@@ -207,6 +207,8 @@ def _cmd_family(args):
 
 
 def _cmd_verify(args):
+    if args.kmax < 1:
+        raise UsageError("--kmax must be at least 1")
     f = _load_polynomial(args)
     spec = _mutation_spec(f, args)
     report = verify_main_theorem(f, spec, kmax=args.kmax)
@@ -222,6 +224,8 @@ def _cmd_verify(args):
 
 
 def _cmd_graph(args):
+    if args.depth < 0:
+        raise UsageError("--depth must be nonnegative")
     f = _load_polynomial(args)
     graph = explore_graph(f, args.depth)
     payload = graph.to_dict()

@@ -4,12 +4,14 @@ A polynomial f with 0 interior to its Newton polytope spans a cone
 sigma over Delta(f) placed at height 1 along a new grading coordinate
 (put first). Slicing sigma by the divided-variable functional u at
 levels +1, 0, -1 produces polyhedra Delta_0, tau, Delta_inf in the
-(grading, kernel) coordinates. A divisor g that makes f mutable splits
-Delta_0 into a Minkowski sum Delta_0^0 + Delta_0^1, and regluing the
-pieces with opposite signs of the divided coordinate yields a second
-cone sigma_inf describing the other end of the family. The central
-verification is that sigma_inf equals the cone built the same way from
-the mutated polynomial.
+(grading, kernel) coordinates; the slice at level +-1 is the hull of
+(1, x)/|i| over the points (x, i) on that side, plus tau's rays. A
+divisor g that makes f mutable splits Delta_0 into a Minkowski sum
+Delta_0^0 + Delta_0^1, and regluing the pieces with opposite signs of
+the divided coordinate yields a second cone sigma_inf describing the
+other end of the family. The central verification is that sigma_inf
+equals the cone built the same way from the mutated polynomial; dual
+lattice counts, being unimodular invariants, are taken in this frame.
 
 Family coordinates are (grading, kernel..., divided); slice coordinates
 drop the divided one, so they are simply the first n coordinates.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactlat import IntVec, mat_vec, primitive_from_rational, unit_vector
+from .exactlat import IntVec, primitive_from_rational, unit_vector
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -37,7 +39,6 @@ from .polyhedra import (
     is_lattice_polyhedron,
     kernel_slice,
     minkowski_sum,
-    slice_project,
     tailcone,
 )
 
@@ -175,34 +176,35 @@ def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
 
 def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
     """Run the whole construction; FamilyError on any hypothesis failure."""
-    return _family(f, spec, check_hypotheses(f, spec))
-
-
-def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses) -> FamilyData:
+    hyp = check_hypotheses(f, spec)
     if hyp.failures:
         raise FamilyError("; ".join(hyp.failures), hyp.failures)
+    return _family(f, spec, hyp, spec.to_adapted(hyp.report.mutated))
+
+
+def _level_slice(points: Iterable, sign: int, tail: Cone) -> Polyhedron:
+    """The level-``sign`` slice of the pointed cone over ``points`` (divided
+    exponent last): the hull of each (1, x)/|i| with sign * i > 0, plus ``tail``."""
+    pts = [tuple(Fraction(c, abs(e[-1])) for c in (1,) + e[:-1]) for e in points if sign * e[-1] > 0]
+    return hull(pts, tail.rays)
+
+
+def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_adapted: LaurentPolynomial) -> FamilyData:
     n = spec.rank
     sigma = cone_over(hyp.newton, 0)
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
-    delta0 = slice_project(sigma, u, 1)
-    delta_inf = slice_project(sigma, u, -1)
     tail = kernel_slice(sigma, u)
-    assert tailcone(delta0) == tail and tailcone(delta_inf) == tail, "slice tailcones must agree with the kernel slice"
+    delta0 = _level_slice(hyp.newton.vertices, 1, tail)
+    delta_inf = _level_slice(hyp.newton.vertices, -1, tail)
 
-    # In the adapted frame the terms of the mutated polynomial at a
-    # positive last exponent i are those of the quotient f_i / g^i.
-    pts00 = [
-        (Fraction(1, e[-1]),) + tuple(Fraction(c, e[-1]) for c in e[:-1])
-        for e in spec.to_adapted(hyp.report.mutated).support()
-        if e[-1] > 0
-    ]
-    delta00 = hull(pts00, tail.rays)
+    # The mutated terms at a positive level i are those of the quotient f_i / g^i.
+    delta00 = _level_slice(mutated_adapted.support(), 1, tail)
     pts01 = [(Fraction(0),) + tuple(Fraction(c) for c in e) for e in spec.divisor.support()]
     delta01 = hull(pts01, tail.rays)
     assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
 
-    # delta00 and delta01 are hulls over tail.rays; delta_inf's tail was asserted above.
+    # Every slice is a hull over tail.rays, so all four share the tailcone.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
     sigma_inf = _glue(tail, delta00, delta01, delta_inf, adm)
     return FamilyData(
@@ -256,12 +258,6 @@ class VerificationReport:
         )
 
 
-def _to_ambient(p: Polyhedron, spec: MutationSpec) -> Polyhedron:
-    """A polytope from the adapted frame, moved back to the original
-    coordinates: the basis maps vertices to vertices, so only they move."""
-    return hull([mat_vec(spec.basis, v) for v in p.vertices])
-
-
 def _grading_last(rays) -> list[list[str]]:
     return [[str(c) for c in r[1:] + (r[0],)] for r in rays]
 
@@ -287,8 +283,9 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
             checks.append(CheckResult(name, "skipped", {"reason": "hypotheses failed"}))
         return VerificationReport(False, tuple(checks), data)
 
+    mutated_adapted = spec.to_adapted(hyp.report.mutated)
     try:
-        family = _family(f, spec, hyp)
+        family = _family(f, spec, hyp, mutated_adapted)
         fam_ok = True
         fam_details = {
             "delta0": family.delta0.to_dict(),
@@ -307,10 +304,9 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
             checks.append(CheckResult(name, "skipped", {"reason": "family construction failed"}))
         return VerificationReport(False, tuple(checks), data)
 
-    mutated = hyp.report.mutated
-    nf_mut_adapted = newton_polytope(spec.to_adapted(mutated))
-    sigma_prime = cone_over(nf_mut_adapted, 0)
-    data["mutated"] = to_string(mutated)
+    nf_mut = newton_polytope(mutated_adapted)
+    sigma_prime = cone_over(nf_mut, 0)
+    data["mutated"] = to_string(hyp.report.mutated)
     data["sigma_rays"] = [[str(c) for c in r] for r in family.sigma.rays]
     data["sigma_infinity_rays"] = [[str(c) for c in r] for r in family.sigma_inf.rays]
     data["sigma_infinity_rays_grading_last"] = _grading_last(family.sigma_inf.rays)
@@ -358,10 +354,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
         )
     )
 
-    nf = _to_ambient(hyp.newton, spec)
-    nf_mut = _to_ambient(nf_mut_adapted, spec)
-    if contains_origin_interior(nf) and contains_origin_interior(nf_mut):
-        counts_f = dual_ehrhart_counts(nf, kmax)
+    if contains_origin_interior(hyp.newton) and contains_origin_interior(nf_mut):
+        counts_f = dual_ehrhart_counts(hyp.newton, kmax)
         counts_m = dual_ehrhart_counts(nf_mut, kmax)
         counts_ok = counts_f == counts_m
         checks.append(

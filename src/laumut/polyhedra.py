@@ -326,32 +326,6 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     return Cone.from_generators(p.rank + 1, gens)
 
 
-def in_dual(cone: Cone, u: Sequence[int]) -> bool:
-    """Whether a functional is nonnegative on the whole cone."""
-    return all(dot(u, r) >= 0 for r in cone.rays)
-
-
-def slice_project(cone: Cone, u: Sequence[int], level: int) -> Polyhedron:
-    """The level set ``{x in cone : u(x) = level}`` in kernel coordinates.
-
-    Coordinates on the slice come from the adapted basis of ``u``: a
-    point t corresponds to ``level*w + sum_i t_i k_i``. Levels +1 and -1
-    are the supported heights; ``u`` must take both signs on the cone,
-    otherwise one slice would be empty or the projection degenerate.
-    """
-    u = tuple(u)
-    if level not in (1, -1):
-        raise ValueError("slice level must be +1 or -1")
-    if content(u) != 1:
-        raise ValueError("slice direction must be a primitive functional")
-    if in_dual(cone, u) or in_dual(cone, vneg(u)):
-        raise ValueError("direction not admissible for slicing: +/-u is nonnegative on the cone")
-    w, kernel = adapted_basis(u)
-    normals = [unit_vector(len(u), 0)]
-    normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
-    return _dehomogenize(_cone_from_normals(len(u), normals))
-
-
 def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:
     """The cone ``{x in cone : u(x) = 0}`` in kernel coordinates."""
     u = tuple(u)

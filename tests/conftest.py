@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from laumut.exactlat import dot, primitive_vector, unit_vector, vneg, vscale, vsub
+from laumut.exactlat import adapted_basis, content, dot, primitive_vector, unit_vector, vneg, vscale, vsub
 from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
 from laumut.mutation import MutationCheck, SliceCheck
-from laumut.polyhedra import hull, polar_dual
+from laumut.polyhedra import _cone_from_normals, _dehomogenize, hull, polar_dual
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -139,3 +139,25 @@ def full_support_hull(f):
 @pytest.fixture
 def support_hull():
     return full_support_hull
+
+
+def cone_level_slice(cone, u, level):
+    """Oracle for the family's level slices: ``{x in cone : u(x) = level}``
+    cut out of the cone's facet normals, in the coordinates of the adapted
+    basis of u (a point t is ``level*w + sum_i t_i k_i``)."""
+    u = tuple(u)
+    if level not in (1, -1):
+        raise ValueError("slice level must be +1 or -1")
+    if content(u) != 1:
+        raise ValueError("slice direction must be a primitive functional")
+    if all(dot(u, r) >= 0 for r in cone.rays) or all(dot(u, r) <= 0 for r in cone.rays):
+        raise ValueError("direction not admissible for slicing: +/-u is nonnegative on the cone")
+    w, kernel = adapted_basis(u)
+    normals = [unit_vector(len(u), 0)]
+    normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
+    return _dehomogenize(_cone_from_normals(len(u), normals))
+
+
+@pytest.fixture
+def level_slice_oracle():
+    return cone_level_slice

@@ -127,6 +127,22 @@ def test_both_f_and_file_rejected(capsys, tmp_path):
     assert "not both" in err or "one of" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", *F3_MUTATION, "--kmax", "0"),
+        ("verify", *F3_MUTATION, "--kmax", "-3"),
+        ("graph", "--f", F4, "--depth", "-1"),
+    ],
+)
+def test_out_of_range_kmax_and_depth_are_usage_errors(capsys, monkeypatch, argv):
+    for name in ("verify_main_theorem", "explore_graph"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran before the argument check"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --")
+
+
 def test_file_input_with_comments(capsys, tmp_path):
     path = tmp_path / "polys.txt"
     path.write_text("# leading comment\n" + F3 + "  # trailing note\n\nx + y\n")
@@ -288,14 +304,14 @@ def test_one_division_per_positive_level(capsys, monkeypatch, tmp_path, argv, di
         (("mutate", *F3_MUTATION), 0),
         (("check", *F3_MUTATION), 1),
         (("family", *F3_MUTATION), 2),
-        (("verify", *F3_MUTATION), 3),
+        (("verify", *F3_MUTATION), 2),
         (("graph", "--f", F4, "--depth", "2"), 0),
     ],
 )
 def test_frame_changes_only_in_the_family(capsys, monkeypatch, argv, changes):
     # Mutations read their levels off the ambient exponents; only the
-    # family's own coordinates (Delta(f), the mutated polynomial for
-    # Delta_0^0, and Delta(mutated) for the cone match) move frames.
+    # family's own coordinates move frames: f once, and the mutated
+    # polynomial once, shared by Delta_0^0 and the cone match.
     calls = count_calls(monkeypatch, laurent.act_unimodular)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == changes

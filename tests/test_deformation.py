@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laumut import deformation
+from laumut import deformation, polyhedra
 from laumut.deformation import (
     FamilyError,
     VerificationReport,
@@ -14,7 +14,7 @@ from laumut.deformation import (
 )
 from laumut.laurent import parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, hull, is_admissible_pair, tailcone
+from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, tailcone
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -40,6 +40,7 @@ def test_build_family_worked_example():
     assert sorted(fam.tail.rays) == TAIL_RAYS
     assert set(fam.delta0.vertices) == {(1, -1), (1, 1)}
     assert set(fam.delta_inf.vertices) == {(1, 0)}
+    assert sorted(fam.delta0.rays) == sorted(fam.delta_inf.rays) == TAIL_RAYS
     assert set(fam.delta00.vertices) == {(1, -1), (1, 0)}
     assert set(fam.delta01.vertices) == {(0, 0), (0, 1)}
     assert sorted(fam.delta00.rays) == TAIL_RAYS
@@ -55,6 +56,24 @@ def test_build_family_worked_example():
     assert general_fiber_is_toric(fam.delta_inf)
     assert fam.direction == (0, 0, 1)
     assert fam.grading == (1, 0, 0)
+
+
+@pytest.mark.parametrize("text", ["x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"])
+def test_family_kernel_passes(monkeypatch, text):
+    # Each level slice is one hull, and verify counts dual points on the
+    # polytopes it already holds instead of re-hulling them.
+    calls = []
+
+    def counted(constraints, rank):
+        calls.append(rank)
+        return extreme_rays(constraints, rank)
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", counted)
+    build_family(parse(text), worked_spec())
+    assert len(calls) <= 23
+    calls.clear()
+    verify_main_theorem(parse(text), worked_spec())
+    assert len(calls) <= 40
 
 
 def test_build_family_segment_fiber():

@@ -4,23 +4,20 @@ from math import prod
 
 import pytest
 
+from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     inverse_unimodular,
     mat_vec,
     matrix_columns,
-    matrix_from_columns,
     transpose,
 )
 from laumut.laurent import (
     LaurentPolynomial,
     act_unimodular,
-    divide_exact,
     newton_polytope,
     parse,
-    to_string,
 )
 from laumut.mutation import (
-    MutationCheck,
     MutationError,
     MutationSpec,
     apply_mutation,
@@ -34,6 +31,7 @@ from laumut.polyhedra import (
     hull,
     minkowski_sum,
     polar_dual,
+    tailcone,
 )
 
 
@@ -180,6 +178,51 @@ def test_dual_counts_match_box_scan_on_random_rank3_pairs(box_scan):
         assert counts == [box_scan(p, 3) for p in polytopes]
         assert counts[0] == counts[1]
         checked += 1
+
+
+def test_family_slices_match_cone_level_slice(level_slice_oracle):
+    # The family reads Delta_0 and Delta_inf off the level points of
+    # Delta(f); the oracle cuts them out of sigma's facets instead.
+    spec = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
+    cases = [(parse(text), spec) for text in ("x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1")]
+    for rank in (2, 3, 4):
+        rng = random.Random(60 + rank)
+        start = len(cases)
+        while len(cases) < start + 15:
+            f, spec = random_mutable_pair(rng, rank)
+            if contains_origin_interior(newton_polytope(f)):
+                cases.append((f, spec))
+    for f, spec in cases:
+        fam = build_family(f, spec)
+        assert fam.delta0 == level_slice_oracle(fam.sigma, fam.direction, 1)
+        assert fam.delta_inf == level_slice_oracle(fam.sigma, fam.direction, -1)
+        assert tailcone(fam.delta0) == fam.tail and tailcone(fam.delta_inf) == fam.tail
+
+
+@pytest.mark.parametrize("rank,kmax", [(2, 6), (3, 4), (4, 3)])
+def test_dual_counts_invariant_under_unimodular_maps(rank, kmax):
+    # verify relies on this: it counts dual lattice points in the family's adapted frame.
+    rng = random.Random(70 + rank)
+    checked = 0
+    while checked < 6:
+        p = newton_polytope(random_poly(rng, rank, terms=rank + 3))
+        if not contains_origin_interior(p):
+            continue
+        a = random_unimodular(rng, rank)
+        assert dual_ehrhart_counts(hull([mat_vec(a, v) for v in p.vertices]), kmax) == dual_ehrhart_counts(p, kmax)
+        checked += 1
+
+
+def test_verify_dual_counts_match_ambient_coordinates():
+    rng = random.Random(3)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    while True:
+        f, spec = random_mutable_pair(rng, 3)
+        if spec.basis != identity and contains_origin_interior(newton_polytope(f)):
+            break
+    counts = verify_main_theorem(f, spec, kmax=4).checks[-1].details
+    assert counts["input"] == dual_ehrhart_counts(newton_polytope(f), 4)
+    assert counts["mutated"] == dual_ehrhart_counts(newton_polytope(apply_mutation(f, spec)), 4)
 
 
 def test_worked_mutation_and_involution():

@@ -8,7 +8,6 @@ from laumut import laurent, mutation, mutgraph
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
 from laumut.mutgraph import (
-    CanonicalForm,
     canonical_form,
     certificate_between,
     explore_graph,

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from laumut import polyhedra
+from laumut.deformation import _level_slice
 from laumut.exactlat import matrix_rank, vneg
 from laumut.laurent import act_unimodular, newton_polytope, parse
 from laumut.polyhedra import (
@@ -30,7 +31,6 @@ from laumut.polyhedra import (
     normalized_volume_2d,
     polar_dual,
     polygon_edges,
-    slice_project,
     tailcone,
     vertex_cycle,
     verify_admissibility,
@@ -210,36 +210,7 @@ def test_cone_over_rejects_unbounded():
         cone_over(hull(V((0, 0)), [(1, 0)]), 0)
 
 
-def test_slice_project_worked_example():
-    # cone over the triangle, graded coordinate first, divided coordinate last
-    sigma = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
-    d0 = slice_project(sigma, (0, 0, 1), 1)
-    assert vertex_set(d0) == {(1, -1), (1, 1)}
-    assert set(d0.rays) == {(2, -1), (2, 1)}
-    dinf = slice_project(sigma, (0, 0, 1), -1)
-    assert vertex_set(dinf) == {(1, 0)}
-    assert set(dinf.rays) == {(2, -1), (2, 1)}
-
-
-def test_slice_project_symmetric_cone():
-    sigma = Cone.from_generators(2, [(1, 1), (-1, 1)])
-    for level in (1, -1):
-        s = slice_project(sigma, (1, 0), level)
-        assert vertex_set(s) == {(1,)}
-        assert s.rays == ((1,),)
-
-
-def test_slice_project_rejects_bad_directions():
-    sigma = Cone.from_generators(2, [(1, 1), (-1, 1)])
-    with pytest.raises(ValueError):
-        slice_project(sigma, (0, 1), 1)  # u nonnegative on sigma
-    with pytest.raises(ValueError):
-        slice_project(sigma, (2, 0), 1)  # not primitive
-    with pytest.raises(ValueError):
-        slice_project(sigma, (1, 0), 2)
-
-
-def test_slice_tailcones_match_kernel_slice():
+def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
     rng = random.Random(53)
     tried = 0
     while tried < 15:
@@ -250,8 +221,10 @@ def test_slice_tailcones_match_kernel_slice():
         sigma = cone_over(p, 0)
         u = (0, 0, 1)
         tau = kernel_slice(sigma, u)
-        assert tailcone(slice_project(sigma, u, 1)) == tau
-        assert tailcone(slice_project(sigma, u, -1)) == tau
+        for sign in (1, -1):
+            s = _level_slice(p.vertices, sign, tau)
+            assert s == level_slice_oracle(sigma, u, sign)
+            assert tailcone(s) == tau
 
 
 # -- lattice tests and duals ------------------------------------------------------
@@ -583,13 +556,11 @@ SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
         (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 2),
         (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 2),
         (lambda: from_halfspaces(SQUARE.halfspaces, 2), 3),
-        (lambda: slice_project(SIGMA, (0, 0, 1), 1), 3),
-        (lambda: slice_project(SIGMA, (0, 0, 1), -1), 3),
         (lambda: polar_dual(SQUARE), 3),
         (lambda: kernel_slice(SIGMA, (0, 0, 1)), 3),
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 2),
     ],
-    ids=["hull", "hull_rays", "from_halfspaces", "slice_up", "slice_down", "polar_dual", "kernel_slice", "from_generators"],
+    ids=["hull", "hull_rays", "from_halfspaces", "polar_dual", "kernel_slice", "from_generators"],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
     calls = []
