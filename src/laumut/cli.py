@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from .deformation import FamilyError, build_family, check_hypotheses, verify_main_theorem
@@ -273,7 +273,11 @@ def _add_mutation_options(sub):
     sub.add_argument("--by", help="divisor polynomial (in the undivided variables)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later
+    ones in the process: building it costs more than parsing a short
+    command line, and each ``parse_args`` starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="laumut",
         description="Mutations of Laurent polynomials and the toric families they glue.",
@@ -353,9 +357,8 @@ def _join_covector(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_covector(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_covector(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

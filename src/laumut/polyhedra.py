@@ -4,6 +4,10 @@ Everything runs through one double description kernel
 (:func:`extreme_rays`). A polyhedron is handled as its homogenization
 (points at height 1, rays at height 0 in a new first coordinate): that
 cone is canonicalized from generators or from normals and read back.
+A conversion runs one kernel pass to the other side and then reads the
+irredundant members of its own input off their incidences with that
+side's output; only a cone with a line (or, from normals, one that is
+not full-dimensional) takes a second pass.
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -145,9 +149,19 @@ class Cone:
 
     @staticmethod
     def from_generators(rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
+        """The cone spanned by ``generators``, canonically presented.
+
+        One kernel pass turns the generators into facet normals. A pointed
+        cone's rays are then the generators that :func:`_irredundant` keeps;
+        only a cone with a line runs a second pass, normals to rays, for its
+        lineality basis.
+        """
         gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
         dual_r, dual_l = extreme_rays(gens, rank)
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
+        rays = _irredundant(gens, normals)
+        if rays is not None:
+            return Cone(rank, tuple(rays), tuple(normals), ())
         ray_r, ray_l = extreme_rays(normals, rank)
         rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
         return Cone(rank, tuple(rays), tuple(normals), tuple(ray_l))
@@ -184,9 +198,46 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone.from_generators(cone.rank, cone.facet_normals)
 
 
+def _irredundant(vectors: list[IntVec], duals: Sequence[IntVec]) -> Optional[list[IntVec]]:
+    """The members of ``vectors`` that span extreme rays of their cone, or
+    None if that cone contains a line.
+
+    ``vectors`` are distinct primitive vectors and ``duals`` generate the
+    dual cone. A vector's tight set, the duals it is orthogonal to (an int
+    bitmask, as cdd keeps incidences: Fukuda-Prodon, "Double description
+    method revisited", 1996), cuts out the smallest face containing it. A
+    vector tight on every dual spans a line; in a pointed cone a vector is
+    extreme iff no other vector's tight set contains its own. An extreme
+    ray is tight on duals spanning a hyperplane, hence on at least
+    ``rank - 1`` of them, so vectors with fewer bits are skipped unscanned.
+    """
+    masks = [
+        sum(1 << j for j, d in enumerate(duals) if not sum(map(mul, v, d))) for v in vectors
+    ]
+    if (1 << len(duals)) - 1 in masks:
+        return None
+    need = len(vectors[0]) - 1 if vectors else 0
+    cand = [i for i, m in enumerate(masks) if m.bit_count() >= need]
+    return [
+        vectors[i]
+        for i in cand
+        if not any(masks[k] & masks[i] == masks[i] for k in cand if k != i)
+    ]
+
+
 def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
-    """The cone ``{x : <n, x> >= 0 for every normal}``, canonically presented."""
-    ray_r, ray_l = extreme_rays(sorted({n for n in normals if any(n)}), rank)
+    """The cone ``{x : <n, x> >= 0 for every normal}``, canonically presented.
+
+    One kernel pass turns the normals into rays. A pointed full-dimensional
+    cone's facet normals are then the primitive normals that
+    :func:`_irredundant` keeps; any other cone is rebuilt from its rays.
+    """
+    normals = sorted({n for n in normals if any(n)})
+    ray_r, ray_l = extreme_rays(normals, rank)
+    if not ray_l:
+        facets = _irredundant(sorted({primitive_vector(n) for n in normals}), ray_r)
+        if facets is not None:
+            return Cone(rank, tuple(ray_r), tuple(facets), ())
     return Cone.from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
 
 
@@ -266,8 +317,9 @@ def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Poly
     """Convex hull of points plus a recession cone spanned by rays.
 
     Vertices may be rational. The homogenization (points at height 1,
-    rays at height 0) is canonicalized as a cone, which yields both the
-    irredundant halfspaces and the vertex/ray sets.
+    rays at height 0) is canonicalized as a cone: one kernel pass yields
+    the irredundant halfspaces, and the vertices and rays are the inputs
+    whose incidences with them no other input's contain.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:

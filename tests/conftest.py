@@ -6,7 +6,7 @@ import pytest
 from laumut.exactlat import adapted_basis, content, dot, primitive_vector, unit_vector, vneg, vscale, vsub
 from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
 from laumut.mutation import MutationCheck, SliceCheck
-from laumut.polyhedra import _cone_from_normals, _dehomogenize, hull, polar_dual
+from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -100,6 +100,30 @@ def recompute_extreme_rays(constraints, rank):
 @pytest.fixture
 def recompute_dd():
     return recompute_extreme_rays
+
+
+def two_pass_cone_from_generators(rank, generators):
+    """Oracle for ``Cone.from_generators``: one kernel pass from the
+    generators to the facet normals and a second one back to the rays,
+    with no incidence read-off."""
+    gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
+    dual_r, dual_l = extreme_rays(gens, rank)
+    normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
+    ray_r, ray_l = extreme_rays(normals, rank)
+    rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
+    return Cone(rank, tuple(rays), tuple(normals), tuple(ray_l))
+
+
+def three_pass_cone_from_normals(rank, normals):
+    """Oracle for ``_cone_from_normals``: one kernel pass from the normals
+    to the rays, then the two passes of the generator oracle."""
+    ray_r, ray_l = extreme_rays(sorted({n for n in normals if any(n)}), rank)
+    return two_pass_cone_from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
+
+
+@pytest.fixture
+def multi_pass_cones():
+    return two_pass_cone_from_generators, three_pass_cone_from_normals
 
 
 def per_level_power_is_mutation(f, spec):

@@ -360,3 +360,17 @@ def test_one_basis_inversion_per_spec(capsys, monkeypatch, tmp_path, argv):
     calls = count_calls(monkeypatch, exactlat.inverse_unimodular)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == 1
+
+
+def test_options_do_not_leak_between_calls(capsys, monkeypatch, tmp_path):
+    # Every main call parses with the one parser built for the process.
+    monkeypatch.chdir(tmp_path)
+    assert run_json(capsys, "mutate", *F3_MUTATION, "--svg", "m.svg")[1]["svg"] == "m.svg"
+    assert "svg" not in run_json(capsys, "mutate", *F3_MUTATION)[1]
+    kmaxes = []
+    real = cli.verify_main_theorem
+    monkeypatch.setattr(cli, "verify_main_theorem", lambda f, spec, kmax: kmaxes.append(kmax) or real(f, spec, kmax=kmax))
+    assert run(capsys, "verify", *F3_MUTATION, "--kmax", "3")[0] == 0
+    assert run(capsys, "verify", *F3_MUTATION)[0] == 0
+    assert kmaxes == [3, 6]
+    assert cli.build_parser() is cli.build_parser()

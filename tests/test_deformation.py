@@ -70,10 +70,10 @@ def test_family_kernel_passes(monkeypatch, text):
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     build_family(parse(text), worked_spec())
-    assert len(calls) <= 23
+    assert len(calls) <= 11
     calls.clear()
     verify_main_theorem(parse(text), worked_spec())
-    assert len(calls) <= 40
+    assert len(calls) <= 18
 
 
 def test_build_family_segment_fiber():

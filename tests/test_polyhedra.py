@@ -6,9 +6,10 @@ from math import comb
 import pytest
 
 from laumut import polyhedra
-from laumut.deformation import _level_slice
-from laumut.exactlat import matrix_rank, vneg
+from laumut.deformation import _level_slice, verify_main_theorem
+from laumut.exactlat import inverse_unimodular, mat_vec, matrix_rank, transpose, unit_vector, vadd, vneg, vscale
 from laumut.laurent import act_unimodular, newton_polytope, parse
+from laumut.mutation import MutationSpec
 from laumut.polyhedra import (
     AdmissibilityVerdict,
     Cone,
@@ -341,7 +342,8 @@ def test_extreme_rays_match_recomputed_tight_sets(recompute_dd, rank):
 
 def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_dd, monkeypatch):
     # Record the homogenised hull and from_halfspaces inputs that the
-    # Newton polytopes and polar duals of the worked polygons produce.
+    # Newton polytopes and polar duals of the worked polygons produce, and
+    # the rank-3 cones and slices of the worked families under each shear.
     calls = []
 
     def recording(constraints, rank):
@@ -352,9 +354,55 @@ def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_d
     for text in WORKED_POLYGONS:
         for shear in SHEARS:
             polar_dual(newton_polytope(act_unimodular(parse(text), shear)))
+    for text in WORKED_POLYGONS[:2]:
+        for shear in SHEARS:
+            u = mat_vec(transpose(inverse_unimodular(shear)), (0, 1))
+            spec = MutationSpec.from_direction(u, act_unimodular(parse("1 + x", rank=2), shear))
+            assert verify_main_theorem(act_unimodular(parse(text), shear), spec).passed
     assert len(calls) > 100
     for constraints, rank in calls:
         assert extreme_rays(constraints, rank) == recompute_dd(constraints, rank)
+
+
+def random_generators(rng, rank, kinds):
+    """``random_constraints`` rows, sometimes with an interior generator (a
+    positive combination of two others) or a scaled copy of one added."""
+    rows = random_constraints(rng, rank, kinds)
+    nonzero = [r for r in rows if any(r)]
+    if len(nonzero) >= 2 and rng.random() < 0.3:
+        a, b = rng.sample(nonzero, 2)
+        rows.append(vadd(vscale(rng.randint(1, 3), a), b))
+        kinds.add("interior")
+    if nonzero and rng.random() < 0.2:
+        rows.append(vscale(2, nonzero[0]))
+        kinds.add("duplicate")
+    return rows
+
+
+def structure(cone):
+    return cone.rank, cone.rays, cone.facet_normals, cone.lineality
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, rank):
+    # Fields are compared as stored, not with the semantic Cone ==.
+    from_generators_oracle, from_normals_oracle = multi_pass_cones
+    rng = random.Random(9000 + rank)
+    basis = [unit_vector(rank, i) for i in range(rank)]
+    # the trivial cone, twice; the whole space, by +/- a basis and by a simplex
+    corpus = [[], [(0,) * rank], basis + [vneg(e) for e in basis], basis + [(-1,) * rank]]
+    kinds, shapes = set(), set()
+    corpus += [random_generators(rng, rank, kinds) for _ in range(100)]
+    for rows in corpus:
+        got = Cone.from_generators(rank, rows)
+        assert structure(got) == structure(from_generators_oracle(rank, rows))
+        shapes.add("line" if got.lineality else "pointed")
+        got = polyhedra._cone_from_normals(rank, rows)
+        assert structure(got) == structure(from_normals_oracle(rank, rows))
+        flat = any(vneg(n) in got.facet_normals for n in got.facet_normals)
+        shapes.add("flat" if flat else "full-dimensional")
+    assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
+    assert shapes == {"line", "pointed", "full-dimensional", "flat"}
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -553,14 +601,22 @@ SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 @pytest.mark.parametrize(
     "convert,passes",
     [
-        (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 2),
-        (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 2),
-        (lambda: from_halfspaces(SQUARE.halfspaces, 2), 3),
-        (lambda: polar_dual(SQUARE), 3),
-        (lambda: kernel_slice(SIGMA, (0, 0, 1)), 3),
-        (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 2),
+        (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 1),
+        (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 1),
+        (lambda: from_halfspaces(SQUARE.halfspaces, 2), 1),
+        (lambda: polar_dual(SQUARE), 1),
+        (lambda: kernel_slice(SIGMA, (0, 0, 1)), 1),
+        (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),
+        # A cone with a line takes a second pass for its lineality basis.
+        (lambda: Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]), 2),
+        # A flat homogenization (here the segment x = 0, 0 <= y <= 1) is
+        # rebuilt from its rays.
+        (lambda: from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2), 2),
     ],
-    ids=["hull", "hull_rays", "from_halfspaces", "polar_dual", "kernel_slice", "from_generators"],
+    ids=[
+        "hull", "hull_rays", "from_halfspaces", "polar_dual", "kernel_slice", "from_generators",
+        "from_generators_line", "from_halfspaces_equation",
+    ],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
     calls = []
@@ -571,7 +627,7 @@ def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, p
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     convert()
-    assert len(calls) <= passes
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
