@@ -100,8 +100,8 @@ def _glue(tail: Cone, delta00: Polyhedron, delta01: Polyhedron, delta_inf: Polyh
             raise err
     low = minkowski_sum(delta01, delta_inf)
     gens = [r + (0,) for r in tail.rays]
-    gens += [primitive_from_rational(v + (Fraction(1),)) for v in delta00.vertices]
-    gens += [primitive_from_rational(v + (Fraction(-1),)) for v in low.vertices]
+    gens += [primitive_from_rational(v + (1,)) for v in delta00.vertices]
+    gens += [primitive_from_rational(v + (-1,)) for v in low.vertices]
     return Cone.from_generators(tail.rank + 1, gens)
 
 
@@ -200,7 +200,7 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
 
     # The mutated terms at a positive level i are those of the quotient f_i / g^i.
     delta00 = _level_slice(mutated_adapted.support(), 1, tail)
-    pts01 = [(Fraction(0),) + tuple(Fraction(c) for c in e) for e in spec.divisor.support()]
+    pts01 = [(0,) + e for e in spec.divisor.support()]
     delta01 = hull(pts01, tail.rays)
     assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
 

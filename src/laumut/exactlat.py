@@ -60,10 +60,15 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
 
 
 def primitive_from_rational(v: Sequence) -> IntVec:
-    """Primitive integer vector pointing along a rational vector."""
-    d = 1
-    for c in v:
-        d = lcm(d, Fraction(c).denominator)
+    """Primitive integer vector pointing along a rational vector.
+
+    Coordinates are ints or Fractions, never floats: a float raises
+    TypeError rather than being read as its exact binary value.
+    """
+    try:
+        d = lcm(*(c.denominator for c in v))
+    except AttributeError:
+        raise TypeError(f"exact coordinates needed (ints or Fractions), got {tuple(v)!r}") from None
     return primitive_vector(tuple(int(c * d) for c in v))
 
 

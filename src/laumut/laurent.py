@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlat import IntVec, dot, mat_vec, determinant
@@ -38,12 +39,17 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_terms(rank: int, items: Mapping[IntVec, Fraction] | Iterable[tuple[IntVec, Fraction]]) -> "LaurentPolynomial":
+        """Sum of the given terms. Exponents are ints and coefficients ints or
+        Fractions; a float raises TypeError rather than being truncated or
+        read as its binary value."""
         acc: dict[IntVec, Fraction] = {}
         pairs = items.items() if isinstance(items, Mapping) else items
         for exp, coeff in pairs:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != rank:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
+            if isinstance(coeff, float):
+                raise TypeError(f"exact coefficient needed (int or Fraction), got {coeff!r}")
             c = acc.get(exp, Fraction(0)) + Fraction(coeff)
             if c:
                 acc[exp] = c
@@ -57,11 +63,11 @@ class LaurentPolynomial:
 
     @staticmethod
     def constant(rank: int, c) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_terms(rank, {(0,) * rank: Fraction(c)})
+        return LaurentPolynomial.from_terms(rank, {(0,) * rank: c})
 
     @staticmethod
     def monomial(rank: int, exponent: Sequence[int], coeff=1) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_terms(rank, {tuple(exponent): Fraction(coeff)})
+        return LaurentPolynomial.from_terms(rank, {tuple(exponent): coeff})
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
         exp = tuple(exponent)
@@ -345,8 +351,10 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
 def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
     """Convex hull of the support.
 
-    In ranks 1 and 2 the support is first cut down to its extreme
-    points, so the hull sees only the vertices however many terms f has.
+    The integer exponents go to the hull as they are, with no Fraction
+    copies; its vertices come back as Fractions. In ranks 1 and 2 the
+    support is first cut down to its extreme points, so the hull sees
+    only the vertices however many terms f has.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
@@ -355,7 +363,7 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
         support = sorted({support[0], support[-1]})
     elif f.rank == 2:
         support = _plane_extreme_points(support)
-    return polyhedra.hull([tuple(Fraction(c) for c in e) for e in support])
+    return polyhedra.hull(support)
 
 
 def _plane_extreme_points(points: Sequence[IntVec]) -> list[IntVec]:

@@ -17,18 +17,10 @@ divisibility failures recorded rather than raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
-from .exactlat import (
-    IntMat,
-    IntVec,
-    inverse_unimodular,
-    mat_mul,
-    mat_vec,
-    primitive_vector,
-    vsub,
-    xgcd,
-)
+from .exactlat import IntMat, IntVec, inverse_unimodular, mat_mul, mat_vec, xgcd
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import (
     FacetInfo,
@@ -61,26 +53,29 @@ def canonical_form(p: Polyhedron) -> tuple[CanonicalForm, IntMat]:
         raise ValueError("canonical forms need a lattice polygon")
     if p.dim() != 2:
         raise ValueError("canonical forms need a full-dimensional polygon")
-    cyc = [tuple(int(c) for c in v) for v in vertex_cycle(p)]
+    cyc = [(int(x), int(y)) for x, y in vertex_cycle(p)]
     m = len(cyc)
     best: Optional[tuple[IntVec, ...]] = None
     best_map: Optional[IntMat] = None
-    for seq0 in (cyc, list(reversed(cyc))):
+    for seq0 in (cyc, cyc[::-1]):
         for start in range(m):
             seq = seq0[start:] + seq0[:start]
-            d = primitive_vector(vsub(seq[1], seq[0]))
-            _, alpha, beta = xgcd(d[0], d[1])
-            for sign in (1, -1):
-                base = ((alpha, beta), (-sign * d[1], sign * d[0]))
-                img = [mat_vec(base, v) for v in seq]
-                j = next(i for i, w in enumerate(img) if w[1])
-                x, y = img[j]
+            dx, dy = seq[1][0] - seq[0][0], seq[1][1] - seq[0][1]
+            g = gcd(dx, dy)
+            dx, dy = dx // g, dy // g
+            _, alpha, beta = xgcd(dx, dy)
+            xs = [alpha * x + beta * y for x, y in seq]
+            for c, d in ((-dy, dx), (dy, -dx)):
+                # Rows (alpha, beta), (c, d) send (dx, dy) to e1 with det +/-1; the shear
+                # x += t*y then puts the first off-axis vertex in 0 <= x < |y|.
+                ys = [c * x + d * y for x, y in seq]
+                j = next(i for i, w in enumerate(ys) if w)
+                x, y = xs[j], ys[j]
                 t = (x % abs(y) - x) // y
-                shear = ((1, t), (0, 1))
-                cand = tuple(mat_vec(shear, w) for w in img)
+                cand = tuple((u + t * w, w) for u, w in zip(xs, ys))
                 if best is None or cand < best:
                     best = cand
-                    best_map = mat_mul(shear, base)
+                    best_map = ((alpha + t * c, beta + t * d), (c, d))
     assert best is not None and best_map is not None
     return CanonicalForm(best), best_map
 

@@ -270,7 +270,7 @@ class Polyhedron:
         return matrix_rank(spans)
 
     def translate(self, t: Sequence) -> "Polyhedron":
-        t = tuple(Fraction(c) for c in t)
+        """p + t for int or Fraction coordinates; a float raises TypeError in :func:`hull`."""
         return hull([vadd(v, t) for v in self.vertices], self.rays)
 
     def support_minimum(self, u: Sequence[int]) -> Optional[Fraction]:
@@ -316,18 +316,20 @@ def _dehomogenize(cone: Cone) -> Polyhedron:
 def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Polyhedron:
     """Convex hull of points plus a recession cone spanned by rays.
 
-    Vertices may be rational. The homogenization (points at height 1,
-    rays at height 0) is canonicalized as a cone: one kernel pass yields
-    the irredundant halfspaces, and the vertices and rays are the inputs
-    whose incidences with them no other input's contain.
+    Point coordinates are ints or Fractions, never floats (TypeError);
+    the vertices come out as Fractions either way. The homogenization
+    (points at height 1, rays at height 0) is canonicalized as a cone:
+    one kernel pass yields the irredundant halfspaces, and the vertices
+    and rays are the inputs whose incidences with them no other input's
+    contain.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("hull needs at least one point")
     rank = len(pts[0])
     if any(len(p) != rank for p in pts) or any(len(r) != rank for r in rays):
         raise ValueError("mixed dimensions in hull input")
-    gens = [primitive_from_rational((Fraction(1),) + p) for p in pts]
+    gens = [primitive_from_rational((1,) + p) for p in pts]
     gens += [(0,) + primitive_vector(tuple(r)) for r in rays]
     return _dehomogenize(Cone.from_generators(rank + 1, gens))
 
@@ -372,7 +374,7 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     if not 0 <= height_index <= p.rank:
         raise ValueError("height_index out of range")
     gens = [
-        primitive_from_rational(v[:height_index] + (Fraction(1),) + v[height_index:])
+        primitive_from_rational(v[:height_index] + (1,) + v[height_index:])
         for v in p.vertices
     ]
     return Cone.from_generators(p.rank + 1, gens)
@@ -405,7 +407,7 @@ def polar_dual(p: Polyhedron) -> Polyhedron:
     if not contains_origin_interior(p):
         raise ValueError("polar dual needs the origin in the interior")
     normals = [unit_vector(p.rank + 1, 0)]
-    normals += [primitive_from_rational((Fraction(1),) + v) for v in p.vertices]
+    normals += [primitive_from_rational((1,) + v) for v in p.vertices]
     return _dehomogenize(_cone_from_normals(p.rank + 1, normals))
 
 

@@ -3,10 +3,23 @@ from itertools import product
 
 import pytest
 
-from laumut.exactlat import adapted_basis, content, dot, primitive_vector, unit_vector, vneg, vscale, vsub
+from laumut.exactlat import (
+    adapted_basis,
+    content,
+    dot,
+    mat_mul,
+    mat_vec,
+    primitive_vector,
+    unit_vector,
+    vneg,
+    vscale,
+    vsub,
+    xgcd,
+)
 from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
 from laumut.mutation import MutationCheck, SliceCheck
-from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual
+from laumut.mutgraph import CanonicalForm
+from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual, vertex_cycle
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -185,3 +198,43 @@ def cone_level_slice(cone, u, level):
 @pytest.fixture
 def level_slice_oracle():
     return cone_level_slice
+
+
+def mat_vec_canonical_form(p):
+    """Oracle for ``canonical_form``: the same minimum over (vertex, edge,
+    orientation, sign) frames, with each candidate map and its shear
+    applied by the generic ``mat_vec`` and composed by ``mat_mul``."""
+    if p.rank != 2:
+        raise ValueError("canonical forms are defined for rank 2")
+    if p.rays:
+        raise ValueError("canonical forms need a bounded polytope")
+    if any(c.denominator != 1 for v in p.vertices for c in v):
+        raise ValueError("canonical forms need a lattice polygon")
+    if p.dim() != 2:
+        raise ValueError("canonical forms need a full-dimensional polygon")
+    cyc = [tuple(int(c) for c in v) for v in vertex_cycle(p)]
+    m = len(cyc)
+    best = None
+    best_map = None
+    for seq0 in (cyc, list(reversed(cyc))):
+        for start in range(m):
+            seq = seq0[start:] + seq0[:start]
+            d = primitive_vector(vsub(seq[1], seq[0]))
+            _, alpha, beta = xgcd(d[0], d[1])
+            for sign in (1, -1):
+                base = ((alpha, beta), (-sign * d[1], sign * d[0]))
+                img = [mat_vec(base, v) for v in seq]
+                j = next(i for i, w in enumerate(img) if w[1])
+                x, y = img[j]
+                t = (x % abs(y) - x) // y
+                shear = ((1, t), (0, 1))
+                cand = tuple(mat_vec(shear, w) for w in img)
+                if best is None or cand < best:
+                    best = cand
+                    best_map = mat_mul(shear, base)
+    return CanonicalForm(best), best_map
+
+
+@pytest.fixture
+def canonical_form_oracle():
+    return mat_vec_canonical_form

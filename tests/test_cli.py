@@ -224,6 +224,27 @@ def test_graph_output_bytes_pinned(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "f, digest",
+    [
+        (
+            "x + x*y + y + x^-1 + x^-1*y^-1 + y^-1",  # hexagon
+            "15066c58725bed56ae8e3b8b99e2d0dbcc31e4ddcaee88307bde07e750b6532b",
+        ),
+        (
+            "x + y + x^-1 + y^-1",  # P1 x P1
+            "3853da61193effc3b801049af59086787ba06e8b3e201b4b3a974373ba084880",
+        ),
+    ],
+    ids=["hexagon", "P1xP1"],
+)
+def test_graph_depth4_bytes_pinned(capsys, f, digest):
+    # The merge certificates in this JSON come straight from the canonical maps.
+    code, out, _ = run(capsys, "graph", "--f", f, "--depth", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_graph_depth_determinism(capsys):
     code1, out1, _ = run(capsys, "graph", "--f", F4, "--depth", "2")
     code2, out2, _ = run(capsys, "graph", "--f", F4, "--depth", "2")

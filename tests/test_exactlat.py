@@ -173,3 +173,11 @@ def test_transpose_involution():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(transpose(m)) == m
     assert mat_vec(m, (1, 0, 0)) == (1, 4)
+
+
+def test_primitive_from_rational_takes_ints_and_fractions_but_no_floats():
+    assert primitive_from_rational((2, 4, -6)) == (1, 2, -3)
+    assert primitive_from_rational((Fraction(1, 2), 1, Fraction(-3, 4))) == (2, 4, -3)
+    # Fraction(0.1) would be 3602879701896397/2**55: refuse rather than guess.
+    with pytest.raises(TypeError):
+        primitive_from_rational((1, 0.1))

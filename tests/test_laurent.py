@@ -261,3 +261,19 @@ def test_newton_polytope_hulls_only_the_extreme_points(monkeypatch, support_hull
         p = newton_polytope(f)
         assert p == support_hull(f), support
         assert hulled == [sorted(p.vertices)], support
+
+
+def test_floats_are_refused_as_coefficients_and_exponents():
+    # Fraction(0.1) would be exact binary: denominator 2**55.
+    with pytest.raises(TypeError):
+        LaurentPolynomial.constant(1, 0.1)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.monomial(2, (1, 0), 0.5)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.from_terms(1, [((0,), 1), ((1,), 2.0)])
+    with pytest.raises(TypeError):
+        LaurentPolynomial.from_terms(1, {(1.5,): 1})
+    f = LaurentPolynomial.from_terms(2, {(1, 0): Fraction(1, 3), (0, 1): 2})
+    assert f.terms == (((0, 1), Fraction(2)), ((1, 0), Fraction(1, 3)))
+    assert all(type(c) is Fraction for _, c in f.terms)
+    assert LaurentPolynomial.constant(1, 2) == LaurentPolynomial.monomial(1, (0,), Fraction(2))

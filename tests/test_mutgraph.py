@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -72,6 +74,65 @@ def test_canonical_form_is_unimodular_invariant():
             assert mform == form
             image = {mat_vec(mmap, (int(a), int(b))) for a, b in moved.vertices}
             assert image == set(form.vertices)
+
+
+def _lattice_polygon(rng, i):
+    """Integer vertices of the i-th test polygon: points on a parabola
+    (exactly 3..12 vertices), a triangle, the hull of random points, or a
+    zonogon (sum of 2..6 segments)."""
+    kind = i % 4
+    if kind == 0:
+        xs = rng.sample(range(-7, 8), 3 + (i // 4) % 10)
+        return [(x, x * x) for x in xs]
+    if kind == 1:
+        while True:
+            pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)]
+            (a, b), (c, d), (e, f) = pts
+            if (c - a) * (f - b) != (d - b) * (e - a):
+                return pts
+    if kind == 2:
+        return [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(4, 14))]
+    dirs = set()
+    while len(dirs) < 2 + (i // 4) % 5:
+        v = (rng.randint(-3, 3), rng.randint(0, 3))
+        g = math.gcd(*v)
+        if g and v[1] + (v[0] > 0) > 0:
+            dirs.add((v[0] // g, v[1] // g))
+    return [
+        tuple(sum(d[k] for d, on in zip(sorted(dirs), mask) if on) for k in range(2))
+        for mask in itertools.product((0, 1), repeat=len(dirs))
+    ]
+
+
+def test_canonical_form_matches_mat_vec_oracle(canonical_form_oracle):
+    """Form and map, structurally, against the generic mat_vec composition on
+    320 lattice polygons, each scaled (lattice points inside edges), shifted
+    (origin often outside) and moved by a unimodular map of det +/-1."""
+    rng = random.Random(20260418)
+    sizes, dets, scaled, outside, checked = set(), set(), 0, 0, 0
+    for i in range(320):
+        s = rng.choice((1, 1, 2, 3))
+        shift = (rng.randint(-9, 9), rng.randint(-9, 9))
+        m = random_unimodular(rng)
+        if rng.random() < 0.5:
+            m = (m[0], tuple(-c for c in m[1]))
+        pts = [mat_vec(m, (s * x + shift[0], s * y + shift[1])) for x, y in _lattice_polygon(rng, i)]
+        p = hull(pts)
+        if p.dim() != 2:
+            continue
+        got = canonical_form(p)
+        assert got == canonical_form_oracle(p)
+        assert all(type(c) is int for rows in (got[0].vertices, got[1]) for row in rows for c in row)
+        moved = apply_matrix(p, random_unimodular(rng))
+        assert canonical_form(moved)[0] == got[0]
+        sizes.add(len(p.vertices))
+        dets.add(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        scaled += s > 1
+        outside += not p.contains((0, 0))
+        checked += 1
+    assert checked >= 300
+    assert sizes >= set(range(3, 13)) and dets == {1, -1}
+    assert scaled >= 100 and outside >= 100
 
 
 def test_canonical_form_preconditions():

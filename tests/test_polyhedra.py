@@ -664,3 +664,26 @@ def test_verify_admissibility_rejects_incomplete_refinement():
     for i in range(len(cells)):
         cert = {"kind": "refinement", "cells": cells[:i] + cells[i + 1:]}
         assert not verify_admissibility(p, q, AdmissibilityVerdict(STATUS_YES, v.reason, certificate=cert))
+
+
+def test_hull_of_int_points_equals_hull_of_fractions():
+    rng = random.Random(11)
+    for rank in (1, 2, 3):
+        for _ in range(10):
+            pts = [tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rank + 3)]
+            rays = [unit_vector(rank, 0)] if rng.random() < 0.3 else []
+            a = hull(pts, rays)
+            b = hull([tuple(Fraction(c) for c in p) for p in pts], rays)
+            assert (a.rank, a.vertices, a.rays, a.halfspaces) == (b.rank, b.vertices, b.rays, b.halfspaces)
+            assert all(type(c) is Fraction for v in a.vertices for c in v)
+
+
+def test_floats_are_refused_at_the_exact_boundary():
+    with pytest.raises(TypeError):
+        hull([(0, 0), (1, 0), (0.5, 1)])
+    with pytest.raises(TypeError):
+        hull([(Fraction(0), 0.0)])
+    p = hull(V((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        p.translate((0.5, 0))
+    assert p.translate((1, Fraction(1, 2))) == hull(V((1, Fraction(1, 2)), (2, Fraction(1, 2)), (1, Fraction(3, 2))))
