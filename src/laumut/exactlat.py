@@ -59,6 +59,16 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
     return tuple(a // g for a in v)
 
 
+def exact_int(c) -> int:
+    """The integer that ``c`` (an int, a Fraction or a string such as "3"
+    or "6/2") stands for; ValueError if it is not integral, instead of
+    truncating it as ``int`` would."""
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {c!r}")
+    return q.numerator
+
+
 def primitive_from_rational(v: Sequence) -> IntVec:
     """Primitive integer vector pointing along a rational vector.
 
@@ -72,16 +82,9 @@ def primitive_from_rational(v: Sequence) -> IntVec:
     return primitive_vector(tuple(int(c * d) for c in v))
 
 
-def is_lex_positive(v: Sequence[int]) -> bool:
-    for a in v:
-        if a:
-            return a > 0
-    return False
-
-
 def lex_positive(v: Sequence[int]) -> IntVec:
     """The vector or its negative, whichever has positive leading entry."""
-    return tuple(v) if is_lex_positive(v) else vneg(v)
+    return tuple(v) if next((a for a in v if a), 0) > 0 else vneg(v)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -102,10 +105,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # -- matrices ---------------------------------------------------------------
 
 
-def identity_matrix(n: int) -> IntMat:
-    return tuple(unit_vector(n, i) for i in range(n))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -117,14 +116,6 @@ def mat_vec(a, v):
 def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def matrix_from_columns(cols: Sequence[Sequence]) -> IntMat:
-    return transpose(cols)
-
-
-def matrix_columns(a) -> tuple:
-    return transpose(a)
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:
@@ -175,13 +166,6 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
     if rank < n:
         return 0
     return sign * m[-1][-1] if m else 1
-
-
-def is_unimodular(a) -> bool:
-    try:
-        return abs(determinant(a)) == 1
-    except ValueError:
-        return False
 
 
 def inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMat:

@@ -23,13 +23,13 @@ from .exactlat import (
     IntVec,
     adapted_basis,
     content,
+    determinant,
     dot,
+    exact_int,
     inverse_unimodular,
-    is_unimodular,
-    matrix_columns,
-    matrix_from_columns,
     mat_vec,
     primitive_from_rational,
+    transpose,
     vsub,
 )
 from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, to_string
@@ -70,9 +70,9 @@ class MutationSpec:
             raise ValueError("mutation direction must be primitive")
         if len(self.basis) != n or any(len(row) != n for row in self.basis):
             raise ValueError("basis must be a square matrix of the full rank")
-        if not is_unimodular(self.basis):
+        if abs(determinant(self.basis)) != 1:
             raise ValueError("basis is not unimodular")
-        cols = matrix_columns(self.basis)
+        cols = transpose(self.basis)
         pairing = [dot(self.direction, c) for c in cols]
         if pairing != [0] * (n - 1) + [1]:
             raise ValueError("basis is not adapted: direction must kill the kernel columns and pair to 1 with the last")
@@ -87,7 +87,7 @@ class MutationSpec:
         the original coordinates and must be supported on ker u."""
         u = tuple(int(c) for c in direction)
         w, kernel = adapted_basis(u)
-        basis = matrix_from_columns(list(kernel) + [w])
+        basis = transpose(list(kernel) + [w])
         if divisor.rank != len(u):
             raise ValueError("divisor rank does not match the direction")
         inv = inverse_unimodular(basis)
@@ -112,12 +112,12 @@ class MutationSpec:
 
     def inverse(self) -> "MutationSpec":
         """Same divisor, opposite direction; undoes this mutation."""
-        cols = list(matrix_columns(self.basis))
+        cols = list(transpose(self.basis))
         cols[-1] = tuple(-c for c in cols[-1])
         return MutationSpec(
             self.rank,
             tuple(-c for c in self.direction),
-            matrix_from_columns(cols),
+            transpose(cols),
             self.divisor,
         )
 
@@ -143,8 +143,8 @@ class MutationSpec:
     @staticmethod
     def from_dict(data: dict) -> "MutationSpec":
         rank = int(data["rank"])
-        direction = tuple(int(Fraction(c)) for c in data["direction"])
-        basis = tuple(tuple(int(Fraction(c)) for c in row) for row in data["basis"])
+        direction = tuple(exact_int(c) for c in data["direction"])
+        basis = tuple(tuple(exact_int(c) for c in row) for row in data["basis"])
         divisor = parse(data["divisor"], rank=rank - 1)
         return MutationSpec(rank, direction, basis, divisor)
 
@@ -305,5 +305,5 @@ def _facet_spec(facet: FacetInfo) -> MutationSpec:
     u = facet.direction
     divisor = LaurentPolynomial.from_terms(1, {(0,): Fraction(1), (1,): Fraction(1)})
     w, kernel = adapted_basis(u)
-    basis = matrix_from_columns(list(kernel) + [w])
+    basis = transpose(list(kernel) + [w])
     return MutationSpec(2, u, basis, divisor)

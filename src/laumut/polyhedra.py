@@ -33,6 +33,7 @@ from .exactlat import (
     adapted_basis,
     content,
     dot,
+    exact_int,
     matrix_rank,
     primitive_from_rational,
     primitive_vector,
@@ -169,16 +170,13 @@ class Cone:
     def contains(self, v: Sequence) -> bool:
         return all(dot(n, v) >= 0 for n in self.facet_normals)
 
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(r) for r in other.rays)
-
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
         return (
             self.rank == other.rank
-            and self.contains_cone(other)
-            and other.contains_cone(self)
+            and all(self.contains(r) for r in other.rays)
+            and all(other.contains(r) for r in self.rays)
         )
 
     __hash__ = None  # semantic equality; use the rays tuple as a dict key instead
@@ -189,7 +187,7 @@ class Cone:
     @staticmethod
     def from_dict(data: dict) -> "Cone":
         rank = int(data["rank"])
-        gens = [tuple(int(Fraction(c)) for c in r) for r in data.get("rays", [])]
+        gens = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return Cone.from_generators(rank, gens)
 
 
@@ -261,17 +259,10 @@ class Polyhedron:
     def contains(self, point: Sequence) -> bool:
         return all(dot(n, point) >= c for n, c in self.halfspaces)
 
-    def is_bounded(self) -> bool:
-        return not self.rays
-
     def dim(self) -> int:
         v0 = self.vertices[0]
         spans = [vsub(v, v0) for v in self.vertices[1:]] + list(self.rays)
         return matrix_rank(spans)
-
-    def translate(self, t: Sequence) -> "Polyhedron":
-        """p + t for int or Fraction coordinates; a float raises TypeError in :func:`hull`."""
-        return hull([vadd(v, t) for v in self.vertices], self.rays)
 
     def support_minimum(self, u: Sequence[int]) -> Optional[Fraction]:
         """min of <u, .> over the polyhedron; None if unbounded below."""
@@ -289,7 +280,7 @@ class Polyhedron:
     @staticmethod
     def from_dict(data: dict) -> "Polyhedron":
         verts = [tuple(Fraction(c) for c in v) for v in data["vertices"]]
-        rays = [tuple(int(Fraction(c)) for c in r) for r in data.get("rays", [])]
+        rays = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return hull(verts, rays)
 
 
@@ -399,7 +390,7 @@ def contains_origin_interior(p: Polyhedron) -> bool:
     Lower-dimensional polyhedra carry an equation, hence a halfspace
     with offset >= 0, so they are rejected automatically.
     """
-    return p.is_bounded() and all(c < 0 for _, c in p.halfspaces)
+    return not p.rays and all(c < 0 for _, c in p.halfspaces)
 
 
 def polar_dual(p: Polyhedron) -> Polyhedron:
@@ -490,19 +481,6 @@ def polygon_edges(p: Polyhedron) -> list[tuple[QVec, QVec]]:
     return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
 
 
-def normalized_volume_2d(p: Polyhedron) -> Fraction:
-    """Twice the euclidean area of a rank-2 polytope (shoelace, exact)."""
-    cyc = vertex_cycle(p)
-    if len(cyc) < 3:
-        return Fraction(0)
-    s = Fraction(0)
-    for i in range(len(cyc)):
-        x0, y0 = cyc[i]
-        x1, y1 = cyc[(i + 1) % len(cyc)]
-        s += x0 * y1 - x1 * y0
-    return abs(s)
-
-
 # -- admissible pairs ---------------------------------------------------------
 
 
@@ -557,10 +535,6 @@ def _sup_shell(rank: int, s: int):
             yield (x,) + rest
 
 
-def _is_integral(x: Fraction) -> bool:
-    return x.denominator == 1
-
-
 def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
     """Full-dimensional cells of the common refinement of both normal fans.
 
@@ -589,8 +563,8 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
                     "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
                     "cell_rays": [[str(c) for c in r] for r in gens],
                     "integral": (
-                        all(_is_integral(c) for c in v),
-                        all(_is_integral(c) for c in w),
+                        all(c.denominator == 1 for c in v),
+                        all(c.denominator == 1 for c in w),
                     ),
                 }
             )
@@ -645,7 +619,7 @@ def is_admissible_pair(
         if mp is None:
             continue  # unbounded below on the shared tail
         mq = q.support_minimum(u)
-        if not _is_integral(mp) and not _is_integral(mq):
+        if mp.denominator != 1 and mq.denominator != 1:
             return AdmissibilityVerdict(
                 STATUS_NO,
                 f"functional with fractional minima {mp} and {mq}",
@@ -670,7 +644,7 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
             return False
         mp = p.support_minimum(u)
         mq = q.support_minimum(u)
-        return mp is not None and mq is not None and not _is_integral(mp) and not _is_integral(mq)
+        return mp is not None and mq is not None and mp.denominator != 1 and mq.denominator != 1
     if verdict.status == STATUS_YES:
         if set(p.rays) != set(q.rays) or verdict.certificate is None:
             return False
@@ -686,12 +660,15 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
                 if v not in p.vertices or w not in q.vertices:
                     return False
                 listed.add((v, w))
-                iv = all(_is_integral(c) for c in v)
-                iw = all(_is_integral(c) for c in w)
+                iv = all(c.denominator == 1 for c in v)
+                iw = all(c.denominator == 1 for c in w)
                 if not (iv or iw):
                     return False
                 for rs in cell["cell_rays"]:
-                    r = tuple(int(Fraction(c)) for c in rs)
+                    try:
+                        r = tuple(exact_int(c) for c in rs)
+                    except ValueError:
+                        return False
                     if p.support_minimum(r) != dot(r, v) or q.support_minimum(r) != dot(r, w):
                         return False
             # The full-dimensional cells are the normal cones of p + q at its

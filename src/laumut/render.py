@@ -51,7 +51,7 @@ def _bbox(items: Sequence[tuple[str, Polyhedron]]) -> tuple[int, int, int, int]:
 
 
 def _clip(p: Polyhedron, box: tuple[int, int, int, int]) -> Polyhedron:
-    if p.is_bounded():
+    if not p.rays:
         return p
     xmin, xmax, ymin, ymax = box
     extra = [

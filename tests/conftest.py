@@ -7,6 +7,7 @@ from laumut.exactlat import (
     adapted_basis,
     content,
     dot,
+    inverse_unimodular,
     mat_mul,
     mat_vec,
     primitive_vector,
@@ -17,7 +18,7 @@ from laumut.exactlat import (
     xgcd,
 )
 from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
-from laumut.mutation import MutationCheck, SliceCheck
+from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual, vertex_cycle
 
@@ -38,6 +39,69 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def random_unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1."""
+    if n == 1:
+        return ((rng.choice([-1, 1]),),)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    return tuple(tuple(r) for r in m)
+
+
+def random_poly(rng, rank, terms, positive=False):
+    out = {}
+    while len(out) < terms:
+        e = tuple(rng.randint(-3, 3) for _ in range(rank))
+        c = rng.randint(1, 5) if positive else rng.choice([-2, -1, 1, 2])
+        out[e] = Fraction(c)
+    return LaurentPolynomial.from_terms(rank, out)
+
+
+def random_mutable_pair(rng, rank):
+    """A polynomial guaranteed divisible at its positive levels, plus its spec.
+
+    Built in the adapted frame: level i > 0 carries q_i * g^i, the other
+    levels are arbitrary, then everything transports through a random
+    unimodular basis.
+    """
+    basis = random_unimodular(rng, rank)
+    inv = inverse_unimodular(basis)
+    direction = tuple(inv[-1])
+    g = random_poly(rng, rank - 1, terms=rng.randint(1, 3), positive=True)
+    spec = MutationSpec.from_adapted(direction, basis, g)
+    high = rng.randint(1, 2)
+    low = -rng.randint(1, 2)
+    terms = []
+    for level in range(low, high + 1):
+        if level > 0:
+            part = random_poly(rng, rank - 1, terms=rng.randint(1, 2)) * g ** level
+        elif rng.random() < 0.8 or level == low:
+            part = random_poly(rng, rank - 1, terms=rng.randint(1, 3))
+        else:
+            continue
+        for e, c in part.terms:
+            terms.append((e + (level,), c))
+    adapted = LaurentPolynomial.from_terms(rank, terms)
+    return act_unimodular(adapted, basis), spec
+
+
+def normalized_volume_2d(p):
+    """Twice the euclidean area of a rank-2 polytope (shoelace, exact)."""
+    cyc = vertex_cycle(p)
+    if len(cyc) < 3:
+        return Fraction(0)
+    s = Fraction(0)
+    for i in range(len(cyc)):
+        x0, y0 = cyc[i]
+        x1, y1 = cyc[(i + 1) % len(cyc)]
+        s += x0 * y1 - x1 * y0
+    return abs(s)
 
 
 def box_scan_dual_counts(p, kmax):

@@ -1,20 +1,21 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_mutable_pair
 from laumut import deformation, polyhedra
 from laumut.deformation import (
     FamilyError,
     VerificationReport,
     build_family,
     general_fiber_is_toric,
-    sigma_infinity_from_decomposition,
     verify_main_theorem,
 )
 from laumut.laurent import parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, tailcone
+from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, tailcone, verify_admissibility
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -125,50 +126,27 @@ def test_build_family_decides_each_pair_once(monkeypatch):
     assert [v.status for v in fam.admissibility] == ["yes", "yes"]
 
 
-def test_sigma_infinity_stops_at_the_first_uncertified_pair(monkeypatch):
-    fam = worked_family()
-    p00 = hull([(F(1, 2), F(0))], fam.tail.rays)
-    p01 = hull([(F(1, 3), F(0))], fam.tail.rays)
-    calls = count_admissibility_calls(monkeypatch)
-    with pytest.raises(FamilyError):
-        sigma_infinity_from_decomposition(fam.tail, p00, p01, fam.delta_inf)
-    assert calls == [(p00, p01)]
-
-
-def test_sigma_infinity_recovery_identity():
-    fam = worked_family()
-    origin = hull([(F(0), F(0))], fam.tail.rays)
-    rec = sigma_infinity_from_decomposition(fam.tail, fam.delta0, origin, fam.delta_inf)
-    assert rec == fam.sigma
-
-
-def test_sigma_infinity_rank_one_toy():
-    tail = Cone.from_generators(1, [])
-    d00 = hull([(F(1),)])
-    d01 = hull([(F(0),)])
-    dinf = hull([(F(1),)])
-    cone = sigma_infinity_from_decomposition(tail, d00, d01, dinf)
-    assert set(cone.rays) == {(1, 1), (1, -1)}
-
-
-def test_sigma_infinity_tailcone_mismatch():
-    fam = worked_family()
-    with pytest.raises(FamilyError) as info:
-        sigma_infinity_from_decomposition(
-            fam.tail, fam.delta00, hull([(F(0), F(0))]), fam.delta_inf
-        )
-    assert info.value.failures == ["tailcone:delta01"]
-
-
-def test_sigma_infinity_admissibility_failure_carries_verdict():
-    fam = worked_family()
-    p00 = hull([(F(1, 2), F(0))], fam.tail.rays)
-    p01 = hull([(F(1, 3), F(0))], fam.tail.rays)
-    with pytest.raises(FamilyError) as info:
-        sigma_infinity_from_decomposition(fam.tail, p00, p01, fam.delta_inf)
-    assert info.value.failures == ["admissibility:delta00/delta01"]
-    assert info.value.verdict.status == "no"
-    assert info.value.verdict.witness == (1, 1)
+def test_both_family_pairs_are_certified_by_the_lattice_slice():
+    """Delta_0^1 is the divisor's Newton polytope at grading 0, a lattice
+    polytope in both pairs, so the gluing needs no other certificate."""
+    f3, f4 = "x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"
+    cases = [(parse(f3), worked_spec()), (parse(f4), worked_spec())]
+    rng = random.Random(1205)
+    cases += [random_mutable_pair(rng, rank) for rank in (2, 3, 4) for _ in range(15)]
+    built = []
+    for f, spec in cases:
+        try:
+            fam = build_family(f, spec)
+        except FamilyError:
+            continue
+        built.append(spec.rank)
+        pairs = ((fam.delta00, fam.delta01), (fam.delta01, fam.delta_inf))
+        for (a, b), verdict in zip(pairs, fam.admissibility):
+            assert verdict.status == "yes"
+            assert verdict.certificate["kind"] == "lattice_polyhedron"
+            assert verify_admissibility(a, b, verdict)
+        assert fam.admissibility[1].certificate["which"] == 0
+    assert {2, 3, 4} <= set(built) and len(built) >= 20
 
 
 def test_verify_main_theorem_passes():

@@ -9,13 +9,11 @@ from laumut.exactlat import (
     content,
     determinant,
     dot,
-    identity_matrix,
+    exact_int,
     inverse_unimodular,
-    is_unimodular,
     lex_positive,
     mat_mul,
     mat_vec,
-    matrix_from_columns,
     matrix_rank,
     primitive_from_rational,
     primitive_vector,
@@ -28,7 +26,7 @@ def random_unimodular(rng, n, steps=12):
     """Product of elementary row operations, so |det| = 1 by construction."""
     if n == 1:
         return ((rng.choice([-1, 1]),),)
-    m = [list(row) for row in identity_matrix(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
@@ -93,10 +91,10 @@ def test_determinant_and_inverse_on_random_unimodular():
         n = rng.randint(1, 4)
         a = random_unimodular(rng, n)
         assert abs(determinant(a)) == 1
-        assert is_unimodular(a)
         inv = inverse_unimodular(a)
-        assert mat_mul(a, inv) == identity_matrix(n)
-        assert mat_mul(inv, a) == identity_matrix(n)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert mat_mul(a, inv) == eye
+        assert mat_mul(inv, a) == eye
 
 
 def test_matrix_rank():
@@ -165,7 +163,7 @@ def test_adapted_basis_properties():
         for k in kernel:
             assert dot(u, k) == 0
             assert lex_positive(k) == k
-        basis = matrix_from_columns(list(kernel) + [w])
+        basis = transpose(list(kernel) + [w])
         assert abs(determinant(basis)) == 1
 
 
@@ -173,6 +171,13 @@ def test_transpose_involution():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(transpose(m)) == m
     assert mat_vec(m, (1, 0, 0)) == (1, 4)
+
+
+def test_exact_int_refuses_non_integral_values():
+    assert [exact_int(c) for c in ("3", "-6/2", Fraction(4), 7)] == [3, -3, 4, 7]
+    for c in ("1/2", "-3/2", Fraction(5, 3), "0.5"):
+        with pytest.raises(ValueError):
+            exact_int(c)
 
 
 def test_primitive_from_rational_takes_ints_and_fractions_but_no_floats():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import random_unimodular
 from laumut import polyhedra
 from laumut.laurent import (
     LaurentPolynomial,
@@ -25,18 +26,6 @@ def random_poly(rng, rank, terms=5, span=4, positive=False):
         c = rng.randint(1, 9) if positive else rng.choice([-3, -2, -1, 1, 2, 3])
         out[e] = Fraction(c)
     return LaurentPolynomial.from_terms(rank, out)
-
-
-def random_unimodular(rng, n):
-    if n == 1:
-        return ((rng.choice([-1, 1]),),)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(8):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(r) for r in m)
 
 
 def test_parse_basic():

@@ -4,11 +4,11 @@ from math import prod
 
 import pytest
 
+from conftest import random_mutable_pair, random_poly, random_unimodular
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     inverse_unimodular,
     mat_vec,
-    matrix_columns,
     transpose,
 )
 from laumut.laurent import (
@@ -33,55 +33,6 @@ from laumut.polyhedra import (
     polar_dual,
     tailcone,
 )
-
-
-def random_unimodular(rng, n):
-    if n == 1:
-        return ((rng.choice([-1, 1]),),)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(8):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(r) for r in m)
-
-
-def random_poly(rng, rank, terms, positive=False):
-    out = {}
-    while len(out) < terms:
-        e = tuple(rng.randint(-3, 3) for _ in range(rank))
-        c = rng.randint(1, 5) if positive else rng.choice([-2, -1, 1, 2])
-        out[e] = Fraction(c)
-    return LaurentPolynomial.from_terms(rank, out)
-
-
-def random_mutable_pair(rng, rank):
-    """A polynomial guaranteed divisible at its positive levels, plus its spec.
-
-    Built in the adapted frame: level i > 0 carries q_i * g^i, the other
-    levels are arbitrary, then everything transports through a random
-    unimodular basis.
-    """
-    basis = random_unimodular(rng, rank)
-    inv = inverse_unimodular(basis)
-    direction = tuple(inv[-1])
-    g = random_poly(rng, rank - 1, terms=rng.randint(1, 3), positive=True)
-    spec = MutationSpec.from_adapted(direction, basis, g)
-    high = rng.randint(1, 2)
-    low = -rng.randint(1, 2)
-    terms = []
-    for level in range(low, high + 1):
-        if level > 0:
-            part = random_poly(rng, rank - 1, terms=rng.randint(1, 2)) * g ** level
-        elif rng.random() < 0.8 or level == low:
-            part = random_poly(rng, rank - 1, terms=rng.randint(1, 3))
-        else:
-            continue
-        for e, c in part.terms:
-            terms.append((e + (level,), c))
-    adapted = LaurentPolynomial.from_terms(rank, terms)
-    return act_unimodular(adapted, basis), spec
 
 
 def _random_levelled_pair(rng, rank, levels, failing):
@@ -127,7 +78,7 @@ def test_from_direction_worked_example():
     assert spec.direction == (0, 1)
     assert spec.divisor == parse("1 + x", rank=1)
     assert spec.divisor_in_ambient() == parse("1 + x", rank=2)
-    cols = matrix_columns(spec.basis)
+    cols = transpose(spec.basis)
     # kernel column pairs to zero, last column to one
     assert sum(a * b for a, b in zip((0, 1), cols[0])) == 0
     assert sum(a * b for a, b in zip((0, 1), cols[1])) == 1
@@ -357,7 +308,7 @@ def test_facet_mutation_spec_errors():
     p = newton_polytope(parse("x^-1 + x^-1*y + y + y^-1 + x*y^-1"))
     with pytest.raises(ValueError):
         facet_mutation_spec(p, 17)
-    shifted = p.translate((Fraction(5), Fraction(0)))
+    shifted = hull([(v[0] + 5, v[1]) for v in p.vertices])
     with pytest.raises(ValueError):
         facet_mutation_spec(shifted, 0)
     nonprim = hull([(Fraction(2), Fraction(0)), (Fraction(-2), Fraction(2)), (Fraction(0), Fraction(-2))])
@@ -369,6 +320,16 @@ def test_spec_dict_round_trip():
     spec = MutationSpec.from_direction((2, 3), parse("1 + 2*x^3*y^-2 + x^6*y^-4"))
     again = MutationSpec.from_dict(spec.to_dict())
     assert again == spec
+
+
+def test_spec_from_dict_refuses_non_integral_entries():
+    data = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2)).to_dict()
+    assert data["direction"] == ["0", "1"] and data["basis"][0][0] == "1"
+    with pytest.raises(ValueError):
+        MutationSpec.from_dict({**data, "direction": ["0", "3/2"]})
+    basis = [["3/2", "0"], ["0", "1"]]
+    with pytest.raises(ValueError):
+        MutationSpec.from_dict({**data, "basis": basis})
 
 
 def test_check_dict_shape():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import normalized_volume_2d, random_unimodular
 from laumut import laurent, mutation, mutgraph
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
@@ -16,7 +17,7 @@ from laumut.mutgraph import (
     mutation_neighbors,
     validate_mutable_polygon,
 )
-from laumut.polyhedra import dual_ehrhart_counts, hull, normalized_volume_2d
+from laumut.polyhedra import dual_ehrhart_counts, hull
 
 F = Fraction
 
@@ -30,16 +31,6 @@ DIAMOND = P((1, 0), (0, 1), (-1, 0), (0, -1))
 PARALLELOGRAM = P((1, 1), (0, 1), (-1, -1), (0, -1))
 SQUARE = P((1, 1), (1, -1), (-1, 1), (-1, -1))
 FPRIME = "x^-1 + x^-1*y + y + y^-1 + x*y^-1"
-
-
-def random_unimodular(rng):
-    m = [[1, 0], [0, 1]]
-    for _ in range(8):
-        i, j = rng.sample(range(2), 2)
-        c = rng.randint(-2, 2)
-        for k in range(2):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(r) for r in m)
 
 
 def apply_matrix(p, m):
@@ -69,7 +60,7 @@ def test_canonical_form_is_unimodular_invariant():
     for base in (DIAMOND, SQUARE, newton_polytope(parse(FPRIME))):
         form, _ = canonical_form(base)
         for _ in range(25):
-            moved = apply_matrix(base, random_unimodular(rng))
+            moved = apply_matrix(base, random_unimodular(rng, 2))
             mform, mmap = canonical_form(moved)
             assert mform == form
             image = {mat_vec(mmap, (int(a), int(b))) for a, b in moved.vertices}
@@ -113,7 +104,7 @@ def test_canonical_form_matches_mat_vec_oracle(canonical_form_oracle):
     for i in range(320):
         s = rng.choice((1, 1, 2, 3))
         shift = (rng.randint(-9, 9), rng.randint(-9, 9))
-        m = random_unimodular(rng)
+        m = random_unimodular(rng, 2)
         if rng.random() < 0.5:
             m = (m[0], tuple(-c for c in m[1]))
         pts = [mat_vec(m, (s * x + shift[0], s * y + shift[1])) for x, y in _lattice_polygon(rng, i)]
@@ -123,7 +114,7 @@ def test_canonical_form_matches_mat_vec_oracle(canonical_form_oracle):
         got = canonical_form(p)
         assert got == canonical_form_oracle(p)
         assert all(type(c) is int for rows in (got[0].vertices, got[1]) for row in rows for c in row)
-        moved = apply_matrix(p, random_unimodular(rng))
+        moved = apply_matrix(p, random_unimodular(rng, 2))
         assert canonical_form(moved)[0] == got[0]
         sizes.add(len(p.vertices))
         dets.add(m[0][0] * m[1][1] - m[0][1] * m[1][0])
@@ -141,7 +132,7 @@ def test_canonical_form_preconditions():
     with pytest.raises(ValueError):
         canonical_form(hull([(F(0), F(0))], [(1, 0)]))
     with pytest.raises(ValueError):
-        canonical_form(P((0, 0), (1, 0), (0, 1)).translate((F(1, 2), F(0))))
+        canonical_form(hull([(F(1, 2), F(0)), (F(3, 2), F(0)), (F(1, 2), F(1))]))
     with pytest.raises(ValueError):
         canonical_form(hull([(F(0), F(0), F(0)), (F(1), F(0), F(0))]))
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from conftest import normalized_volume_2d
 from laumut import polyhedra
 from laumut.deformation import _level_slice, verify_main_theorem
 from laumut.exactlat import inverse_unimodular, mat_vec, matrix_rank, transpose, unit_vector, vadd, vneg, vscale
@@ -29,7 +30,6 @@ from laumut.polyhedra import (
     is_lattice_polyhedron,
     kernel_slice,
     minkowski_sum,
-    normalized_volume_2d,
     polar_dual,
     polygon_edges,
     tailcone,
@@ -119,7 +119,7 @@ def test_minkowski_segments():
 def test_minkowski_point_translation():
     q = hull(V((0, 0), (2, 0), (0, 2)))
     p = hull(V((3, -1)))
-    assert minkowski_sum(p, q) == q.translate((3, -1))
+    assert minkowski_sum(p, q) == hull(V((3, -1), (5, -1), (3, 1)))
 
 
 def test_minkowski_commutative_associative():
@@ -184,6 +184,12 @@ def test_cone_equality_is_semantic():
 def test_cone_dict_round_trip():
     c = Cone.from_generators(3, [(1, 0, 0), (1, 2, 0), (1, 0, 3)])
     assert Cone.from_dict(c.to_dict()) == c
+
+
+def test_cone_from_dict_refuses_non_integral_rays():
+    assert Cone.from_dict({"rank": 2, "rays": [["2/2", "1"], ["-1", "1"]]}).rays == ((-1, 1), (1, 1))
+    with pytest.raises(ValueError):
+        Cone.from_dict({"rank": 2, "rays": [["1/2", "1"], ["-1", "1"]]})
 
 
 # -- cone_over / slices -----------------------------------------------------------
@@ -494,6 +500,11 @@ def test_polyhedron_dict_round_trip():
     assert Polyhedron.from_dict(p.to_dict()) == p
 
 
+def test_polyhedron_from_dict_refuses_non_integral_rays():
+    with pytest.raises(ValueError):
+        Polyhedron.from_dict({"rank": 2, "vertices": [["0", "0"]], "rays": [["1/2", "1"]]})
+
+
 # -- admissible pairs ----------------------------------------------------------------
 
 
@@ -532,10 +543,10 @@ def test_admissible_pair_tailcone_mismatch():
 def test_admissible_pair_refinement_certificate():
     # both polyhedra fractional, pointed tails: decided by the refinement
     p = hull([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1))])
-    q = hull(V((0, 0), (1, 0)))
-    v = is_admissible_pair(q.translate((Fraction(1, 2), Fraction(1, 2))), p)
+    q = hull([(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2))])
+    v = is_admissible_pair(q, p)
     if v.status == STATUS_YES and v.certificate["kind"] == "refinement":
-        assert verify_admissibility(q.translate((Fraction(1, 2), Fraction(1, 2))), p, v)
+        assert verify_admissibility(q, p, v)
     # a genuinely fractional-everywhere pair is refused with a witness
     w = is_admissible_pair(
         hull([(Fraction(1, 2), Fraction(1, 2))]), hull([(Fraction(1, 3), Fraction(1, 3))])
@@ -666,6 +677,21 @@ def test_verify_admissibility_rejects_incomplete_refinement():
         assert not verify_admissibility(p, q, AdmissibilityVerdict(STATUS_YES, v.reason, certificate=cert))
 
 
+def test_verify_admissibility_rejects_non_integral_cell_rays():
+    p = hull(V((-1, -1), (0, 1)) + [(Fraction(-1, 2), Fraction(1))])
+    q = hull(V((-1, 1)) + [(Fraction(1, 2), Fraction(1))])
+    v = is_admissible_pair(p, q)
+    assert v.status == STATUS_YES and v.certificate["kind"] == "refinement"
+    # Each coordinate moves a third away from zero, so int() would
+    # truncate it back to the genuine ray.
+    def off(c):
+        return str(Fraction(c) + (Fraction(1, 3) if Fraction(c) >= 0 else Fraction(-1, 3)))
+
+    cells = [dict(cell, cell_rays=[[off(c) for c in r] for r in cell["cell_rays"]]) for cell in v.certificate["cells"]]
+    forged = AdmissibilityVerdict(STATUS_YES, v.reason, certificate={"kind": "refinement", "cells": cells})
+    assert not verify_admissibility(p, q, forged)
+
+
 def test_hull_of_int_points_equals_hull_of_fractions():
     rng = random.Random(11)
     for rank in (1, 2, 3):
@@ -683,7 +709,3 @@ def test_floats_are_refused_at_the_exact_boundary():
         hull([(0, 0), (1, 0), (0.5, 1)])
     with pytest.raises(TypeError):
         hull([(Fraction(0), 0.0)])
-    p = hull(V((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(TypeError):
-        p.translate((0.5, 0))
-    assert p.translate((1, Fraction(1, 2))) == hull(V((1, Fraction(1, 2)), (2, Fraction(1, 2)), (1, Fraction(3, 2))))
