@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactlat import IntVec, primitive_from_rational, unit_vector
+from .exactlat import IntVec, primitive_from_rational, unit_vector, vadd
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -41,8 +41,8 @@ from .polyhedra import (
     hull,
     is_admissible_pair,
     is_lattice_polyhedron,
+    is_minkowski_sum,
     kernel_slice,
-    minkowski_sum,
 )
 
 
@@ -160,15 +160,16 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
     delta00 = _level_slice(mutated_adapted.support(), 1, tail)
     pts01 = [(0,) + e for e in spec.divisor.support()]
     delta01 = hull(pts01, tail.rays)
-    assert minkowski_sum(delta00, delta01) == delta0, "divisor decomposition must rebuild the +1 slice"
+    if not is_minkowski_sum(delta00, delta01, delta0):
+        raise AssertionError("divisor decomposition must rebuild the +1 slice")
 
     # Both pairs contain the lattice polytope delta01, and every slice is a
     # hull over tail.rays, so both verdicts are "yes" by the lattice certificate.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
-    low = minkowski_sum(delta01, delta_inf)
     gens = [r + (0,) for r in tail.rays]
     gens += [primitive_from_rational(v + (1,)) for v in delta00.vertices]
-    gens += [primitive_from_rational(v + (-1,)) for v in low.vertices]
+    # Height -1 carries Delta_0^1 + Delta_inf; the cone keeps only its extreme vertex sums.
+    gens += [primitive_from_rational(vadd(v, w) + (-1,)) for v in delta01.vertices for w in delta_inf.vertices]
     sigma_inf = Cone.from_generators(n + 1, gens)
     return FamilyData(
         f=f,

@@ -45,10 +45,7 @@ def unit_vector(rank: int, i: int) -> IntVec:
 
 def content(v: Iterable[int]) -> int:
     """gcd of the coordinates; 0 for the zero vector."""
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:
@@ -59,11 +56,18 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
     return tuple(a // g for a in v)
 
 
+def exact_fraction(c) -> Fraction:
+    """``Fraction(c)``, but a float raises TypeError instead of being read as its binary value."""
+    if isinstance(c, float):
+        raise TypeError(f"exact number needed (int, Fraction or string), got {c!r}")
+    return Fraction(c)
+
+
 def exact_int(c) -> int:
     """The integer that ``c`` (an int, a Fraction or a string such as "3"
     or "6/2") stands for; ValueError if it is not integral, instead of
-    truncating it as ``int`` would."""
-    q = Fraction(c)
+    truncating it as ``int`` would, and TypeError for a float."""
+    q = exact_fraction(c)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {c!r}")
     return q.numerator

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlat import IntVec, dot, mat_vec, determinant
+from .exactlat import IntVec, mat_vec, determinant
 from . import polyhedra
 
 _XYZ = ("x", "y", "z")
@@ -393,11 +393,13 @@ def _plane_extreme_points(points: Sequence[IntVec]) -> list[IntVec]:
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[LaurentPolynomial]:
     """The Laurent polynomial q with a = q*b, or None if none exists.
 
-    Monomial divisors always divide. Otherwise candidate quotient
-    exponents are confined to the lattice points whose translate of the
-    divisor's Newton polytope fits inside the dividend's, so peeling the
-    lexicographically smallest remainder term either walks through that
-    finite set or proves non-divisibility.
+    Monomial divisors always divide. Otherwise the lexicographically
+    smallest remainder term is peeled off until none is left. If a = q*b,
+    then Newton(a) = Newton(q) + Newton(b), so every exponent of q lies in
+    the box min_i(a) - min_i(b) <= e_i <= max_i(a) - max_i(b), and then
+    the peel visits exactly the exponents of q. A candidate outside that
+    finite box therefore proves non-divisibility, and the peel, whose
+    candidates increase strictly, always stops. No hull is needed.
     """
     a._check(b)
     if b.is_zero():
@@ -408,20 +410,13 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[Laurent
     if b.is_monomial():
         q = {tuple(x - y for x, y in zip(e, eb)): c / cb for e, c in a.terms}
         return LaurentPolynomial.from_terms(a.rank, q)
-    fits = []
-    for normal, offset in newton_polytope(a).halfspaces:
-        margin = min(dot(normal, e) for e in b.support())
-        fits.append((normal, offset - margin))
-
-    def admissible(e: IntVec) -> bool:
-        return all(dot(n, e) >= c for n, c in fits)
-
+    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(zip(*a.support()), zip(*b.support()))]
     remainder = dict(a.terms)
     quotient: dict[IntVec, Fraction] = {}
     while remainder:
         er = min(remainder)
         eq = tuple(x - y for x, y in zip(er, eb))
-        if not admissible(eq):
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(eq, box)):
             return None
         cq = remainder[er] / cb
         quotient[eq] = cq

@@ -7,7 +7,9 @@ cone is canonicalized from generators or from normals and read back.
 A conversion runs one kernel pass to the other side and then reads the
 irredundant members of its own input off their incidences with that
 side's output; only a cone with a line (or, from normals, one that is
-not full-dimensional) takes a second pass.
+not full-dimensional) takes a second pass. The cone over a bounded
+full-dimensional polytope takes none: its rays and facets are the
+polytope's vertices and halfspaces, lifted.
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -33,6 +36,7 @@ from .exactlat import (
     adapted_basis,
     content,
     dot,
+    exact_fraction,
     exact_int,
     matrix_rank,
     primitive_from_rational,
@@ -108,22 +112,30 @@ def extreme_rays(constraints: Sequence[IntVec], rank: int) -> tuple[list[IntVec]
             masks = [m | bit if val == 0 else m for m, val in zip(masks, vals)]
             if min(vals, default=0) < 0:
                 survivors: dict[IntVec, int] = {}
+                pos, neg = [], []
                 for r, m, val in zip(rays, masks, vals):
-                    if val >= 0:
+                    if val < 0:
+                        neg.append((r, m, val))
+                    else:
                         survivors.setdefault(r, m)
-                pos = [i for i, val in enumerate(vals) if val > 0]
-                neg = [i for i, val in enumerate(vals) if val < 0]
+                        if val:
+                            pos.append((r, m, val))
                 need = rank - len(lineality) - 2
-                for ip in pos:
-                    for im in neg:
-                        common = masks[ip] & masks[im]
-                        if common.bit_count() < need or any(
-                            common & m == common and k != ip and k != im
-                            for k, m in enumerate(masks)
-                        ):
+                for rp, mp, vp in pos:
+                    for rn, mn, vn in neg:
+                        common = mp & mn
+                        if common.bit_count() < need:
                             continue
-                        comb = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
-                        survivors.setdefault(primitive_vector(comb), common | bit)
+                        # Both parents' masks contain the common set; a third one breaks adjacency.
+                        hits = 0
+                        for m in masks:
+                            if common & m == common:
+                                hits += 1
+                                if hits == 3:
+                                    break
+                        else:
+                            comb = tuple(vp * a - vn * b for a, b in zip(rn, rp))
+                            survivors.setdefault(primitive_vector(comb), common | bit)
                 rays = list(survivors)
                 masks = list(survivors.values())
         bit <<= 1
@@ -279,7 +291,7 @@ class Polyhedron:
 
     @staticmethod
     def from_dict(data: dict) -> "Polyhedron":
-        verts = [tuple(Fraction(c) for c in v) for v in data["vertices"]]
+        verts = [tuple(exact_fraction(c) for c in v) for v in data["vertices"]]
         rays = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return hull(verts, rays)
 
@@ -329,11 +341,12 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
     """Polyhedron cut out by ``<n, x> >= c`` constraints.
 
     Input may be redundant; the result is canonical. Raises ValueError
-    if the intersection is empty or contains a line.
+    if the intersection is empty or contains a line, and TypeError for a
+    float offset.
     """
     hcons = [unit_vector(rank + 1, 0)]
     for normal, offset in halfspaces:
-        offset = Fraction(offset)
+        offset = exact_fraction(offset)
         if not any(normal):
             if offset > 0:
                 raise ValueError("empty polyhedron")
@@ -350,6 +363,29 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     return hull(pts, list(p.rays) + list(q.rays))
 
 
+def is_minkowski_sum(p: Polyhedron, q: Polyhedron, r: Polyhedron) -> bool:
+    """Whether r = p + q, decided on integers (vertices times their common denominator d), without a hull.
+
+    r lies in p + q iff its vertices are sums of a vertex of p and one of q
+    and its rays are rays of p or q; p + q lies in r iff for every halfspace
+    (n, c) of r the minima of n on p and q are finite and sum to at least c.
+    """
+    if not p.rank == q.rank == r.rank:
+        raise ValueError("rank mismatch in Minkowski sum")
+    if not set(r.rays) <= set(p.rays + q.rays):
+        return False
+    d = lcm(*(c.denominator for v in p.vertices + q.vertices + r.vertices for c in v))
+    ps, qs, rs = ([tuple(c.numerator * (d // c.denominator) for c in v) for v in x.vertices] for x in (p, q, r))
+    if not set(rs) <= {vadd(v, w) for v in ps for w in qs}:
+        return False
+    return all(
+        all(sum(map(mul, n, x)) >= 0 for x in p.rays + q.rays)
+        and (min(sum(map(mul, n, v)) for v in ps) + min(sum(map(mul, n, w)) for w in qs)) * c.denominator
+        >= c.numerator * d
+        for n, c in r.halfspaces
+    )
+
+
 def tailcone(p: Polyhedron) -> Cone:
     """Recession cone of the polyhedron."""
     return Cone.from_generators(p.rank, p.rays)
@@ -358,17 +394,19 @@ def tailcone(p: Polyhedron) -> Cone:
 def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     """Cone over a polytope placed at height 1 in one extra coordinate.
 
-    The new coordinate is inserted at ``height_index`` (default: first).
+    The new coordinate is inserted at ``height_index`` (default: first). If p is full-dimensional (no
+    equation pair among its halfspaces), no kernel pass runs: the lifted vertices and halfspaces are the cone's.
     """
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
     if not 0 <= height_index <= p.rank:
         raise ValueError("height_index out of range")
-    gens = [
-        primitive_from_rational(v[:height_index] + (1,) + v[height_index:])
-        for v in p.vertices
-    ]
-    return Cone.from_generators(p.rank + 1, gens)
+    gens = [primitive_from_rational(v[:height_index] + (1,) + v[height_index:]) for v in p.vertices]
+    halfspaces = set(p.halfspaces)
+    if any((vneg(n), -c) in halfspaces for n, c in halfspaces):
+        return Cone.from_generators(p.rank + 1, gens)
+    normals = [primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in halfspaces]
+    return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)), ())
 
 
 def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:

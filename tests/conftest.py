@@ -17,7 +17,8 @@ from laumut.exactlat import (
     vsub,
     xgcd,
 )
-from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact
+from laumut.exactlat import primitive_from_rational
+from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact, newton_polytope
 from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual, vertex_cycle
@@ -302,3 +303,59 @@ def mat_vec_canonical_form(p):
 @pytest.fixture
 def canonical_form_oracle():
     return mat_vec_canonical_form
+
+
+def newton_hull_divide_exact(a, b):
+    """Oracle for ``divide_exact``: the same lexicographic peel, with the
+    candidate quotient exponents confined by a hull instead of a box, to
+    the lattice points whose translate of the divisor's Newton polytope
+    fits inside the dividend's."""
+    a._check(b)
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return a
+    eb, cb = min(b.terms)
+    if b.is_monomial():
+        q = {tuple(x - y for x, y in zip(e, eb)): c / cb for e, c in a.terms}
+        return LaurentPolynomial.from_terms(a.rank, q)
+    fits = [
+        (normal, offset - min(dot(normal, e) for e in b.support()))
+        for normal, offset in newton_polytope(a).halfspaces
+    ]
+    remainder = dict(a.terms)
+    quotient = {}
+    while remainder:
+        er = min(remainder)
+        eq = tuple(x - y for x, y in zip(er, eb))
+        if not all(dot(n, eq) >= c for n, c in fits):
+            return None
+        cq = remainder[er] / cb
+        quotient[eq] = cq
+        for e, c in b.terms:
+            key = tuple(x + y for x, y in zip(e, eq))
+            val = remainder.get(key, Fraction(0)) - cq * c
+            if val:
+                remainder[key] = val
+            else:
+                remainder.pop(key, None)
+    return LaurentPolynomial.from_terms(a.rank, quotient)
+
+
+@pytest.fixture
+def hull_bound_divide():
+    return newton_hull_divide_exact
+
+
+def kernel_cone_over(p, height_index=0):
+    """Oracle for ``cone_over``: the lifted vertices canonicalized by the
+    double description kernel, whatever the polytope's dimension."""
+    if p.rays:
+        raise ValueError("cone_over requires a bounded polytope")
+    h = height_index
+    return Cone.from_generators(p.rank + 1, [primitive_from_rational(v[:h] + (1,) + v[h:]) for v in p.vertices])
+
+
+@pytest.fixture
+def cone_over_oracle():
+    return kernel_cone_over

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -62,7 +66,9 @@ def test_build_family_worked_example():
 @pytest.mark.parametrize("text", ["x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"])
 def test_family_kernel_passes(monkeypatch, text):
     # Each level slice is one hull, and verify counts dual points on the
-    # polytopes it already holds instead of re-hulling them.
+    # polytopes it already holds instead of re-hulling them. Exact division,
+    # the cones over the Newton polytopes and the decomposition check run
+    # no kernel pass, and sigma_inf is glued from vertex sums, not a hull.
     calls = []
 
     def counted(constraints, rank):
@@ -71,10 +77,54 @@ def test_family_kernel_passes(monkeypatch, text):
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     build_family(parse(text), worked_spec())
-    assert len(calls) <= 11
+    assert len(calls) <= 7
     calls.clear()
     verify_main_theorem(parse(text), worked_spec())
-    assert len(calls) <= 18
+    assert len(calls) <= 13
+
+
+FORGED_DELTA0 = """
+import sys
+from laumut import deformation
+from laumut.laurent import parse
+from laumut.mutation import MutationSpec
+from laumut.polyhedra import hull
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under -O")
+real = deformation._level_slice
+built = []
+
+
+def forged(points, sign, tail):
+    # The first slice the family builds is Delta_0; shift it by (0, 1).
+    p = real(points, sign, tail)
+    built.append(sign)
+    if len(built) > 1:
+        return p
+    return hull([(v[0], v[1] + 1) for v in p.vertices], p.rays)
+
+
+deformation._level_slice = forged
+try:
+    deformation.build_family(
+        parse("x^-1*y + 2*y + x*y + y^-1"), MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
+    )
+except AssertionError as exc:
+    print("rejected:", exc)
+else:
+    sys.exit("a forged Delta_0 was accepted")
+"""
+
+
+def test_decomposition_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_DELTA0], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: divisor decomposition must rebuild the +1 slice\n"
 
 
 def test_build_family_segment_fiber():

@@ -178,6 +178,9 @@ def test_exact_int_refuses_non_integral_values():
     for c in ("1/2", "-3/2", Fraction(5, 3), "0.5"):
         with pytest.raises(ValueError):
             exact_int(c)
+    # A float is refused even when integral, as hull refuses float rays.
+    with pytest.raises(TypeError):
+        exact_int(2.0)
 
 
 def test_primitive_from_rational_takes_ints_and_fractions_but_no_floats():

@@ -135,6 +135,29 @@ def test_divide_exact_random_products():
             assert got == q
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_divide_exact_matches_the_newton_hull_bound(hull_bound_divide, rank):
+    # Every other dividend is a product q*b with one term added or dropped.
+    # A divisor with two or more terms divides no monomial, so exactly
+    # those are non-divisible.
+    rng = random.Random(40 + rank)
+    refused = 0
+    for i in range(160):
+        b = random_poly(rng, rank, terms=rng.randint(2, 4), span=2)
+        q = random_poly(rng, rank, terms=rng.randint(1, 3), span=2)
+        a = q * b
+        if i % 2 and rng.random() < 0.5:
+            a = a + random_poly(rng, rank, terms=1, span=4)
+        elif i % 2:
+            e, c = rng.choice(a.terms)
+            a = a - LaurentPolynomial.monomial(rank, e, c)
+        got = divide_exact(a, b)
+        assert got == hull_bound_divide(a, b)
+        assert got == (q if i % 2 == 0 else None)
+        refused += got is None
+    assert refused == 80
+
+
 def test_act_unimodular_exponent_map():
     f = parse("x^2*y^3")
     # exponents transform as columns: [[1,0],[1,1]] @ (2,3) = (2,5)

@@ -9,7 +9,7 @@ from conftest import normalized_volume_2d
 from laumut import polyhedra
 from laumut.deformation import _level_slice, verify_main_theorem
 from laumut.exactlat import inverse_unimodular, mat_vec, matrix_rank, transpose, unit_vector, vadd, vneg, vscale
-from laumut.laurent import act_unimodular, newton_polytope, parse
+from laumut.laurent import act_unimodular, divide_exact, newton_polytope, parse
 from laumut.mutation import MutationSpec
 from laumut.polyhedra import (
     AdmissibilityVerdict,
@@ -28,6 +28,7 @@ from laumut.polyhedra import (
     hull,
     is_admissible_pair,
     is_lattice_polyhedron,
+    is_minkowski_sum,
     kernel_slice,
     minkowski_sum,
     polar_dual,
@@ -411,6 +412,46 @@ def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, ran
     assert shapes == {"line", "pointed", "full-dimensional", "flat"}
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_cone_over_matches_the_kernel_oracle(cone_over_oracle, rank):
+    rng = random.Random(7100 + rank)
+    full = set()
+    for _ in range(60):
+        p = random_polytope(rng, rank)
+        full.add(p.dim() == rank)
+        for h in range(rank + 1):
+            assert structure(cone_over(p, h)) == structure(cone_over_oracle(p, h))
+    assert full == {True, False}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_minkowski_check_matches_the_hull(rank):
+    # The oracle hulls every vertex sum. Each true sum is perturbed: shifted
+    # by a lattice vector, a vertex dropped, a point or a ray added, its
+    # rays dropped; and p + p stands in for p + q.
+    rng = random.Random(7200 + rank)
+    tails = [(), (unit_vector(rank, 0),), (unit_vector(rank, 0), unit_vector(rank, rank - 1))]
+    rejected = 0
+    for _ in range(40):
+        p = hull(random_polytope(rng, rank).vertices, rng.choice(tails))
+        q = hull(random_polytope(rng, rank).vertices, rng.choice(tails))
+        r = minkowski_sum(p, q)
+        assert is_minkowski_sum(p, q, r) and is_minkowski_sum(q, p, r)
+        outside = vadd(max(r.vertices, key=sum), (Fraction(1, 2),) * rank)
+        forged = [
+            hull([vadd(v, unit_vector(rank, rng.randrange(rank))) for v in r.vertices], r.rays),
+            hull(r.vertices[1:] or [outside], r.rays),
+            hull(r.vertices + (outside,), r.rays),
+            hull(r.vertices, r.rays + ((1,) * rank,)),
+            hull(r.vertices),
+            minkowski_sum(p, p),
+        ]
+        for bad in forged:
+            assert is_minkowski_sum(p, q, bad) == (bad == minkowski_sum(p, q))
+            rejected += bad != r
+    assert rejected >= 120
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_extreme_rays_are_extreme(rank):
     # Checked with plain sums and ranks only: every ray lies in the cone
@@ -607,6 +648,7 @@ def test_hull_rejects_zero_ray():
 
 SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
+SEGMENT = hull(V((0, 0), (1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -623,10 +665,17 @@ SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
         # A flat homogenization (here the segment x = 0, 0 <= y <= 1) is
         # rebuilt from its rays.
         (lambda: from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2), 2),
+        # The cone over a full-dimensional polytope is read off its vertices
+        # and halfspaces; a flat one (here a segment in the plane) is not.
+        (lambda: cone_over(SQUARE, 1), 0),
+        (lambda: cone_over(SEGMENT), 1),
+        # Exact division bounds the quotient by a box, not a Newton polytope.
+        (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
     ],
     ids=[
         "hull", "hull_rays", "from_halfspaces", "polar_dual", "kernel_slice", "from_generators",
-        "from_generators_line", "from_halfspaces_equation",
+        "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
+        "divide_exact",
     ],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
@@ -709,3 +758,10 @@ def test_floats_are_refused_at_the_exact_boundary():
         hull([(0, 0), (1, 0), (0.5, 1)])
     with pytest.raises(TypeError):
         hull([(Fraction(0), 0.0)])
+    # Fraction(0.1) would be the binary value 3602879701896397/2**55.
+    with pytest.raises(TypeError):
+        Polyhedron.from_dict({"rank": 1, "vertices": [[0.1]], "rays": []})
+    with pytest.raises(TypeError):
+        from_halfspaces([((1,), 0.1), ((-1,), -1)], 1)
+    assert Polyhedron.from_dict({"rank": 1, "vertices": [["1/10"]]}).vertices == ((Fraction(1, 10),),)
+    assert from_halfspaces([((1,), Fraction(1, 10)), ((-1,), -1)], 1).vertices == ((Fraction(1, 10),), (Fraction(1),))
