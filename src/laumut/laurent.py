@@ -50,12 +50,9 @@ class LaurentPolynomial:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
             if isinstance(coeff, float):
                 raise TypeError(f"exact coefficient needed (int or Fraction), got {coeff!r}")
-            c = acc.get(exp, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        return LaurentPolynomial(rank, tuple(sorted(acc.items())))
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            acc[exp] = acc[exp] + c if exp in acc else c
+        return LaurentPolynomial(rank, tuple(sorted(item for item in acc.items() if item[1])))
 
     @staticmethod
     def zero(rank: int) -> "LaurentPolynomial":
@@ -155,194 +152,169 @@ def to_string(f: LaurentPolynomial) -> str:
                 factors.append(names[i])
             elif p:
                 factors.append(f"{names[i]}^{p}")
-        mag = abs(c)
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif den == 1 and (num == 1 or num == -1):
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([mag] + factors)
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
-)
+# One token per match, its text in exactly one group: an integer, a name, an
+# operator, or any other non-space character (parentheses included), which
+# is an error. ASCII only, so no other script's digits or letters pass.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))", re.ASCII)
+_ZN = re.compile(r"z(\d+)", re.ASCII)
+_XYZ_INDEX = {name: i for i, name in enumerate(_XYZ)}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            if op in "()":
-                raise ParseError("parentheses are not part of the grammar", m.start("op"))
-            tokens.append(("op", op, m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+class _TokenError(Exception):
+    """A parse failure: its message and the index of the token it is at."""
 
 
-def _variable_index(name: str, position: int) -> tuple[str, int]:
-    """(style, index) where style is "xyz" or "zn"."""
-    if name in _XYZ:
-        return "xyz", _XYZ.index(name)
-    m = re.fullmatch(r"z(\d+)", name)
-    if m:
-        idx = int(m.group(1))
-        if idx == 0:
-            raise ParseError("variable indices start at z1", position)
-        return "zn", idx - 1
-    raise ParseError(f"unknown variable {name!r}", position)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.style: Optional[str] = None
-        self.max_index = -1
-        self.max_index_pos = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_int(self, what: str) -> int:
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise ParseError(f"expected {what}", pos)
-        return val
-
-    def parse_exponent(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            if val == "-":
-                sign = -1
-        return sign * self.expect_int("an integer exponent")
-
-    def parse_factor(self, exps: dict[int, int]):
-        kind, val, pos = self.next()
-        assert kind == "name"
-        style, idx = _variable_index(val, pos)
-        if self.style is None:
-            self.style = style
-        elif self.style != style:
-            raise ParseError("cannot mix x/y/z and z1..zn variable names", pos)
-        if idx > self.max_index:
-            self.max_index = idx
-            self.max_index_pos = pos
-        power = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            power = self.parse_exponent()
-        exps[idx] = exps.get(idx, 0) + power
-
-    def parse_coefficient(self) -> Fraction:
-        num = self.expect_int("a coefficient")
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "/":
-            self.next()
-            pos = self.peek()[2]
-            den = self.expect_int("a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_term(self) -> tuple[dict[int, int], Fraction]:
-        sign = 1
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        coeff = Fraction(sign)
-        exps: dict[int, int] = {}
-        kind, val, pos = self.peek()
-        if kind == "int":
-            coeff *= self.parse_coefficient()
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                kind, val, pos = self.peek()
-            else:
-                return exps, coeff
-        if kind != "name":
-            raise ParseError("expected a variable", pos)
-        while True:
-            self.parse_factor(exps)
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                kind, val, pos = self.peek()
-                if kind != "name":
-                    raise ParseError("expected a variable after '*'", pos)
-            else:
-                return exps, coeff
-
-    def parse(self, rank: Optional[int]) -> LaurentPolynomial:
-        terms: list[tuple[dict[int, int], Fraction]] = []
-        kind, val, pos = self.peek()
-        if kind == "end":
-            raise ParseError("empty polynomial", pos)
-        terms.append(self.parse_term())
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "end":
-                break
-            if not (kind == "op" and val in "+-"):
-                raise ParseError("expected '+' or '-' between terms", pos)
-            terms.append(self.parse_term())
-        inferred = self.max_index + 1
-        if self.style == "xyz":
-            inferred = max(inferred, 1)
-        if rank is None:
-            rank = max(inferred, 1)
-        elif inferred > rank:
-            raise ParseError(f"variable index exceeds rank {rank}", self.max_index_pos)
-        out: list[tuple[IntVec, Fraction]] = []
-        for exps, coeff in terms:
-            vec = [0] * rank
-            for idx, p in exps.items():
-                vec[idx] = p
-            out.append((tuple(vec), coeff))
-        return LaurentPolynomial.from_terms(rank, out)
+def _token_position(text: str, index: int) -> int:
+    """Start of the index-th token of text, or len(text) past the last one."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return m.start(m.lastindex)
+    return len(text)
 
 
 def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     """Parse polynomial text.
 
-    Grammar: terms joined by +/-, each term an optional rational
-    coefficient and '*'-separated variable powers (``x^-1*y``). Ranks
-    up to three use x, y, z; general rank uses z1..zn. Raises
-    :class:`ParseError` with a position on malformed input.
+    The accepted grammar, over ASCII text only::
+
+        polynomial  := term (("+" | "-") term)*
+        term        := sign* (coefficient ("*" factor)* | factor ("*" factor)*)
+        sign        := "+" | "-"
+        coefficient := digits ("/" digits)?
+        factor      := variable ("^" sign? digits)?
+
+    Whitespace (spaces, tabs, newlines) may stand between any two tokens.
+    A run of signs multiplies out (``x - -y`` is ``x + y``), a coefficient
+    ``n/d`` needs a nonzero denominator, and a variable may repeat within a
+    term (``x^2*x^-1`` is ``x``). Ranks up to three use x, y, z; general
+    rank uses z1..zn, and the two styles do not mix. The rank is the highest
+    variable index used unless ``rank`` is given. Raises
+    :class:`ParseError` with a position on malformed input; a character
+    outside the grammar anywhere in the text, parentheses included, is
+    reported before any other error.
     """
-    return _Parser(text).parse(rank)
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append(("", "", "", ""))
+    terms: list[tuple[dict[int, int], int | Fraction]] = []
+    style: Optional[str] = None
+    top, top_at = -1, 0  # highest variable index and the token that first used it
+    i = 0
+    try:
+        if not end:
+            raise _TokenError("empty polynomial", i)
+        while True:
+            num, name, op, _ = tokens[i]
+            sign = 1
+            while op == "+" or op == "-":
+                if op == "-":
+                    sign = -sign
+                i += 1
+                num, name, op, _ = tokens[i]
+            coeff = sign
+            if num:
+                coeff *= int(num)
+                i += 1
+                _, name, op, _ = tokens[i]
+                if op == "/":
+                    i += 1
+                    den = tokens[i][0]
+                    if not den:
+                        raise _TokenError("expected a denominator", i)
+                    den = int(den)
+                    if not den:
+                        raise _TokenError("zero denominator", i)
+                    coeff = Fraction(coeff, den)
+                    i += 1
+                    op = tokens[i][2]
+                if op == "*":
+                    i += 1
+                    name = tokens[i][1]
+                    if not name:
+                        raise _TokenError("expected a variable", i)
+                else:
+                    name = ""
+            elif not name:
+                raise _TokenError("expected a variable", i)
+            exps: dict[int, int] = {}
+            while name:
+                idx = _XYZ_INDEX.get(name)
+                if idx is not None:
+                    kind = "xyz"
+                else:
+                    m = _ZN.fullmatch(name)
+                    if not m:
+                        raise _TokenError(f"unknown variable {name!r}", i)
+                    idx = int(m[1]) - 1
+                    if idx < 0:
+                        raise _TokenError("variable indices start at z1", i)
+                    kind = "zn"
+                if style is None:
+                    style = kind
+                elif style != kind:
+                    raise _TokenError("cannot mix x/y/z and z1..zn variable names", i)
+                if idx > top:
+                    top, top_at = idx, i
+                i += 1
+                op = tokens[i][2]
+                power = 1
+                if op == "^":
+                    i += 1
+                    num, _, op, _ = tokens[i]
+                    if op == "+" or op == "-":
+                        i += 1
+                        num = tokens[i][0]
+                    if not num:
+                        raise _TokenError("expected an integer exponent", i)
+                    power = -int(num) if op == "-" else int(num)
+                    i += 1
+                    op = tokens[i][2]
+                exps[idx] = exps.get(idx, 0) + power
+                if op == "*":
+                    i += 1
+                    name = tokens[i][1]
+                    if not name:
+                        raise _TokenError("expected a variable after '*'", i)
+                else:
+                    name = ""
+            terms.append((exps, coeff))
+            if i == end:
+                break
+            op = tokens[i][2]
+            if op != "+" and op != "-":
+                raise _TokenError("expected '+' or '-' between terms", i)
+        if rank is None:
+            rank = max(top + 1, 1)
+        elif top >= rank:
+            raise _TokenError(f"variable index exceeds rank {rank}", top_at)
+    except _TokenError as err:
+        # A character outside the grammar is reported first, wherever it is.
+        message, i = err.args
+        for k, (_, _, _, bad) in enumerate(tokens):
+            if bad:
+                message = f"unexpected character {bad!r}"
+                if bad in "()":
+                    message = "parentheses are not part of the grammar"
+                i = k
+                break
+        raise ParseError(message, _token_position(text, i)) from None
+    zeros = [0] * rank
+    return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
 
 
 # -- geometry ----------------------------------------------------------------

@@ -6,8 +6,10 @@ Everything runs through one double description kernel
 cone is canonicalized from generators or from normals and read back.
 A conversion runs one kernel pass to the other side and then reads the
 irredundant members of its own input off their incidences with that
-side's output; only a cone with a line (or, from normals, one that is
-not full-dimensional) takes a second pass. The cone over a bounded
+side's output. The kernel pass hands those incidences over as the
+tight-constraint bitmasks it already keeps, so no dot product is taken
+again; only a cone with a line (or, from normals, one that is not
+full-dimensional) takes a second pass. The cone over a bounded
 full-dimensional polytope takes none: its rays and facets are the
 polytope's vertices and halfspaces, lifted.
 All arithmetic is exact (ints and Fractions), every public object is
@@ -56,7 +58,9 @@ DEFAULT_WITNESS_BOUND = 10
 # -- double description kernel ----------------------------------------------
 
 
-def extreme_rays(constraints: Sequence[IntVec], rank: int) -> tuple[list[IntVec], list[IntVec]]:
+def extreme_rays(
+    constraints: Sequence[IntVec], rank: int, *, tight: Optional[list[int]] = None
+) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of ``{x : <a, x> >= 0 for all a}``.
 
     Incremental double description: insert one constraint at a time,
@@ -78,7 +82,9 @@ def extreme_rays(constraints: Sequence[IntVec], rank: int) -> tuple[list[IntVec]
 
     Rays are primitive integer vectors; output is independent of input
     order only up to representatives, so callers sort constraints first
-    when canonical output matters.
+    when canonical output matters. If a list is passed as ``tight``, the
+    mask of every output ray is appended to it in the order of the sorted
+    rays: bit j set iff the j-th nonzero constraint vanishes on that ray.
     """
     lineality = [unit_vector(rank, i) for i in range(rank)]
     rays: list[IntVec] = []
@@ -139,7 +145,11 @@ def extreme_rays(constraints: Sequence[IntVec], rank: int) -> tuple[list[IntVec]
                 rays = list(survivors)
                 masks = list(survivors.values())
         bit <<= 1
-    return sorted(set(rays)), sorted(lineality)
+    incidence = dict(zip(rays, masks))  # a mask is its ray's exact tight set
+    rays = sorted(incidence)
+    if tight is not None:
+        tight.extend([incidence[r] for r in rays])
+    return rays, sorted(lineality)
 
 
 # -- cones --------------------------------------------------------------------
@@ -165,14 +175,16 @@ class Cone:
         """The cone spanned by ``generators``, canonically presented.
 
         One kernel pass turns the generators into facet normals. A pointed
-        cone's rays are then the generators that :func:`_irredundant` keeps;
-        only a cone with a line runs a second pass, normals to rays, for its
-        lineality basis.
+        cone's rays are then the generators that :func:`_irredundant` keeps,
+        read off the masks of that pass; only a cone with a line runs a
+        second pass, normals to rays, for its lineality basis.
         """
         gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
-        dual_r, dual_l = extreme_rays(gens, rank)
+        tight: list[int] = []
+        dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
-        rays = _irredundant(gens, normals)
+        # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
+        rays = _irredundant(gens, tight, range(len(gens)), rank - 1 - len(dual_l))
         if rays is not None:
             return Cone(rank, tuple(rays), tuple(normals), ())
         ray_r, ray_l = extreme_rays(normals, rank)
@@ -208,25 +220,33 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone.from_generators(cone.rank, cone.facet_normals)
 
 
-def _irredundant(vectors: list[IntVec], duals: Sequence[IntVec]) -> Optional[list[IntVec]]:
+def _irredundant(
+    vectors: list[IntVec], tight: Sequence[int], slot: Sequence[int], need: int
+) -> Optional[list[IntVec]]:
     """The members of ``vectors`` that span extreme rays of their cone, or
     None if that cone contains a line.
 
-    ``vectors`` are distinct primitive vectors and ``duals`` generate the
-    dual cone. A vector's tight set, the duals it is orthogonal to (an int
-    bitmask, as cdd keeps incidences: Fukuda-Prodon, "Double description
-    method revisited", 1996), cuts out the smallest face containing it. A
-    vector tight on every dual spans a line; in a pointed cone a vector is
-    extreme iff no other vector's tight set contains its own. An extreme
-    ray is tight on duals spanning a hyperplane, hence on at least
-    ``rank - 1`` of them, so vectors with fewer bits are skipped unscanned.
+    ``vectors`` are distinct primitive vectors. ``tight`` holds the masks
+    of the rays of the kernel pass that dualized them: bit j of
+    ``tight[i]`` marks ``vectors[slot[j]]`` as orthogonal to the i-th ray.
+    Those rays generate the dual cone up to its lineality, on which every
+    vector is tight. Transposed, the masks give each vector's tight set
+    (cdd's incidences: Fukuda-Prodon, "Double description method
+    revisited", 1996), which cuts out the smallest face containing it. A
+    vector tight on every ray spans a line; in a pointed cone a vector is
+    extreme iff no other vector's tight set contains its own. Vectors
+    tight on fewer than ``need`` rays cannot be extreme and are skipped
+    unscanned.
     """
-    masks = [
-        sum(1 << j for j, d in enumerate(duals) if not sum(map(mul, v, d))) for v in vectors
-    ]
-    if (1 << len(duals)) - 1 in masks:
+    masks = [0] * len(vectors)
+    for i, m in enumerate(tight):
+        b = 1 << i
+        while m:
+            low = m & -m
+            masks[slot[low.bit_length() - 1]] |= b
+            m ^= low
+    if (1 << len(tight)) - 1 in masks:
         return None
-    need = len(vectors[0]) - 1 if vectors else 0
     cand = [i for i, m in enumerate(masks) if m.bit_count() >= need]
     return [
         vectors[i]
@@ -240,12 +260,17 @@ def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
 
     One kernel pass turns the normals into rays. A pointed full-dimensional
     cone's facet normals are then the primitive normals that
-    :func:`_irredundant` keeps; any other cone is rebuilt from its rays.
+    :func:`_irredundant` keeps, scaled copies sharing one slot; any other
+    cone is rebuilt from its rays.
     """
     normals = sorted({n for n in normals if any(n)})
-    ray_r, ray_l = extreme_rays(normals, rank)
+    tight: list[int] = []
+    ray_r, ray_l = extreme_rays(normals, rank, tight=tight)
     if not ray_l:
-        facets = _irredundant(sorted({primitive_vector(n) for n in normals}), ray_r)
+        prims = [primitive_vector(n) for n in normals]
+        distinct = sorted(set(prims))
+        index = {p: k for k, p in enumerate(distinct)}
+        facets = _irredundant(distinct, tight, [index[p] for p in prims], rank - 1)
         if facets is not None:
             return Cone(rank, tuple(ray_r), tuple(facets), ())
     return Cone.from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])

@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import product
+from typing import Optional
 
 import pytest
 
@@ -18,7 +20,14 @@ from laumut.exactlat import (
     xgcd,
 )
 from laumut.exactlat import primitive_from_rational
-from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact, newton_polytope
+from laumut.laurent import (
+    LaurentPolynomial,
+    ParseError,
+    act_unimodular,
+    divide_exact,
+    newton_polytope,
+    variable_names,
+)
 from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual, vertex_cycle
@@ -204,6 +213,27 @@ def multi_pass_cones():
     return two_pass_cone_from_generators, three_pass_cone_from_normals
 
 
+def dot_product_irredundant(vectors, duals):
+    """Oracle for ``polyhedra._irredundant``: each vector's tight set is
+    computed by a dot product with every dual generator instead of being
+    read off the kernel's masks."""
+    masks = [sum(1 << j for j, d in enumerate(duals) if not dot(v, d)) for v in vectors]
+    if (1 << len(duals)) - 1 in masks:
+        return None
+    need = len(vectors[0]) - 1 if vectors else 0
+    cand = [i for i, m in enumerate(masks) if m.bit_count() >= need]
+    return [
+        vectors[i]
+        for i in cand
+        if not any(masks[k] & masks[i] == masks[i] for k in cand if k != i)
+    ]
+
+
+@pytest.fixture
+def irredundant_oracle():
+    return dot_product_irredundant
+
+
 def per_level_power_is_mutation(f, spec):
     """Oracle for ``is_mutation``: the adapted-frame algorithm. f moves to
     the adapted frame, its terms are grouped by their last exponent, every
@@ -359,3 +389,222 @@ def kernel_cone_over(p, height_index=0):
 @pytest.fixture
 def cone_over_oracle():
     return kernel_cone_over
+
+
+# -- text boundary oracles --------------------------------------------------
+
+
+def fraction_to_string(f):
+    """Oracle for ``to_string``: the same text, with each coefficient
+    formatted through ``abs``, ``str`` of a Fraction and Fraction
+    comparisons instead of its numerator and denominator."""
+    if f.is_zero():
+        return "0"
+    names = variable_names(f.rank)
+    parts: list[str] = []
+    for e, c in f.terms:
+        factors = []
+        for i, p in enumerate(e):
+            if p == 1:
+                factors.append(names[i])
+            elif p:
+                factors.append(f"{names[i]}^{p}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+@pytest.fixture
+def to_string_oracle():
+    return fraction_to_string
+
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
+
+
+def _oracle_tokenize(text: str):
+    """One regex match and four named-group lookups per token; every bad
+    character or parenthesis is raised before the grammar is walked."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            break
+        if m.group("bad"):
+            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
+        if m.group("int"):
+            tokens.append(("int", int(m.group("int")), m.start("int")))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            op = m.group("op")
+            if op in "()":
+                raise ParseError("parentheses are not part of the grammar", m.start("op"))
+            tokens.append(("op", op, m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _oracle_variable_index(name: str, position: int) -> tuple[str, int]:
+    """(style, index) where style is "xyz" or "zn"."""
+    if name in ("x", "y", "z"):
+        return "xyz", "xyz".index(name)
+    m = re.fullmatch(r"z(\d+)", name)
+    if m:
+        idx = int(m.group(1))
+        if idx == 0:
+            raise ParseError("variable indices start at z1", position)
+        return "zn", idx - 1
+    raise ParseError(f"unknown variable {name!r}", position)
+
+
+class _OracleParser:
+    """Recursive-descent walk over ``_oracle_tokenize``'s token list."""
+
+    def __init__(self, text: str):
+        self.tokens = _oracle_tokenize(text)
+        self.i = 0
+        self.style: Optional[str] = None
+        self.max_index = -1
+        self.max_index_pos = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_int(self, what: str) -> int:
+        kind, val, pos = self.next()
+        if kind != "int":
+            raise ParseError(f"expected {what}", pos)
+        return val
+
+    def parse_exponent(self) -> int:
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            if val == "-":
+                sign = -1
+        return sign * self.expect_int("an integer exponent")
+
+    def parse_factor(self, exps: dict[int, int]):
+        kind, val, pos = self.next()
+        assert kind == "name"
+        style, idx = _oracle_variable_index(val, pos)
+        if self.style is None:
+            self.style = style
+        elif self.style != style:
+            raise ParseError("cannot mix x/y/z and z1..zn variable names", pos)
+        if idx > self.max_index:
+            self.max_index = idx
+            self.max_index_pos = pos
+        power = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            power = self.parse_exponent()
+        exps[idx] = exps.get(idx, 0) + power
+
+    def parse_coefficient(self) -> Fraction:
+        num = self.expect_int("a coefficient")
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "/":
+            self.next()
+            pos = self.peek()[2]
+            den = self.expect_int("a denominator")
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def parse_term(self) -> tuple[dict[int, int], Fraction]:
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        coeff = Fraction(sign)
+        exps: dict[int, int] = {}
+        kind, val, pos = self.peek()
+        if kind == "int":
+            coeff *= self.parse_coefficient()
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                kind, val, pos = self.peek()
+            else:
+                return exps, coeff
+        if kind != "name":
+            raise ParseError("expected a variable", pos)
+        while True:
+            self.parse_factor(exps)
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                kind, val, pos = self.peek()
+                if kind != "name":
+                    raise ParseError("expected a variable after '*'", pos)
+            else:
+                return exps, coeff
+
+    def parse(self, rank: Optional[int]) -> LaurentPolynomial:
+        terms: list[tuple[dict[int, int], Fraction]] = []
+        kind, val, pos = self.peek()
+        if kind == "end":
+            raise ParseError("empty polynomial", pos)
+        terms.append(self.parse_term())
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "end":
+                break
+            if not (kind == "op" and val in "+-"):
+                raise ParseError("expected '+' or '-' between terms", pos)
+            terms.append(self.parse_term())
+        inferred = self.max_index + 1
+        if self.style == "xyz":
+            inferred = max(inferred, 1)
+        if rank is None:
+            rank = max(inferred, 1)
+        elif inferred > rank:
+            raise ParseError(f"variable index exceeds rank {rank}", self.max_index_pos)
+        out = []
+        for exps, coeff in terms:
+            vec = [0] * rank
+            for idx, p in exps.items():
+                vec[idx] = p
+            out.append((tuple(vec), coeff))
+        return LaurentPolynomial.from_terms(rank, out)
+
+
+def per_token_parse(text, rank=None):
+    """Oracle for ``parse``: a per-token tokenizer and a recursive-descent
+    parser over one grammar, raising the same messages at the same
+    positions. Its token regex is Unicode-aware, so it agrees with
+    ``parse`` on ASCII text only."""
+    return _OracleParser(text).parse(rank)
+
+
+@pytest.fixture
+def parse_oracle():
+    return per_token_parse

@@ -71,9 +71,9 @@ def test_family_kernel_passes(monkeypatch, text):
     # no kernel pass, and sigma_inf is glued from vertex sums, not a hull.
     calls = []
 
-    def counted(constraints, rank):
+    def counted(constraints, rank, **kwargs):
         calls.append(rank)
-        return extreme_rays(constraints, rank)
+        return extreme_rays(constraints, rank, **kwargs)
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     build_family(parse(text), worked_spec())

@@ -79,6 +79,10 @@ def test_parse_explicit_rank_pads():
         ("x^1.5", "unexpected character", 3),
         ("3x", "between terms", 1),
         ("x + ", "expected a variable", 4),
+        ("x + \u0663", "unexpected character", 4),
+        ("\u0661 + x", "unexpected character", 0),
+        ("x^\u0662", "unexpected character", 2),
+        ("x +\u00a0y", "unexpected character", 3),
     ],
 )
 def test_parse_errors(text, fragment, position):
@@ -95,12 +99,128 @@ def test_parse_rank_exceeded_reports_position():
     assert info.value.position == 2
 
 
-def test_to_string_round_trip():
+def random_coefficient(rng):
+    """A nonzero Fraction: an integer of up to 20 digits or a quotient n/d."""
+    num = rng.choice([1, 2, 9, 10, 99, 10**6 + 3, 10**19 + 7]) * rng.choice([-1, 1])
+    den = rng.choice([1, 1, 2, 3, 7, 10, 12, 10**9 + 9])
+    return Fraction(num, den)
+
+
+def test_to_string_round_trip(to_string_oracle):
+    # Small integer coefficients, then n/d and multi-digit ones; the bytes
+    # must also match the printer that formats through Fraction arithmetic.
     rng = random.Random(7)
-    for _ in range(50):
+    for trial in range(150):
         rank = rng.randint(1, 4)
         f = random_poly(rng, rank, terms=rng.randint(1, 6))
-        assert parse(to_string(f), rank=rank) == f
+        if trial >= 50:
+            f = LaurentPolynomial.from_terms(rank, [(e, random_coefficient(rng)) for e in f.support()])
+        text = to_string(f)
+        assert text == to_string_oracle(f)
+        assert parse(text, rank=rank) == f
+    assert to_string(parse("-3/2*x + 12345678901234567890*y - 7/100")) == "-7/100 + 12345678901234567890*y - 3/2*x"
+
+
+SPACES = ("", "", " ", "  ", "\t", " \t ")
+
+
+def random_text(rng, kinds):
+    """Well-formed polynomial text, with sign runs, n/d and multi-digit
+    coefficients, repeated variables, signed exponents and mixed spacing.
+    ``kinds`` collects which of these the text contains."""
+    rank = rng.randint(1, 6)
+    style = "xyz" if rank <= 3 and rng.random() < 0.5 else "zn"
+    kinds.add(style)
+    names = ("x", "y", "z")[:rank] if style == "xyz" else tuple(f"z{i + 1}" for i in range(rank))
+
+    def sp():
+        return rng.choice(SPACES)
+
+    out = ""
+    for k in range(rng.randint(1, 5)):
+        signs = [rng.choice("+-") for _ in range(rng.randint(1 if k else 0, 3))]
+        if len(signs) > 1:
+            kinds.add("sign run")
+        out += "".join(s + sp() for s in signs)
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            name = rng.choice(names)
+            if name in factors:
+                kinds.add("repeated variable")
+            roll = rng.random()
+            if roll < 0.3:
+                factors.append(name)
+            elif roll < 0.45:
+                factors.append(f"{name}{sp()}^{sp()}+{rng.randint(0, 12)}")
+                kinds.add("^+")
+            elif roll < 0.55:
+                factors.append(f"{name}^-0")
+                kinds.add("^-0")
+            else:
+                factors.append(f"{name}^{sp()}{rng.choice(['', '-'])}{rng.randint(0, 12)}")
+        coefficient = None
+        roll = rng.random()
+        if not factors or roll < 0.3:
+            coefficient = str(rng.choice([0, 1, 7, 12, 305, 10**12 + 1]))
+            if len(coefficient) > 1:
+                kinds.add("multi-digit")
+        elif roll < 0.5:
+            coefficient = f"{rng.randint(0, 40)}{sp()}/{sp()}{rng.randint(1, 40)}"
+            kinds.add("n/d")
+            if signs.count("-") % 2:
+                kinds.add("negative numerator")
+        term = ([coefficient] if coefficient is not None else []) + factors
+        out += (sp() + "*" + sp()).join(term) + sp()
+    if "\t" in out:
+        kinds.add("tab")
+    if not any(c in out for c in " \t"):
+        kinds.add("no whitespace")
+    return out
+
+
+def parse_outcome(parser, text, rank=None):
+    try:
+        return parser(text, rank)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def test_parse_matches_the_per_token_parser(parse_oracle):
+    rng = random.Random(1300)
+    kinds = set()
+    for _ in range(400):
+        text = random_text(rng, kinds)
+        f = parse(text)
+        assert f == parse_oracle(text), text
+        rank = rng.randint(1, 6)
+        assert parse_outcome(parse, text, rank) == parse_outcome(parse_oracle, text, rank), text
+    assert kinds == {
+        "xyz", "zn", "sign run", "repeated variable", "^+", "^-0", "multi-digit", "n/d",
+        "negative numerator", "tab", "no whitespace",
+    }
+
+
+def test_parse_errors_match_the_per_token_parser(parse_oracle):
+    # One character replaced, inserted or deleted: both parsers raise the
+    # same message at the same position, or accept with equal results.
+    rng = random.Random(1400)
+    alphabet = "0123456789xyzZw+-*/^()._#= \t"
+    messages = set()
+    for _ in range(1500):
+        text = random_text(rng, set())
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(["replace", "insert", "delete"])
+        if edit == "insert" or i == len(text):
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif edit == "replace":
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+        got = parse_outcome(parse, text)
+        assert got == parse_outcome(parse_oracle, text), text
+        if isinstance(got, tuple):
+            messages.add(got[0].split(" (at")[0].split("'")[0])
+    assert len(messages) >= 10, messages
 
 
 def test_newton_polytope_vertices():

@@ -8,7 +8,18 @@ import pytest
 from conftest import normalized_volume_2d
 from laumut import polyhedra
 from laumut.deformation import _level_slice, verify_main_theorem
-from laumut.exactlat import inverse_unimodular, mat_vec, matrix_rank, transpose, unit_vector, vadd, vneg, vscale
+from laumut.exactlat import (
+    dot,
+    inverse_unimodular,
+    mat_vec,
+    matrix_rank,
+    primitive_vector,
+    transpose,
+    unit_vector,
+    vadd,
+    vneg,
+    vscale,
+)
 from laumut.laurent import act_unimodular, divide_exact, newton_polytope, parse
 from laumut.mutation import MutationSpec
 from laumut.polyhedra import (
@@ -353,9 +364,9 @@ def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_d
     # the rank-3 cones and slices of the worked families under each shear.
     calls = []
 
-    def recording(constraints, rank):
+    def recording(constraints, rank, **kwargs):
         calls.append((list(constraints), rank))
-        return extreme_rays(constraints, rank)
+        return extreme_rays(constraints, rank, **kwargs)
 
     monkeypatch.setattr(polyhedra, "extreme_rays", recording)
     for text in WORKED_POLYGONS:
@@ -410,6 +421,43 @@ def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, ran
         shapes.add("flat" if flat else "full-dimensional")
     assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
     assert shapes == {"line", "pointed", "full-dimensional", "flat"}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_oracle, rank):
+    # Both read-offs: generators against the facet normals of their pass,
+    # and deduplicated primitive normals against the rays of theirs, with
+    # the bits of scaled copies sharing one slot. The masks themselves
+    # must be the exact tight sets of the rays they come with.
+    rng = random.Random(9100 + rank)
+    kinds, shapes = set(), set()
+    for _ in range(100):
+        rows = random_generators(rng, rank, kinds)
+        gens = sorted({primitive_vector(r) for r in rows if any(r)})
+        tight = []
+        dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
+        assert tight == [sum(1 << j for j, g in enumerate(gens) if not dot(g, d)) for d in dual_r]
+        normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
+        got = polyhedra._irredundant(gens, tight, range(len(gens)), rank - 1 - len(dual_l))
+        assert got == irredundant_oracle(gens, normals)
+        shapes.add("line" if got is None else "pointed")
+        if dual_l and got is not None:
+            shapes.add("lower-dimensional")
+        normals = sorted({r for r in rows if any(r)})
+        tight = []
+        ray_r, ray_l = extreme_rays(normals, rank, tight=tight)
+        assert tight == [sum(1 << j for j, n in enumerate(normals) if not dot(n, r)) for r in ray_r]
+        if ray_l:
+            continue
+        prims = [primitive_vector(n) for n in normals]
+        distinct = sorted(set(prims))
+        if len(distinct) < len(prims):
+            shapes.add("scaled normals")
+        got = polyhedra._irredundant(distinct, tight, [distinct.index(p) for p in prims], rank - 1)
+        assert got == irredundant_oracle(distinct, ray_r)
+        shapes.add("flat" if got is None else "full-dimensional")
+    assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
+    assert shapes == {"line", "pointed", "lower-dimensional", "scaled normals", "flat", "full-dimensional"}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -681,9 +729,9 @@ SEGMENT = hull(V((0, 0), (1, 2)))
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
     calls = []
 
-    def counted(constraints, rank):
+    def counted(constraints, rank, **kwargs):
         calls.append(rank)
-        return extreme_rays(constraints, rank)
+        return extreme_rays(constraints, rank, **kwargs)
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     convert()
