@@ -16,10 +16,10 @@ import argparse
 import json
 import re
 import sys
-from functools import cache, partial
+from functools import cache
 from typing import Optional, Sequence
 
-from .deformation import FamilyError, build_family, check_hypotheses, verify_main_theorem
+from .deformation import FamilyData, FamilyError, build_family, check_hypotheses, verify_main_theorem
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -28,9 +28,8 @@ from .laurent import (
     to_string,
     variable_names,
 )
-from .mutation import MutationError, MutationSpec, is_mutation, polygon_facets
+from .mutation import MutationSpec, is_mutation, polygon_facets
 from .mutgraph import explore_graph
-from .polyhedra import Polyhedron
 from .render import render_svg
 from ._version import __version__
 
@@ -58,11 +57,11 @@ def _read_file_polynomials(path: str) -> list[LaurentPolynomial]:
 
 
 def _load_polynomial(args) -> LaurentPolynomial:
-    if getattr(args, "poly", None) is not None and getattr(args, "file", None) is not None:
+    if args.poly is not None and args.file is not None:
         raise UsageError("give --f or --file, not both")
-    if getattr(args, "poly", None) is not None:
+    if args.poly is not None:
         return parse(args.poly)
-    if getattr(args, "file", None) is not None:
+    if args.file is not None:
         polys = _read_file_polynomials(args.file)
         if not polys:
             raise UsageError(f"no polynomial found in {args.file}")
@@ -71,16 +70,16 @@ def _load_polynomial(args) -> LaurentPolynomial:
 
 
 def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
-    if getattr(args, "by", None) is None:
+    if args.by is None:
         raise UsageError("a divisor is required (--by)")
-    if getattr(args, "u", None) is not None:
+    if args.u is not None:
         try:
             direction = tuple(int(part) for part in args.u.split(","))
         except ValueError:
             raise UsageError(f"--u must be a comma-separated integer vector, got {args.u!r}")
         if len(direction) != f.rank:
             raise UsageError(f"--u has length {len(direction)}, expected {f.rank}")
-    elif getattr(args, "divide", None) is not None:
+    elif args.divide is not None:
         names = variable_names(f.rank)
         if args.divide not in names:
             raise UsageError(f"--divide must name one of {', '.join(names)}")
@@ -120,17 +119,16 @@ FAMILY_SLICES = (
 )
 
 
-def _family_items(polyhedron) -> list:
-    """The four family slices to draw; ``polyhedron`` maps a field name to its polyhedron."""
-    return [(label, polyhedron(name)) for label, name in FAMILY_SLICES]
+def _family_items(fd: FamilyData) -> list:
+    """The four family slices to draw, labelled."""
+    return [(label, getattr(fd, name)) for label, name in FAMILY_SLICES]
 
 
 def _maybe_svg(args, items) -> Optional[str]:
-    path = getattr(args, "svg", None)
-    if path is None:
+    if args.svg is None:
         return None
-    render_svg(items, path)
-    return path
+    render_svg(items, args.svg)
+    return args.svg
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -178,17 +176,14 @@ def _cmd_check(args):
 def _cmd_mutate(args):
     f = _load_polynomial(args)
     spec = _mutation_spec(f, args)
-    g = _mutated_or_fail(f, spec, {"polynomial": to_string(f), "spec": spec.to_dict()})
-    payload = {
-        "polynomial": to_string(f),
-        "spec": spec.to_dict(),
-        "mutated": to_string(g),
-        "support": [[str(c) for c in e] for e in g.support()],
-    }
+    context = {"polynomial": to_string(f), "spec": spec.to_dict()}
+    g = _mutated_or_fail(f, spec, context)
+    mutated = to_string(g)
+    payload = {**context, "mutated": mutated, "support": [[str(c) for c in e] for e in g.support()]}
     if args.svg is not None:
         items = [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))]
         payload["svg"] = _maybe_svg(args, items)
-    return payload, 0, [f"mutated: {to_string(g)}"]
+    return payload, 0, [f"mutated: {mutated}"]
 
 
 def _cmd_family(args):
@@ -196,7 +191,7 @@ def _cmd_family(args):
     spec = _mutation_spec(f, args)
     fd = _family_or_fail(f, spec)
     payload = fd.to_dict()
-    svg = _maybe_svg(args, _family_items(partial(getattr, fd)))
+    svg = _maybe_svg(args, _family_items(fd))
     if svg:
         payload["svg"] = svg
     summary = [
@@ -213,10 +208,8 @@ def _cmd_verify(args):
     spec = _mutation_spec(f, args)
     report = verify_main_theorem(f, spec, kmax=args.kmax)
     payload = report.to_dict()
-    family_ok = len(report.checks) > 1 and report.checks[1].status == "pass"
-    if getattr(args, "svg", None) is not None and family_ok:
-        details = report.checks[1].details
-        payload["svg"] = _maybe_svg(args, _family_items(lambda name: Polyhedron.from_dict(details[name])))
+    if args.svg is not None and report.family is not None:
+        payload["svg"] = _maybe_svg(args, _family_items(report.family))
     summary = [f"passed: {report.passed}"] + [
         f"  {c.name}: {c.status}" for c in report.checks
     ]
@@ -247,10 +240,10 @@ def _cmd_render(args):
     f = _load_polynomial(args)
     if args.family:
         fd = _family_or_fail(f, _mutation_spec(f, args))
-        items = _family_items(partial(getattr, fd))
+        items = _family_items(fd)
     else:
         items = [("Delta(f)", newton_polytope(f))]
-        if getattr(args, "by", None) is not None:
+        if args.by is not None:
             g = _mutated_or_fail(f, _mutation_spec(f, args), {})
             items.append(("Delta(mutated)", newton_polytope(g)))
     render_svg(items, args.output)
@@ -372,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainFailure as exc:
         _emit(exc.payload, args.pretty, [f"failed: {exc.payload.get('error', '')}"])
         return 1
-    except (MutationError, FamilyError, ValueError) as exc:
+    except ValueError as exc:  # MutationError and FamilyError among them
         _emit({"error": str(exc)}, args.pretty, [f"failed: {exc}"])
         return 1
     _emit(payload, args.pretty, summary)

@@ -325,8 +325,9 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
 
     The integer exponents go to the hull as they are, with no Fraction
     copies; its vertices come back as Fractions. In ranks 1 and 2 the
-    support is first cut down to its extreme points, so the hull sees
-    only the vertices however many terms f has.
+    support is first cut down to its extreme points (in rank 2 by the
+    chain that orders polygon vertices, :func:`polyhedra.convex_cycle`),
+    so the hull sees only the vertices however many terms f has.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
@@ -334,32 +335,8 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
     if f.rank == 1:
         support = sorted({support[0], support[-1]})
     elif f.rank == 2:
-        support = _plane_extreme_points(support)
+        support = polyhedra.convex_cycle(support)
     return polyhedra.hull(support)
-
-
-def _plane_extreme_points(points: Sequence[IntVec]) -> list[IntVec]:
-    """Vertices of the convex hull of sorted distinct points in the plane.
-
-    Andrew's monotone chain: the lower chain left to right, then the
-    upper chain back. Only strict left turns survive, so points inside
-    an edge, collinear supports included, are dropped.
-    """
-    if len(points) < 3:
-        return list(points)
-
-    def chain(seq: Iterable[IntVec]) -> list[IntVec]:
-        out: list[IntVec] = []
-        for x, y in seq:
-            while len(out) >= 2:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
-                    break
-                out.pop()
-            out.append((x, y))
-        return out
-
-    return chain(points)[:-1] + chain(reversed(points))[:-1]
 
 
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[LaurentPolynomial]:

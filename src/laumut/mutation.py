@@ -33,7 +33,7 @@ from .exactlat import (
     vsub,
 )
 from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, to_string
-from .polyhedra import Polyhedron, contains_origin_interior, polygon_edges
+from .polyhedra import Polyhedron, contains_origin_interior, vertex_cycle
 
 
 class MutationError(ValueError):
@@ -261,8 +261,9 @@ def polygon_facets(p: Polyhedron) -> list[FacetInfo]:
         raise ValueError("facet enumeration needs a bounded polytope")
     if p.dim() != 2:
         raise ValueError("facet enumeration needs a full-dimensional polygon")
+    cyc = vertex_cycle(p)
     out = []
-    for i, (a, b) in enumerate(polygon_edges(p)):
+    for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
         d = primitive_from_rational(vsub(b, a))
         normal = (d[1], -d[0])
         out.append(FacetInfo(i, (a, b), normal, Fraction(dot(normal, a))))

@@ -297,9 +297,11 @@ class Polyhedron:
         return all(dot(n, point) >= c for n, c in self.halfspaces)
 
     def dim(self) -> int:
-        v0 = self.vertices[0]
-        spans = [vsub(v, v0) for v in self.vertices[1:]] + list(self.rays)
-        return matrix_rank(spans)
+        """Dimension of the affine hull: the rank minus the number of
+        equations, each held among the canonical halfspaces as an opposite
+        pair ``(n, c)``, ``(-n, -c)``."""
+        halfspaces = set(self.halfspaces)
+        return self.rank - sum((vneg(n), -c) in halfspaces for n, c in halfspaces) // 2
 
     def support_minimum(self, u: Sequence[int]) -> Optional[Fraction]:
         """min of <u, .> over the polyhedron; None if unbounded below."""
@@ -419,18 +421,17 @@ def tailcone(p: Polyhedron) -> Cone:
 def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     """Cone over a polytope placed at height 1 in one extra coordinate.
 
-    The new coordinate is inserted at ``height_index`` (default: first). If p is full-dimensional (no
-    equation pair among its halfspaces), no kernel pass runs: the lifted vertices and halfspaces are the cone's.
+    The new coordinate is inserted at ``height_index`` (default: first). If p is full-dimensional,
+    no kernel pass runs: the lifted vertices and halfspaces are the cone's.
     """
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
     if not 0 <= height_index <= p.rank:
         raise ValueError("height_index out of range")
     gens = [primitive_from_rational(v[:height_index] + (1,) + v[height_index:]) for v in p.vertices]
-    halfspaces = set(p.halfspaces)
-    if any((vneg(n), -c) in halfspaces for n, c in halfspaces):
+    if p.dim() < p.rank:
         return Cone.from_generators(p.rank + 1, gens)
-    normals = [primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in halfspaces]
+    normals = [primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in p.halfspaces]
     return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)), ())
 
 
@@ -518,30 +519,39 @@ def vertex_cycle(p: Polyhedron) -> list[QVec]:
 
     The cycle starts at the lexicographically smallest vertex. Works for
     segments and points too (the "cycle" is then just the vertex list).
+    The vertices are already sorted, so :func:`convex_cycle` orders them.
     """
     if p.rank != 2:
         raise ValueError("vertex cycle is defined for rank 2")
     if p.rays:
         raise ValueError("vertex cycle needs a bounded polyhedron")
-    verts = sorted(p.vertices)
-    if len(verts) <= 2:
-        return verts
-    # Counterclockwise from the lex-min vertex: the chain below the chord to
-    # the lex-max vertex left to right, then the chain above it back.
-    (x0, y0), (x1, y1) = verts[0], verts[-1]
-    below = [v for v in verts if (x1 - x0) * (v[1] - y0) < (y1 - y0) * (v[0] - x0)]
-    above = [v for v in verts if (x1 - x0) * (v[1] - y0) > (y1 - y0) * (v[0] - x0)]
-    return verts[:1] + below + verts[-1:] + above[::-1]
+    return convex_cycle(p.vertices)
 
 
-def polygon_edges(p: Polyhedron) -> list[tuple[QVec, QVec]]:
-    """Edges of a rank-2 polytope as ccw-consecutive vertex pairs."""
-    cyc = vertex_cycle(p)
-    if len(cyc) < 2:
-        return []
-    if len(cyc) == 2:
-        return [(cyc[0], cyc[1])]
-    return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+def convex_cycle(points: Sequence[Sequence]) -> list:
+    """Vertices of the convex hull of lexicographically sorted distinct
+    points in the plane, counterclockwise from the first.
+
+    Andrew's monotone chain: the lower chain left to right, then the
+    upper chain back. Only strict left turns survive, so points inside
+    an edge, collinear inputs included, are dropped. Fewer than three
+    points come back as they are.
+    """
+    if len(points) < 3:
+        return list(points)
+
+    def chain(seq: Iterable[Sequence]) -> list:
+        out: list = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    return chain(points)[:-1] + chain(reversed(points))[:-1]
 
 
 # -- admissible pairs ---------------------------------------------------------

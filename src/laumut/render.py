@@ -122,12 +122,12 @@ def render_svg(
         color = PALETTE[k % len(PALETTE)]
         clipped = _clip(p, box)
         true_vertices = {tuple(v) for v in p.vertices}
-        pts = vertex_cycle(clipped) if clipped.dim() == 2 else list(clipped.vertices)
+        pts = vertex_cycle(clipped)  # a segment or a point is its own sorted vertex list
         if len(pts) >= 2:
             d = "M " + " L ".join(f"{canvas.px(v[0])},{canvas.py(v[1])}" for v in pts)
-            if clipped.dim() == 2:
+            if len(pts) > 2:
                 d += " Z"
-            fill = f'fill="{color}" fill-opacity="0.08"' if clipped.dim() == 2 else 'fill="none"'
+            fill = f'fill="{color}" fill-opacity="0.08"' if len(pts) > 2 else 'fill="none"'
             canvas.body.append(f'<path d="{d}" {fill} stroke="{color}" stroke-width="2"/>')
         for v in clipped.vertices:
             if tuple(v) in true_vertices:

@@ -12,6 +12,7 @@ from laumut.exactlat import (
     inverse_unimodular,
     mat_mul,
     mat_vec,
+    matrix_rank,
     primitive_vector,
     unit_vector,
     vneg,
@@ -389,6 +390,18 @@ def kernel_cone_over(p, height_index=0):
 @pytest.fixture
 def cone_over_oracle():
     return kernel_cone_over
+
+
+def span_rank_dim(p):
+    """Oracle for ``Polyhedron.dim``: the rank of the vertices' differences
+    from the first vertex together with the rays, in Fractions."""
+    v0 = p.vertices[0]
+    return matrix_rank([vsub(v, v0) for v in p.vertices[1:]] + list(p.rays))
+
+
+@pytest.fixture
+def dim_oracle():
+    return span_rank_dim
 
 
 # -- text boundary oracles --------------------------------------------------

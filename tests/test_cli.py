@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from laumut import cli, exactlat, laurent
+from laumut import cli, exactlat, laurent, polyhedra
 from laumut.cli import main
 from laumut.deformation import VerificationReport
 from laumut.laurent import parse
@@ -344,6 +344,26 @@ def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_pa
     plain = len(calls)
     run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))
     assert len(calls) - plain <= plain
+
+
+def test_verify_svg_draws_the_family_it_built(capsys, monkeypatch, tmp_path):
+    # The drawing takes the slices the family construction made: no hull
+    # runs again, and the file is the one render --family writes.
+    calls = count_calls(monkeypatch, polyhedra.hull)
+    assert run(capsys, "verify", *F3_MUTATION)[0] == 0
+    plain = len(calls)
+    assert run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))[0] == 0
+    assert len(calls) == 2 * plain
+    assert run(capsys, "render", *F3_MUTATION, "--family", "-o", str(tmp_path / "r.svg"))[0] == 0
+    assert (tmp_path / "v.svg").read_bytes() == (tmp_path / "r.svg").read_bytes()
+
+
+def test_mutate_formats_each_polynomial_once(capsys, monkeypatch):
+    # f, the divisor inside the spec, and the mutated polynomial; the
+    # failure context, the payload and the summary share those strings.
+    calls = count_calls(monkeypatch, laurent.to_string)
+    assert run(capsys, "mutate", *F3_MUTATION, "--pretty")[0] == 0
+    assert len(calls) == 3
 
 
 def test_plain_mutate_builds_no_newton_polytopes(capsys, monkeypatch, tmp_path):

@@ -21,7 +21,7 @@ from laumut.exactlat import (
     vscale,
 )
 from laumut.laurent import act_unimodular, divide_exact, newton_polytope, parse
-from laumut.mutation import MutationSpec
+from laumut.mutation import MutationSpec, polygon_facets
 from laumut.polyhedra import (
     AdmissibilityVerdict,
     Cone,
@@ -43,7 +43,6 @@ from laumut.polyhedra import (
     kernel_slice,
     minkowski_sum,
     polar_dual,
-    polygon_edges,
     tailcone,
     vertex_cycle,
     verify_admissibility,
@@ -461,15 +460,21 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_cone_over_matches_the_kernel_oracle(cone_over_oracle, rank):
+def test_cone_over_matches_the_kernel_oracle(cone_over_oracle, dim_oracle, rank):
+    # dim() counts the equation pairs among the halfspaces; the oracle takes
+    # the rank of the spans. Both are compared on every dimension from a
+    # point up, bounded and with rays (nonnegative, so no line appears).
     rng = random.Random(7100 + rank)
-    full = set()
+    dims = set()
     for _ in range(60):
         p = random_polytope(rng, rank)
-        full.add(p.dim() == rank)
+        rays = [tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rng.randint(1, 2))]
+        for q in (p, hull(p.vertices, [r for r in rays if any(r)])):
+            assert q.dim() == dim_oracle(q)
+            dims.add((q.dim(), bool(q.rays)))
         for h in range(rank + 1):
             assert structure(cone_over(p, h)) == structure(cone_over_oracle(p, h))
-    assert full == {True, False}
+    assert dims >= {(d, False) for d in range(rank + 1)} | {(d, True) for d in range(1, rank + 1)}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -527,7 +532,8 @@ def test_extreme_rays_are_extreme(rank):
 def test_vertex_cycle_ccw_from_lex_min():
     p = hull(V((-1, 1), (1, 1), (0, -1)))
     assert vertex_cycle(p) == V((-1, 1), (0, -1), (1, 1))
-    assert len(polygon_edges(p)) == 3
+    a, b, c = vertex_cycle(p)
+    assert [f.vertices for f in polygon_facets(p)] == [(a, b), (b, c), (c, a)]
 
 
 def test_vertex_cycle_of_random_lattice_polygons():
