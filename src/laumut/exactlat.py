@@ -106,6 +106,26 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of ``(a*i + b) // m`` over ``0 <= i < n``, for n >= 0, m >= 1
+    and any a, b: the Euclid-like reduction (Graham-Knuth-Patashnik,
+    *Concrete Mathematics*, 3.5) splits off a // m and b // m, then counts
+    the points under the remaining line with its axes swapped, so (m, a)
+    becomes (a, m mod a) and the sum takes O(log m) steps."""
+    if n < 0 or m < 1:
+        raise ValueError("floor_sum needs n >= 0 and m >= 1")
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
 # -- matrices ---------------------------------------------------------------
 
 

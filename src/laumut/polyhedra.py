@@ -1,6 +1,6 @@
 """Exact rational convex polyhedra and cones.
 
-Everything runs through one double description kernel
+Every conversion runs through one double description kernel
 (:func:`extreme_rays`). A polyhedron is handled as its homogenization
 (points at height 1, rays at height 0 in a new first coordinate): that
 cone is canonicalized from generators or from normals and read back.
@@ -11,7 +11,8 @@ tight-constraint bitmasks it already keeps, so no dot product is taken
 again; only a cone with a line (or, from normals, one that is not
 full-dimensional) takes a second pass. The cone over a bounded
 full-dimensional polytope takes none: its rays and facets are the
-polytope's vertices and halfspaces, lifted.
+polytope's vertices and halfspaces, lifted. A polar dual takes none
+either: it swaps the polytope's vertices and facets.
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -40,6 +41,7 @@ from .exactlat import (
     dot,
     exact_fraction,
     exact_int,
+    floor_sum,
     matrix_rank,
     primitive_from_rational,
     primitive_vector,
@@ -458,12 +460,19 @@ def contains_origin_interior(p: Polyhedron) -> bool:
 
 
 def polar_dual(p: Polyhedron) -> Polyhedron:
-    """Polar dual ``{u : <u, x> >= -1 on p}`` (origin must be interior)."""
+    """Polar dual ``{u : <u, x> >= -1 on p}`` (origin must be interior).
+
+    Read off p's canonical presentation, as :meth:`Polyhedron.dim` is, so
+    no kernel pass runs: each facet ``<n, x> >= c`` of p (c < 0, as the
+    origin is interior) is the dual vertex ``n / -c``, and each vertex v of
+    p gives the dual facet ``<v, u> >= -1``, scaled to a primitive normal.
+    """
     if not contains_origin_interior(p):
         raise ValueError("polar dual needs the origin in the interior")
-    normals = [unit_vector(p.rank + 1, 0)]
-    normals += [primitive_from_rational((1,) + v) for v in p.vertices]
-    return _dehomogenize(_cone_from_normals(p.rank + 1, normals))
+    verts = [tuple(x / -c for x in n) for n, c in p.halfspaces]
+    normals = [primitive_from_rational(v) for v in p.vertices]
+    halfspaces = [(n, -dot(n, n) / dot(n, v)) for n, v in zip(normals, p.vertices)]
+    return Polyhedron(p.rank, tuple(sorted(verts)), (), tuple(sorted(halfspaces)))
 
 
 def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
@@ -471,13 +480,12 @@ def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
 
     Counted fibre by fibre. Once u_0..u_{j-1} are fixed, the projection
     of the dual P* onto its first j+1 coordinates bounds u_j to an exact
-    interval, so each dilate kP* is walked one coordinate prefix at a
-    time, and the last coordinate adds the length of its interval
-    without being walked. Each projection's halfspaces are scaled to
-    integers once; the k loop uses integer floor and ceiling division
-    only. A dilate costs about the lattice points of the dilated
-    (r-1)-dimensional projection times the facets per projection,
-    instead of the volume of the dual's dilated bounding box.
+    interval: u_0 by P*'s extreme vertex coordinates, the last coordinate
+    by P*'s facets, and each one between by the facets of a hull (r-2
+    kernel passes in rank r). Each dilate kP* is walked one prefix
+    u_0..u_{r-3} at a time; on the remaining plane, the last coordinate's
+    floor and ceiling bounds are lines in x = u_{r-2}, summed over x by
+    :func:`_envelope_floor_sum` in integer arithmetic.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -487,31 +495,69 @@ def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
     # an upper one if a < 0. Facets with a = 0 only restate earlier levels.
     levels = []
     for j in range(1, p.rank + 1):
-        proj = dual if j == p.rank else hull([v[:j] for v in dual.vertices])
+        if j == p.rank:
+            halfspaces = dual.halfspaces
+        elif j == 1:
+            first = [v[0] for v in dual.vertices]
+            halfspaces = (((1,), min(first)), ((-1,), -max(first)))
+        else:
+            halfspaces = hull([v[:j] for v in dual.vertices]).halfspaces
         lower, upper = [], []
-        for normal, offset in proj.halfspaces:
+        for normal, offset in halfspaces:
             d = offset.denominator
             a = normal[-1] * d
             if a:
                 bound = (a, offset.numerator, tuple(x * d for x in normal[:-1]))
                 (lower if a > 0 else upper).append(bound)
         levels.append((lower, upper))
-    return [_fibre_count(levels, k) for k in range(1, kmax + 1)]
+    return [_dilate_count(levels, k) for k in range(1, kmax + 1)]
 
 
-def _fibre_count(levels, k: int) -> int:
-    """Lattice points of the k-th dilate cut out by ``levels``."""
-    last = len(levels) - 1
+def _dilate_count(levels, k: int) -> int:
+    """Lattice points of the k-th dilate cut out by ``levels``.
+
+    On the plane, a last-coordinate bound (a, c, (head..., b)) reads
+    y >= ceil(L) or y <= floor(L) for L = (k*c - <head, prefix> - b*x) / a;
+    -ceil(L) and floor(L) alike are floor((b*x + K) / |a|), K = <head,
+    prefix> - k*c. The real fibre over each x in range is nonempty, so the
+    least upper term plus the least lower one plus 1 is never negative.
+    """
+    plane = len(levels) - 2
 
     def walk(j: int, prefix: tuple) -> int:
         lower, upper = levels[j]
         lo = max(-((sum(map(mul, rest, prefix)) - k * c) // a) for a, c, rest in lower)
         hi = min((k * c - sum(map(mul, rest, prefix))) // a for a, c, rest in upper)
-        if j == last:
+        if j < plane:
+            return sum(walk(j + 1, prefix + (x,)) for x in range(lo, hi + 1))
+        if j > plane or lo > hi:  # j > plane in rank 1, where the count is one interval
             return max(hi - lo + 1, 0)
-        return sum(walk(j + 1, prefix + (x,)) for x in range(lo, hi + 1))
+        # map() stops at the prefix's end, so only the head meets it.
+        lines = [[(rest[-1], sum(map(mul, rest, prefix)) - k * c, abs(a)) for a, c, rest in b] for b in levels[-1]]
+        return hi - lo + 1 + sum(_envelope_floor_sum(group, lo, hi) for group in lines)
 
     return walk(0, ())
+
+
+def _envelope_floor_sum(lines, lo: int, hi: int) -> int:
+    """Sum over lo <= x <= hi of the least floor((b*x + K) / m) over the
+    ``lines`` (b, K, m), m > 0. A least line at x stays least until a
+    flatter one passes strictly below it; each such run is one
+    :func:`floor_sum`. Lines compare by cross-multiplying."""
+    total, x = 0, lo
+    while x <= hi:
+        b, K, m = lines[0]
+        for bi, Ki, mi in lines[1:]:
+            if (bi * x + Ki) * m < (b * x + K) * mi:
+                b, K, m = bi, Ki, mi
+        end = hi
+        for bi, Ki, mi in lines:
+            flatter = mi * b - m * bi
+            if flatter > 0:  # line i is below from the first x with x * flatter > m*Ki - mi*K
+                end = min(end, (m * Ki - mi * K) // flatter)
+        total += floor_sum(end - x + 1, m, b, b * x + K)
+        x = end + 1
+    return total
 
 
 def vertex_cycle(p: Polyhedron) -> list[QVec]:

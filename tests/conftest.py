@@ -31,7 +31,15 @@ from laumut.laurent import (
 )
 from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
-from laumut.polyhedra import Cone, _cone_from_normals, _dehomogenize, extreme_rays, hull, polar_dual, vertex_cycle
+from laumut.polyhedra import (
+    Cone,
+    _cone_from_normals,
+    _dehomogenize,
+    contains_origin_interior,
+    extreme_rays,
+    hull,
+    vertex_cycle,
+)
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -115,10 +123,26 @@ def normalized_volume_2d(p):
     return abs(s)
 
 
+def kernel_polar_dual(p):
+    """Oracle for ``polar_dual``: the dual cut out by one halfspace
+    ``<v, u> >= -1`` per vertex v of p and canonicalized by the double
+    description kernel, instead of read off p's canonical presentation."""
+    if not contains_origin_interior(p):
+        raise ValueError("polar dual needs the origin in the interior")
+    normals = [unit_vector(p.rank + 1, 0)]
+    normals += [primitive_from_rational((1,) + v) for v in p.vertices]
+    return _dehomogenize(_cone_from_normals(p.rank + 1, normals))
+
+
+@pytest.fixture
+def polar_dual_oracle():
+    return kernel_polar_dual
+
+
 def box_scan_dual_counts(p, kmax):
     """Brute-force oracle for ``dual_ehrhart_counts``: test every point of
     the polar dual's dilated bounding box against every vertex of p."""
-    dual = polar_dual(p)
+    dual = kernel_polar_dual(p)
     bounds = [max(abs(v[i]) for v in dual.vertices) for i in range(p.rank)]
     counts = []
     for k in range(1, kmax + 1):
@@ -130,6 +154,41 @@ def box_scan_dual_counts(p, kmax):
 @pytest.fixture
 def box_scan():
     return box_scan_dual_counts
+
+
+def fibre_walk_counts(p, kmax):
+    """Oracle for ``dual_ehrhart_counts``: the fibre walk that visits every
+    value of every coordinate but the last. The kernel's polar dual and a
+    hull of its projection onto each coordinate prefix (the first one
+    included) bound each coordinate given the ones before it, and the last
+    coordinate adds the length of its interval."""
+    dual = kernel_polar_dual(p)
+    levels = []
+    for j in range(1, p.rank + 1):
+        proj = dual if j == p.rank else hull([v[:j] for v in dual.vertices])
+        lower, upper = [], []
+        for normal, offset in proj.halfspaces:
+            d = offset.denominator
+            a = normal[-1] * d
+            if a:
+                bound = (a, offset.numerator, tuple(x * d for x in normal[:-1]))
+                (lower if a > 0 else upper).append(bound)
+        levels.append((lower, upper))
+
+    def walk(k, j, prefix):
+        lower, upper = levels[j]
+        lo = max(-((dot(rest, prefix) - k * c) // a) for a, c, rest in lower)
+        hi = min((k * c - dot(rest, prefix)) // a for a, c, rest in upper)
+        if j == len(levels) - 1:
+            return max(hi - lo + 1, 0)
+        return sum(walk(k, j + 1, prefix + (x,)) for x in range(lo, hi + 1))
+
+    return [walk(k, 0, ()) for k in range(1, kmax + 1)]
+
+
+@pytest.fixture
+def fibre_walk():
+    return fibre_walk_counts
 
 
 def recompute_extreme_rays(constraints, rank):

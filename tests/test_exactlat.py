@@ -10,6 +10,7 @@ from laumut.exactlat import (
     determinant,
     dot,
     exact_int,
+    floor_sum,
     inverse_unimodular,
     lex_positive,
     mat_mul,
@@ -189,3 +190,20 @@ def test_primitive_from_rational_takes_ints_and_fractions_but_no_floats():
     # Fraction(0.1) would be 3602879701896397/2**55: refuse rather than guess.
     with pytest.raises(TypeError):
         primitive_from_rational((1, 0.1))
+
+
+def test_floor_sum_matches_brute_force():
+    def brute(n, m, a, b):
+        return sum((a * i + b) // m for i in range(n))
+
+    cases = [(0, 7, 3, -5), (0, 1, 10**4, 10**4), (5, 1, -3, 4), (9, 1, 10**4, -(10**4))]
+    rng = random.Random(77)
+    for _ in range(3000):
+        n = rng.randint(0, 40)
+        m = rng.choice([1, rng.randint(1, 9), rng.randint(1, 10**4)])
+        cases.append((n, m, rng.randint(-(10**4), 10**4), rng.randint(-(10**4), 10**4)))
+    for n, m, a, b in cases:
+        assert floor_sum(n, m, a, b) == brute(n, m, a, b), (n, m, a, b)
+    for bad in ((-1, 3, 1, 1), (4, 0, 1, 1), (4, -2, 1, 1)):
+        with pytest.raises(ValueError):
+            floor_sum(*bad)

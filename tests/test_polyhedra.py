@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -307,13 +307,55 @@ def test_dual_counts_match_box_scan_with_rational_dual_vertices(box_scan):
         assert dual_ehrhart_counts(p, 5) == box_scan(p, 5)
 
 
-@pytest.mark.parametrize("rank,kmax", [(1, 12), (2, 12), (3, 8), (4, 3)])
+@pytest.mark.parametrize("rank,kmax", [(1, 12), (2, 12), (3, 40), (4, 12)])
 def test_dual_counts_of_reflexive_simplex_closed_form(rank, kmax):
     # conv(e_1..e_r, -(e_1+...+e_r)) has as polar dual a translate of
     # (r+1) times the standard simplex: C((r+1)k + r, r) points in its k-th dilate.
     verts = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
     simplex = hull(verts + [(Fraction(-1),) * rank])
     assert dual_ehrhart_counts(simplex, kmax) == [comb((rank + 1) * k + rank, rank) for k in range(1, kmax + 1)]
+
+
+@pytest.mark.parametrize("shear", SHEARS)
+def test_dual_counts_of_worked_polygons_follow_pick_to_large_k(polar_dual_oracle, shear):
+    # The worked polygons are reflexive, so their polar duals are lattice
+    # polygons, and by Pick and Ehrhart the k-th dilate of one with
+    # normalized volume V and B boundary points holds V/2 k^2 + B/2 k + 1.
+    for text in WORKED_POLYGONS:
+        p = newton_polytope(act_unimodular(parse(text), shear))
+        dual = polar_dual_oracle(p)
+        assert is_lattice_polyhedron(dual)
+        volume = normalized_volume_2d(dual)
+        cycle = vertex_cycle(dual)
+        boundary = sum(gcd(*(int(b - a) for a, b in zip(v, w))) for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+        assert dual_ehrhart_counts(p, 400) == [volume / 2 * k * k + Fraction(boundary, 2) * k + 1 for k in range(1, 401)]
+
+
+def random_origin_polytope(rng, rank):
+    """A random full-dimensional polytope with rational vertices and the
+    origin in its interior."""
+    while True:
+        pts = [
+            tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(rank))
+            for _ in range(rng.randint(rank + 1, rank + 5))
+        ]
+        p = hull(pts)
+        if contains_origin_interior(p):
+            return p
+
+
+@pytest.mark.parametrize("rank,kmax,cases", [(1, 12, 150), (2, 16, 200), (3, 6, 150), (4, 3, 100)])
+def test_dual_counts_and_polar_duals_match_the_kernel_oracles(fibre_walk, polar_dual_oracle, rank, kmax, cases):
+    rng = random.Random(1500 + rank)
+    rational_duals = 0
+    for _ in range(cases):
+        p = random_origin_polytope(rng, rank)
+        dual = polar_dual(p)
+        expected = polar_dual_oracle(p)
+        assert (dual.vertices, dual.rays, dual.halfspaces) == (expected.vertices, expected.rays, expected.halfspaces)
+        assert dual_ehrhart_counts(p, kmax) == fibre_walk(p, kmax)
+        rational_duals += not is_lattice_polyhedron(dual)
+    assert rational_duals > cases // 2
 
 
 # -- double description kernel ------------------------------------------------------
@@ -357,10 +399,11 @@ def test_extreme_rays_match_recomputed_tight_sets(recompute_dd, rank):
     assert kinds == {"duplicate", "equation", "zero", "lineality"}
 
 
-def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_dd, monkeypatch):
+def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_dd, polar_dual_oracle, monkeypatch):
     # Record the homogenised hull and from_halfspaces inputs that the
-    # Newton polytopes and polar duals of the worked polygons produce, and
-    # the rank-3 cones and slices of the worked families under each shear.
+    # Newton polytopes of the worked polygons and the kernel's polar duals
+    # of them produce, and the rank-3 cones and slices of the worked
+    # families under each shear.
     calls = []
 
     def recording(constraints, rank, **kwargs):
@@ -370,7 +413,7 @@ def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_d
     monkeypatch.setattr(polyhedra, "extreme_rays", recording)
     for text in WORKED_POLYGONS:
         for shear in SHEARS:
-            polar_dual(newton_polytope(act_unimodular(parse(text), shear)))
+            polar_dual_oracle(newton_polytope(act_unimodular(parse(text), shear)))
     for text in WORKED_POLYGONS[:2]:
         for shear in SHEARS:
             u = mat_vec(transpose(inverse_unimodular(shear)), (0, 1))
@@ -703,6 +746,7 @@ def test_hull_rejects_zero_ray():
 SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 SEGMENT = hull(V((0, 0), (1, 2)))
+OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
 
 
 @pytest.mark.parametrize(
@@ -711,7 +755,11 @@ SEGMENT = hull(V((0, 0), (1, 2)))
         (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 1),
         (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 1),
         (lambda: from_halfspaces(SQUARE.halfspaces, 2), 1),
-        (lambda: polar_dual(SQUARE), 1),
+        # The polar dual is read off the canonical presentation, and a
+        # rank-r dual count hulls the projections onto r - 2 prefixes.
+        (lambda: polar_dual(SQUARE), 0),
+        (lambda: dual_ehrhart_counts(SQUARE, 6), 0),
+        (lambda: dual_ehrhart_counts(OCTAHEDRON, 6), 1),
         (lambda: kernel_slice(SIGMA, (0, 0, 1)), 1),
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),
         # A cone with a line takes a second pass for its lineality basis.
@@ -727,7 +775,8 @@ SEGMENT = hull(V((0, 0), (1, 2)))
         (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
     ],
     ids=[
-        "hull", "hull_rays", "from_halfspaces", "polar_dual", "kernel_slice", "from_generators",
+        "hull", "hull_rays", "from_halfspaces", "polar_dual", "dual_counts_rank2", "dual_counts_rank3",
+        "kernel_slice", "from_generators",
         "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
         "divide_exact",
     ],
