@@ -47,13 +47,23 @@ class DomainFailure(Exception):
 
 
 def _read_file_polynomials(path: str) -> list[LaurentPolynomial]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            body = line.split("#", 1)[0].strip()
-            if body:
-                out.append(parse(body))
-    return out
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path}: not UTF-8 text")
+    bodies = (line.split("#", 1)[0].strip() for line in lines)
+    return [parse(body) for body in bodies if body]
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 def _load_polynomial(args) -> LaurentPolynomial:
@@ -127,7 +137,7 @@ def _family_items(fd: FamilyData) -> list:
 def _maybe_svg(args, items) -> Optional[str]:
     if args.svg is None:
         return None
-    render_svg(items, args.svg)
+    _write_file(args.svg, render_svg(items))
     return args.svg
 
 
@@ -223,12 +233,9 @@ def _cmd_graph(args):
     graph = explore_graph(f, args.depth)
     payload = graph.to_dict()
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_file(args.output, json.dumps(payload, indent=2) + "\n")
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_dot())
+        _write_file(args.dot, graph.to_dot())
     summary = [
         f"nodes: {len(payload['nodes'])}, edges: {len(payload['edges'])}, "
         f"failures: {len(payload['failures'])}, merges: {len(payload['merges'])}"
@@ -246,7 +253,7 @@ def _cmd_render(args):
         if args.by is not None:
             g = _mutated_or_fail(f, _mutation_spec(f, args), {})
             items.append(("Delta(mutated)", newton_polytope(g)))
-    render_svg(items, args.output)
+    _write_file(args.output, render_svg(items))
     payload = {"path": args.output, "labels": [label for label, _ in items]}
     return payload, 0, [f"wrote {args.output}"]
 

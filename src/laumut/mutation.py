@@ -28,12 +28,12 @@ from .exactlat import (
     exact_int,
     inverse_unimodular,
     mat_vec,
-    primitive_from_rational,
+    primitive_vector,
     transpose,
     vsub,
 )
 from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, to_string
-from .polyhedra import Polyhedron, contains_origin_interior, vertex_cycle
+from .polyhedra import Polyhedron, contains_origin_interior, lattice_cycle
 
 
 class MutationError(ValueError):
@@ -240,9 +240,9 @@ class FacetInfo:
     """One edge of a polygon together with its standard mutation data."""
 
     index: int
-    vertices: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    vertices: tuple[IntVec, IntVec]
     direction: IntVec  # primitive outward normal
-    height: Fraction  # value of the normal on the edge
+    height: int  # value of the normal on the edge
 
     def to_dict(self) -> dict:
         return {
@@ -254,19 +254,13 @@ class FacetInfo:
 
 
 def polygon_facets(p: Polyhedron) -> list[FacetInfo]:
-    """Edges of a rank-2 polytope in ccw order from the lex-min vertex."""
-    if p.rank != 2:
-        raise ValueError("facet enumeration is defined for rank 2")
-    if p.rays:
-        raise ValueError("facet enumeration needs a bounded polytope")
-    if p.dim() != 2:
-        raise ValueError("facet enumeration needs a full-dimensional polygon")
-    cyc = vertex_cycle(p)
+    """Edges of a lattice polygon in ccw order from the lex-min vertex."""
+    cyc = lattice_cycle(p)
     out = []
     for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
-        d = primitive_from_rational(vsub(b, a))
+        d = primitive_vector(vsub(b, a))
         normal = (d[1], -d[0])
-        out.append(FacetInfo(i, (a, b), normal, Fraction(dot(normal, a))))
+        out.append(FacetInfo(i, (a, b), normal, dot(normal, a)))
     return out
 
 

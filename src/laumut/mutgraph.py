@@ -30,7 +30,7 @@ from .mutation import (
     polygon_facets,
     validate_mutable_polygon,
 )
-from .polyhedra import Polyhedron, vertex_cycle
+from .polyhedra import Polyhedron, lattice_cycle
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,8 @@ class CanonicalForm:
 
 
 def canonical_form(p: Polyhedron) -> tuple[CanonicalForm, IntMat]:
-    """Canonical form and a unimodular map carrying p onto it."""
-    if p.rank != 2:
-        raise ValueError("canonical forms are defined for rank 2")
-    if p.rays:
-        raise ValueError("canonical forms need a bounded polytope")
-    if any(c.denominator != 1 for v in p.vertices for c in v):
-        raise ValueError("canonical forms need a lattice polygon")
-    if p.dim() != 2:
-        raise ValueError("canonical forms need a full-dimensional polygon")
-    cyc = [(int(x), int(y)) for x, y in vertex_cycle(p)]
+    """Canonical form and a unimodular map carrying the lattice polygon p onto it."""
+    cyc = lattice_cycle(p)
     m = len(cyc)
     best: Optional[tuple[IntVec, ...]] = None
     best_map: Optional[IntMat] = None

@@ -285,9 +285,9 @@ def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
 class Polyhedron:
     """Pointed rational polyhedron: convex hull of vertices plus rays.
 
-    Both representations are stored; construction always canonicalizes
-    through the double description kernel, so two polyhedra describe the
-    same set iff their fields are equal.
+    Both representations are stored in one canonical shape, which every
+    constructor builds: sorted vertices and rays, and sorted irredundant
+    halfspaces with primitive normals. So equal sets have equal fields.
     """
 
     rank: int
@@ -560,18 +560,23 @@ def _envelope_floor_sum(lines, lo: int, hi: int) -> int:
     return total
 
 
-def vertex_cycle(p: Polyhedron) -> list[QVec]:
-    """Vertices of a bounded rank-2 polyhedron in counterclockwise order.
+def lattice_cycle(p: Polyhedron) -> list[IntVec]:
+    """Int vertices of a lattice polygon, counterclockwise from the
+    lexicographically smallest one.
 
-    The cycle starts at the lexicographically smallest vertex. Works for
-    segments and points too (the "cycle" is then just the vertex list).
-    The vertices are already sorted, so :func:`convex_cycle` orders them.
+    A lattice polygon is a bounded, full-dimensional rank-2 polyhedron
+    with integral vertices; anything else raises ValueError. The
+    vertices are already sorted, so :func:`convex_cycle` orders them.
     """
     if p.rank != 2:
-        raise ValueError("vertex cycle is defined for rank 2")
+        raise ValueError(f"a lattice polygon has rank 2, not {p.rank}")
     if p.rays:
-        raise ValueError("vertex cycle needs a bounded polyhedron")
-    return convex_cycle(p.vertices)
+        raise ValueError("a lattice polygon is bounded")
+    if not is_lattice_polyhedron(p):
+        raise ValueError("a lattice polygon has integral vertices")
+    if len(p.vertices) < 3:
+        raise ValueError("a lattice polygon is full-dimensional")
+    return convex_cycle([(int(x), int(y)) for x, y in p.vertices])
 
 
 def convex_cycle(points: Sequence[Sequence]) -> list:

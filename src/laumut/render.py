@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .polyhedra import Polyhedron, from_halfspaces, vertex_cycle
+from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
 
 SCALE = 32  # pixels per lattice unit
 MARGIN = 24
@@ -102,13 +102,10 @@ class _Canvas:
         return head + "\n".join(self.body) + "\n</svg>\n"
 
 
-def render_svg(
-    items: Sequence[tuple[str, Polyhedron]], path: Optional[str] = None
-) -> str:
+def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
     """Draw labeled polyhedra on one shared lattice grid.
 
-    items: (label, polyhedron) pairs, all of rank 2. Returns the SVG
-    text; when path is given the file is written as well.
+    items: (label, polyhedron) pairs, all of rank 2. Returns the SVG text.
     """
     if not items:
         raise ValueError("nothing to render")
@@ -122,7 +119,7 @@ def render_svg(
         color = PALETTE[k % len(PALETTE)]
         clipped = _clip(p, box)
         true_vertices = {tuple(v) for v in p.vertices}
-        pts = vertex_cycle(clipped)  # a segment or a point is its own sorted vertex list
+        pts = convex_cycle(clipped.vertices)  # a segment or a point is its own sorted vertex list
         if len(pts) >= 2:
             d = "M " + " L ".join(f"{canvas.px(v[0])},{canvas.py(v[1])}" for v in pts)
             if len(pts) > 2:
@@ -139,8 +136,4 @@ def render_svg(
             f'<text x="{canvas.px(anchor[0])}" y="{canvas.py(anchor[1] + Fraction(1, 3))}" '
             f'font-family="monospace" font-size="12" fill="{color}">{label}</text>'
         )
-    text = canvas.emit()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return canvas.emit()

@@ -36,9 +36,9 @@ from laumut.polyhedra import (
     _cone_from_normals,
     _dehomogenize,
     contains_origin_interior,
+    convex_cycle,
     extreme_rays,
     hull,
-    vertex_cycle,
 )
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -110,9 +110,21 @@ def random_mutable_pair(rng, rank):
     return act_unimodular(adapted, basis), spec
 
 
+def fraction_vertex_cycle(p):
+    """Oracle for ``lattice_cycle``: the Fraction vertices of a bounded
+    rank-2 polyhedron, counterclockwise from the lexicographically
+    smallest, chained as they are stored, with no lattice or dimension
+    check (a segment or a point comes back as its sorted vertex list)."""
+    if p.rank != 2:
+        raise ValueError("vertex cycle is defined for rank 2")
+    if p.rays:
+        raise ValueError("vertex cycle needs a bounded polyhedron")
+    return convex_cycle(p.vertices)
+
+
 def normalized_volume_2d(p):
     """Twice the euclidean area of a rank-2 polytope (shoelace, exact)."""
-    cyc = vertex_cycle(p)
+    cyc = fraction_vertex_cycle(p)
     if len(cyc) < 3:
         return Fraction(0)
     s = Fraction(0)
@@ -367,7 +379,7 @@ def mat_vec_canonical_form(p):
         raise ValueError("canonical forms need a lattice polygon")
     if p.dim() != 2:
         raise ValueError("canonical forms need a full-dimensional polygon")
-    cyc = [tuple(int(c) for c in v) for v in vertex_cycle(p)]
+    cyc = [tuple(int(c) for c in v) for v in fraction_vertex_cycle(p)]
     m = len(cyc)
     best = None
     best_map = None

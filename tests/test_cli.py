@@ -151,6 +151,48 @@ def test_file_input_with_comments(capsys, tmp_path):
     assert parse(payload["polynomial"]) == parse(F3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("newton", "--file", "{missing}"),
+        ("newton", "--file", "{latin1}"),
+        ("newton", "--f", F3, "--svg", "{unwritable}"),
+        ("graph", "--f", F4, "--depth", "1", "-o", "{unwritable}"),
+        ("graph", "--f", F4, "--depth", "1", "--dot", "{unwritable}"),
+        ("render", "--f", F3, "-o", "{unwritable}"),
+    ],
+    ids=["missing file", "non-UTF-8 file", "newton --svg", "graph -o", "graph --dot", "render -o"],
+)
+def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
+    paths = {
+        "{missing}": tmp_path / "missing.txt",
+        "{latin1}": tmp_path / "latin1.txt",
+        "{unwritable}": tmp_path / "no-such-dir" / "out",
+    }
+    paths["{latin1}"].write_bytes("x + y  # caf\u00e9\n".encode("latin-1"))
+    argv = [str(paths.get(a, a)) for a in argv]
+    path = next(a for a in argv if a.startswith(str(tmp_path)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot ") and path in err
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("facets", "--f", "x"), "a lattice polygon has rank 2, not 1"),
+        (("facets", "--f", "x + y"), "a lattice polygon is full-dimensional"),
+        (("facets", "--f", "x + y + z"), "a lattice polygon has rank 2, not 3"),
+        (("graph", "--depth", "1", "--f", "x + y"), "polygon must contain the origin in its interior"),
+        (("graph", "--depth", "1", "--f", "x^2 + y + x^-1*y^-1"), "polygon vertices must be primitive"),
+        (("graph", "--depth", "1", "--f", "x + y + z + x^-1*y^-1*z^-1"), "mutation graphs are defined for rank 2"),
+    ],
+)
+def test_polygon_precondition_failures(capsys, argv, error):
+    # The graph texts are also the reasons recorded for failed graph edges.
+    assert run(capsys, *argv) == (1, json.dumps({"error": error}) + "\n", "")
+
+
 def test_pretty_prints_summary_then_json(capsys):
     code, out, _ = run(capsys, "newton", "--f", F3, "--pretty")
     assert code == 0

@@ -281,6 +281,7 @@ def test_polygon_facets_worked_example():
     assert top.direction == (0, 1)
     assert top.height == 1
     assert all(fc.height > 0 for fc in facets)
+    assert all(type(c) is int for fc in facets for c in (fc.height, *fc.vertices[0], *fc.vertices[1]))
 
 
 def test_polygon_facets_rejects_bad_input():
@@ -288,6 +289,8 @@ def test_polygon_facets_rejects_bad_input():
         polygon_facets(hull([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]))
     with pytest.raises(ValueError):
         polygon_facets(hull([(Fraction(0), Fraction(0))], [(1, 0), (0, 1)]))
+    with pytest.raises(ValueError):
+        polygon_facets(hull([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1))]))
 
 
 def test_facet_mutation_spec_square():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import normalized_volume_2d, random_unimodular
-from laumut import laurent, mutation, mutgraph
+from conftest import fraction_vertex_cycle, normalized_volume_2d, random_unimodular
+from laumut import laurent, mutation, mutgraph, polyhedra
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
 from laumut.mutgraph import (
@@ -17,7 +17,7 @@ from laumut.mutgraph import (
     mutation_neighbors,
     validate_mutable_polygon,
 )
-from laumut.polyhedra import dual_ehrhart_counts, hull
+from laumut.polyhedra import dual_ehrhart_counts, hull, lattice_cycle
 
 F = Fraction
 
@@ -113,6 +113,9 @@ def test_canonical_form_matches_mat_vec_oracle(canonical_form_oracle):
             continue
         got = canonical_form(p)
         assert got == canonical_form_oracle(p)
+        cycle = lattice_cycle(p)
+        assert cycle == [tuple(int(c) for c in v) for v in fraction_vertex_cycle(p)]
+        assert all(type(c) is int for v in cycle for c in v)
         assert all(type(c) is int for rows in (got[0].vertices, got[1]) for row in rows for c in row)
         moved = apply_matrix(p, random_unimodular(rng, 2))
         assert canonical_form(moved)[0] == got[0]
@@ -175,6 +178,22 @@ def test_explore_hulls_each_polygon_once(monkeypatch):
     graph = explore_graph(parse(FPRIME), 3)
     assert len(planar) == 1 + len(graph.edges) == 28
     assert graph.merges
+
+
+def test_explore_chains_only_int_points(monkeypatch):
+    # Each Newton polygon is chained from its int support, and canonical
+    # forms and facets from the hull's vertices converted to ints once.
+    chained = []
+    chain = polyhedra.convex_cycle
+
+    def counted(points):
+        chained.append(points)
+        return chain(points)
+
+    monkeypatch.setattr(polyhedra, "convex_cycle", counted)
+    explore_graph(parse(FPRIME), 3)
+    assert len(chained) == 62
+    assert all(type(c) is int for points in chained for point in points for c in point)
 
 
 def test_mutation_neighbors_takes_a_known_polygon():

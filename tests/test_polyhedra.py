@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import normalized_volume_2d
+from conftest import fraction_vertex_cycle, normalized_volume_2d
 from laumut import polyhedra
 from laumut.deformation import _level_slice, verify_main_theorem
 from laumut.exactlat import (
@@ -41,10 +41,10 @@ from laumut.polyhedra import (
     is_lattice_polyhedron,
     is_minkowski_sum,
     kernel_slice,
+    lattice_cycle,
     minkowski_sum,
     polar_dual,
     tailcone,
-    vertex_cycle,
     verify_admissibility,
 )
 
@@ -326,8 +326,8 @@ def test_dual_counts_of_worked_polygons_follow_pick_to_large_k(polar_dual_oracle
         dual = polar_dual_oracle(p)
         assert is_lattice_polyhedron(dual)
         volume = normalized_volume_2d(dual)
-        cycle = vertex_cycle(dual)
-        boundary = sum(gcd(*(int(b - a) for a, b in zip(v, w))) for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+        cycle = lattice_cycle(dual)
+        boundary = sum(gcd(*(b - a for a, b in zip(v, w))) for v, w in zip(cycle, cycle[1:] + cycle[:1]))
         assert dual_ehrhart_counts(p, 400) == [volume / 2 * k * k + Fraction(boundary, 2) * k + 1 for k in range(1, 401)]
 
 
@@ -572,14 +572,14 @@ def test_extreme_rays_are_extreme(rank):
 # -- polygon walks -----------------------------------------------------------------
 
 
-def test_vertex_cycle_ccw_from_lex_min():
+def test_lattice_cycle_ccw_from_lex_min():
     p = hull(V((-1, 1), (1, 1), (0, -1)))
-    assert vertex_cycle(p) == V((-1, 1), (0, -1), (1, 1))
-    a, b, c = vertex_cycle(p)
+    assert lattice_cycle(p) == [(-1, 1), (0, -1), (1, 1)]
+    a, b, c = lattice_cycle(p)
     assert [f.vertices for f in polygon_facets(p)] == [(a, b), (b, c), (c, a)]
 
 
-def test_vertex_cycle_of_random_lattice_polygons():
+def test_lattice_cycle_of_random_lattice_polygons():
     # Oracle-free: a counterclockwise convex cycle turns left at every
     # vertex and sweeps every other vertex counterclockwise from the start.
     def cross(o, a, b):
@@ -593,7 +593,7 @@ def test_vertex_cycle_of_random_lattice_polygons():
         if len(p.vertices) < 3:
             continue
         checked += 1
-        cyc = vertex_cycle(p)
+        cyc = lattice_cycle(p)
         m = len(cyc)
         assert cyc[0] == min(p.vertices)
         assert sorted(cyc) == sorted(p.vertices)
@@ -601,9 +601,26 @@ def test_vertex_cycle_of_random_lattice_polygons():
         assert all(cross(cyc[0], cyc[i], cyc[i + 1]) > 0 for i in range(1, m - 1))
 
 
-def test_vertex_cycle_segment_and_point():
-    assert vertex_cycle(hull(V((1, 0), (-1, 0)))) == V((-1, 0), (1, 0))
-    assert vertex_cycle(hull(V((2, 3)))) == V((2, 3))
+def test_fraction_vertex_cycle_segment_and_point():
+    assert fraction_vertex_cycle(hull(V((1, 0), (-1, 0)))) == V((-1, 0), (1, 0))
+    assert fraction_vertex_cycle(hull(V((2, 3)))) == V((2, 3))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        hull([(Fraction(0),), (Fraction(1),)]),
+        hull(V((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        hull(V((0, 0), (1, 0), (0, 1)), [(1, 1)]),
+        hull(V((0, 0), (1, 0), (Fraction(1, 2), 1))),
+        hull(V((1, 0), (-1, 0))),
+        hull(V((2, 3))),
+    ],
+    ids=["rank 1", "rank 3", "ray", "rational triangle", "segment", "point"],
+)
+def test_lattice_cycle_rejects_what_is_not_a_lattice_polygon(p):
+    with pytest.raises(ValueError, match="a lattice polygon"):
+        lattice_cycle(p)
 
 
 def test_normalized_volume():
