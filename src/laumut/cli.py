@@ -46,7 +46,8 @@ class DomainFailure(Exception):
         self.payload = payload
 
 
-def _read_file_polynomials(path: str) -> list[LaurentPolynomial]:
+def _read_file_polynomial(path: str) -> LaurentPolynomial:
+    """The first polynomial of a file, past blank lines and ``#`` comments; a parse error names its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -54,8 +55,15 @@ def _read_file_polynomials(path: str) -> list[LaurentPolynomial]:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {path}: not UTF-8 text")
-    bodies = (line.split("#", 1)[0].strip() for line in lines)
-    return [parse(body) for body in bodies if body]
+    for number, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            try:
+                return parse(body)
+            except ParseError as exc:
+                exc.args = (f"line {number} of {path}: {exc}",)
+                raise
+    raise UsageError(f"no polynomial found in {path}")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -72,10 +80,7 @@ def _load_polynomial(args) -> LaurentPolynomial:
     if args.poly is not None:
         return parse(args.poly)
     if args.file is not None:
-        polys = _read_file_polynomials(args.file)
-        if not polys:
-            raise UsageError(f"no polynomial found in {args.file}")
-        return polys[0]
+        return _read_file_polynomial(args.file)
     raise UsageError("a polynomial is required (--f or --file)")
 
 

@@ -4,12 +4,13 @@ A polynomial f with 0 interior to its Newton polytope spans a cone
 sigma over Delta(f) placed at height 1 along a new grading coordinate
 (put first). Slicing sigma by the divided-variable functional u at
 levels +1, 0, -1 produces polyhedra Delta_0, tau, Delta_inf in the
-(grading, kernel) coordinates; the slice at level +-1 is the hull of
-(1, x)/|i| over the points (x, i) on that side, plus tau's rays. A
-divisor g that makes f mutable splits Delta_0 into a Minkowski sum
-Delta_0^0 + Delta_0^1, and regluing the pieces with opposite signs of
-the divided coordinate yields a second cone sigma_inf describing the
-other end of the family. Delta_0^1 is the divisor's Newton polytope at
+(grading, kernel) coordinates. Delta_0 and Delta_inf are read off
+sigma's rays and facets (:func:`polyhedra.level_slice`); only tau takes
+a kernel pass. A divisor g that makes f mutable splits Delta_0 into a
+Minkowski sum Delta_0^0 + Delta_0^1, each the hull of integer points
+plus tau's rays, and regluing the pieces with opposite signs of the
+divided coordinate yields a second cone sigma_inf describing the other
+end of the family. Delta_0^1 is the divisor's Newton polytope at
 grading 0, a lattice polytope, and it belongs to both pairs the gluing
 needs, (Delta_0^0, Delta_0^1) and (Delta_0^1, Delta_inf); so both are
 certified admissible by the lattice-polyhedron certificate and the
@@ -25,10 +26,9 @@ drop the divided one, so they are simply the first n coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .exactlat import IntVec, primitive_from_rational, unit_vector, vadd
+from .exactlat import IntVec, unit_vector
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -37,12 +37,13 @@ from .polyhedra import (
     Polyhedron,
     cone_over,
     contains_origin_interior,
+    dehomogenize,
     dual_ehrhart_counts,
-    hull,
     is_admissible_pair,
     is_lattice_polyhedron,
     is_minkowski_sum,
     kernel_slice,
+    level_slice,
 )
 
 
@@ -140,36 +141,39 @@ def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
     return _family(f, spec, hyp, spec.to_adapted(hyp.report.mutated))
 
 
-def _level_slice(points: Iterable, sign: int, tail: Cone) -> Polyhedron:
-    """The level-``sign`` slice of the pointed cone over ``points`` (divided
-    exponent last): the hull of each (1, x)/|i| with sign * i > 0, plus ``tail``."""
-    pts = [tuple(Fraction(c, abs(e[-1])) for c in (1,) + e[:-1]) for e in points if sign * e[-1] > 0]
-    return hull(pts, tail.rays)
-
-
 def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_adapted: LaurentPolynomial) -> FamilyData:
     n = spec.rank
     sigma = cone_over(hyp.newton, 0)
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
     tail = kernel_slice(sigma, u)
-    delta0 = _level_slice(hyp.newton.vertices, 1, tail)
-    delta_inf = _level_slice(hyp.newton.vertices, -1, tail)
+    delta0 = level_slice(sigma, tail, 1)
+    delta_inf = level_slice(sigma, tail, -1)
 
     # The mutated terms at a positive level i are those of the quotient f_i / g^i.
-    delta00 = _level_slice(mutated_adapted.support(), 1, tail)
-    pts01 = [(0,) + e for e in spec.divisor.support()]
-    delta01 = hull(pts01, tail.rays)
+    # Delta_0^0 is the hull of each (1, x)/i and Delta_0^1 of each (0, e), both
+    # plus the tail rays; their homogenizations are spanned by (i, 1, x),
+    # (1, 0, e) and (0, r), all int vectors.
+    tail_gens = [(0,) + r for r in tail.rays]
+    gens00 = [(e[-1], 1) + e[:-1] for e in mutated_adapted.support() if e[-1] > 0]
+    cone00 = Cone.from_generators(n + 1, gens00 + tail_gens)
+    cone01 = Cone.from_generators(n + 1, [(1, 0) + e for e in spec.divisor.support()] + tail_gens)
+    delta00, delta01 = dehomogenize(cone00), dehomogenize(cone01)
     if not is_minkowski_sum(delta00, delta01, delta0):
         raise AssertionError("divisor decomposition must rebuild the +1 slice")
 
-    # Both pairs contain the lattice polytope delta01, and every slice is a
-    # hull over tail.rays, so both verdicts are "yes" by the lattice certificate.
+    # Both pairs contain the lattice polytope delta01, and every slice has the
+    # rays tail.rays, so both verdicts are "yes" by the lattice certificate.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
-    gens = [r + (0,) for r in tail.rays]
-    gens += [primitive_from_rational(v + (1,)) for v in delta00.vertices]
-    # Height -1 carries Delta_0^1 + Delta_inf; the cone keeps only its extreme vertex sums.
-    gens += [primitive_from_rational(vadd(v, w) + (-1,)) for v in delta01.vertices for w in delta_inf.vertices]
+    # sigma_inf is spanned by the tail rays at divided height 0, by each vertex
+    # y/h of Delta_0^0 (homogenized ray (h, y)) at height +1 as (y, h), and at
+    # height -1 by each sum v + r[:-1]/|r_last| of a vertex of Delta_0^1 and one
+    # of Delta_inf (r a down ray of sigma), scaled to (|r_last| v + r[:-1], r_last).
+    # The cone keeps only the extreme ones, so Delta_0^1 + Delta_inf is never hulled.
+    gens = [r + (0,) for r in tail.rays] + [g[1:] + (g[0],) for g in cone00.rays if g[0]]
+    down = [r for r in sigma.rays if r[-1] < 0]
+    verts01 = [g[1:] for g in cone01.rays if g[0]]
+    gens += [tuple(-r[-1] * a + b for a, b in zip(v, r[:-1])) + (r[-1],) for v in verts01 for r in down]
     sigma_inf = Cone.from_generators(n + 1, gens)
     return FamilyData(
         f=f,
@@ -188,6 +192,10 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
 
 
 # -- theorem verification ------------------------------------------------------
+
+
+def _rows(vectors) -> list[list[str]]:
+    return [[str(c) for c in v] for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,11 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     checks: list[CheckResult] = []
     data: dict = {"polynomial": to_string(f), "spec": spec.to_dict()}
 
+    def record(name: str, ok: bool, details: dict) -> None:
+        checks.append(CheckResult(name, "pass" if ok else "fail", details))
+
     hyp = check_hypotheses(f, spec)
-    checks.append(CheckResult("hypotheses", "fail" if hyp.failures else "pass", {**hyp.details, "failures": hyp.failures}))
+    record("hypotheses", not hyp.failures, {**hyp.details, "failures": hyp.failures})
     if hyp.failures:
         for name in ("family", "mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts"):
             checks.append(CheckResult(name, "skipped", {"reason": "hypotheses failed"}))
@@ -259,69 +270,32 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     nf_mut = newton_polytope(mutated_adapted)
     sigma_prime = cone_over(nf_mut, 0)
     data["mutated"] = to_string(hyp.report.mutated)
-    data["sigma_rays"] = [[str(c) for c in r] for r in family.sigma.rays]
-    data["sigma_infinity_rays"] = [[str(c) for c in r] for r in family.sigma_inf.rays]
-    data["sigma_infinity_rays_grading_last"] = [[str(c) for c in r[1:] + (r[0],)] for r in family.sigma_inf.rays]
-    data["sigma_prime_rays"] = [[str(c) for c in r] for r in sigma_prime.rays]
+    data["sigma_rays"] = _rows(family.sigma.rays)
+    data["sigma_infinity_rays"] = _rows(family.sigma_inf.rays)
+    data["sigma_infinity_rays_grading_last"] = _rows(r[1:] + (r[0],) for r in family.sigma_inf.rays)
+    data["sigma_prime_rays"] = _rows(sigma_prime.rays)
+    cone_rays = {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}
+    record("mutation_cone_match", family.sigma_inf == sigma_prime, cone_rays)
 
-    cone_ok = family.sigma_inf == sigma_prime
-    checks.append(
-        CheckResult(
-            "mutation_cone_match",
-            "pass" if cone_ok else "fail",
-            {
-                "sigma_infinity_rays": data["sigma_infinity_rays"],
-                "sigma_prime_rays": data["sigma_prime_rays"],
-            },
-        )
-    )
-
-    u = family.direction
-    tail_prime = kernel_slice(sigma_prime, u)
-    tail_ok = tail_prime == family.tail
-    checks.append(
-        CheckResult(
-            "tailcone_preserved",
-            "pass" if tail_ok else "fail",
-            {
-                "tail_rays": [[str(c) for c in r] for r in family.tail.rays],
-                "tail_prime_rays": [[str(c) for c in r] for r in tail_prime.rays],
-            },
-        )
-    )
+    tail_prime = kernel_slice(sigma_prime, family.direction)
+    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": _rows(tail_prime.rays)}
+    record("tailcone_preserved", tail_prime == family.tail, tail_rays)
 
     # The far-fiber classification is recorded: its truth value is data, not a requirement.
-    checks.append(
-        CheckResult(
-            "fiber_class",
-            "pass",
-            {
-                "general_fiber_is_toric": general_fiber_is_toric(family.delta_inf),
-                "delta_inf_vertices": [[str(c) for c in v] for v in family.delta_inf.vertices],
-            },
-        )
-    )
+    fiber = {
+        "general_fiber_is_toric": general_fiber_is_toric(family.delta_inf),
+        "delta_inf_vertices": _rows(family.delta_inf.vertices),
+    }
+    checks.append(CheckResult("fiber_class", "pass", fiber))
 
     # The hypotheses already put the origin inside Delta(f); only the mutated polytope is open.
     if contains_origin_interior(nf_mut):
         counts_f = dual_ehrhart_counts(hyp.newton, kmax)
         counts_m = dual_ehrhart_counts(nf_mut, kmax)
-        counts_ok = counts_f == counts_m
-        checks.append(
-            CheckResult(
-                "dual_lattice_counts",
-                "pass" if counts_ok else "fail",
-                {"input": counts_f, "mutated": counts_m},
-            )
-        )
+        record("dual_lattice_counts", counts_f == counts_m, {"input": counts_f, "mutated": counts_m})
     else:
-        checks.append(
-            CheckResult(
-                "dual_lattice_counts",
-                "skipped",
-                {"reason": "a polar dual does not exist (origin not interior)"},
-            )
-        )
+        reason = {"reason": "a polar dual does not exist (origin not interior)"}
+        checks.append(CheckResult("dual_lattice_counts", "skipped", reason))
 
     passed = all(c.status != "fail" for c in checks) and all(
         c.status == "pass" for c in checks[:4]

@@ -380,11 +380,11 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[Laurent
 
 
 def act_unimodular(f: LaurentPolynomial, matrix: Sequence[Sequence[int]]) -> LaurentPolynomial:
-    """Monomial change of variables: exponent e becomes matrix @ e."""
+    """Monomial change of variables: exponent e becomes matrix @ e. An int
+    matrix of determinant +-1 maps the terms one to one; only their order changes."""
+    matrix = [tuple(map(index, row)) for row in matrix]
     if len(matrix) != f.rank or any(len(row) != f.rank for row in matrix):
         raise ValueError("matrix shape does not match rank")
     if abs(determinant(matrix)) != 1:
         raise ValueError("matrix is not unimodular")
-    return LaurentPolynomial.from_terms(
-        f.rank, [(mat_vec(matrix, e), c) for e, c in f.terms]
-    )
+    return LaurentPolynomial(f.rank, tuple(sorted((mat_vec(matrix, e), c) for e, c in f.terms)))

@@ -12,7 +12,9 @@ again; only a cone with a line (or, from normals, one that is not
 full-dimensional) takes a second pass. The cone over a bounded
 full-dimensional polytope takes none: its rays and facets are the
 polytope's vertices and halfspaces, lifted. A polar dual takes none
-either: it swaps the polytope's vertices and facets.
+either: it swaps the polytope's vertices and facets. Nor does a level
+slice of a pointed full-dimensional cone: it is read off the cone's rays
+and facets.
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -325,7 +327,7 @@ class Polyhedron:
         return hull(verts, rays)
 
 
-def _dehomogenize(cone: Cone) -> Polyhedron:
+def dehomogenize(cone: Cone) -> Polyhedron:
     """The polyhedron whose homogenization is ``cone``: generators at
     positive height in the first coordinate give its vertices, those at
     height 0 its rays, and facet normals other than ``x0 >= 0`` its
@@ -363,7 +365,7 @@ def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Poly
         raise ValueError("mixed dimensions in hull input")
     gens = [primitive_from_rational((1,) + p) for p in pts]
     gens += [(0,) + primitive_vector(tuple(r)) for r in rays]
-    return _dehomogenize(Cone.from_generators(rank + 1, gens))
+    return dehomogenize(Cone.from_generators(rank + 1, gens))
 
 
 def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: int) -> Polyhedron:
@@ -382,7 +384,7 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
             continue
         d = offset.denominator
         hcons.append((-int(offset * d),) + tuple(x * d for x in normal))
-    return _dehomogenize(_cone_from_normals(rank + 1, hcons))
+    return dehomogenize(_cone_from_normals(rank + 1, hcons))
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -444,6 +446,23 @@ def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:
         raise ValueError("slice direction must be a primitive functional")
     _, kernel = adapted_basis(u)
     return _cone_from_normals(len(u) - 1, [tuple(dot(n, k) for k in kernel) for n in cone.facet_normals])
+
+
+def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
+    """The slice ``{x in sigma : x_last = sign}`` (sign +-1) of a pointed
+    full-dimensional cone, in the first coordinates, whose level-0 slice
+    :func:`kernel_slice` gave as ``tail``. No kernel pass runs: homogenized,
+    the slice is spanned by (|r_last|, r[:-1]) for each ray r with
+    sign * r_last > 0 and by tail's rays, and cut out by (sign * N_last, N[:-1])
+    for each facet normal N of sigma tight on such an r; the other facets miss
+    the slice. ValueError for a line, an equation, or an empty slice."""
+    normals = set(sigma.facet_normals)
+    if sigma.lineality or any(vneg(n) in normals for n in normals):
+        raise ValueError("level slice needs a pointed full-dimensional cone")
+    side = [r for r in sigma.rays if sign * r[-1] > 0]
+    rays = [(abs(r[-1]),) + r[:-1] for r in side] + [(0,) + t for t in tail.rays]
+    facets = [(sign * n[-1],) + n[:-1] for n in sigma.facet_normals if any(dot(n, r) == 0 for r in side)]
+    return dehomogenize(Cone(sigma.rank, tuple(rays), tuple(facets), ()))
 
 
 def is_lattice_polyhedron(p: Polyhedron) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from laumut.exactlat import (
     adapted_basis,
     content,
+    determinant,
     dot,
     inverse_unimodular,
     mat_mul,
@@ -34,9 +35,9 @@ from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import (
     Cone,
     _cone_from_normals,
-    _dehomogenize,
     contains_origin_interior,
     convex_cycle,
+    dehomogenize,
     extreme_rays,
     hull,
 )
@@ -143,7 +144,7 @@ def kernel_polar_dual(p):
         raise ValueError("polar dual needs the origin in the interior")
     normals = [unit_vector(p.rank + 1, 0)]
     normals += [primitive_from_rational((1,) + v) for v in p.vertices]
-    return _dehomogenize(_cone_from_normals(p.rank + 1, normals))
+    return dehomogenize(_cone_from_normals(p.rank + 1, normals))
 
 
 @pytest.fixture
@@ -354,17 +355,43 @@ def cone_level_slice(cone, u, level):
         raise ValueError("slice level must be +1 or -1")
     if content(u) != 1:
         raise ValueError("slice direction must be a primitive functional")
-    if all(dot(u, r) >= 0 for r in cone.rays) or all(dot(u, r) <= 0 for r in cone.rays):
-        raise ValueError("direction not admissible for slicing: +/-u is nonnegative on the cone")
+    if all(level * dot(u, r) <= 0 for r in cone.rays):
+        raise ValueError("the slice is empty: no ray of the cone at that level")
     w, kernel = adapted_basis(u)
     normals = [unit_vector(len(u), 0)]
     normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
-    return _dehomogenize(_cone_from_normals(len(u), normals))
+    return dehomogenize(_cone_from_normals(len(u), normals))
 
 
 @pytest.fixture
 def level_slice_oracle():
     return cone_level_slice
+
+
+def hull_level_slice(points, sign, tail):
+    """Oracle for ``polyhedra.level_slice``: the level-``sign`` slice of the
+    pointed cone over ``points`` (divided exponent last), as the hull of
+    each (1, x)/|i| with sign * i > 0, plus ``tail``."""
+    pts = [tuple(Fraction(c, abs(e[-1])) for c in (1,) + e[:-1]) for e in points if sign * e[-1] > 0]
+    return hull(pts, tail.rays)
+
+
+@pytest.fixture
+def hull_slice_oracle():
+    return hull_level_slice
+
+
+def from_terms_act_unimodular(f, matrix):
+    """Oracle for ``act_unimodular``: every mapped term summed again by
+    ``from_terms``, as if two exponents could meet."""
+    if abs(determinant(matrix)) != 1:
+        raise ValueError("matrix is not unimodular")
+    return LaurentPolynomial.from_terms(f.rank, [(mat_vec(matrix, e), c) for e, c in f.terms])
+
+
+@pytest.fixture
+def act_unimodular_oracle():
+    return from_terms_act_unimodular
 
 
 def mat_vec_canonical_form(p):

@@ -151,6 +151,18 @@ def test_file_input_with_comments(capsys, tmp_path):
     assert parse(payload["polynomial"]) == parse(F3)
 
 
+def test_file_input_parses_only_the_first_polynomial(capsys, tmp_path):
+    path = tmp_path / "polys.txt"
+    path.write_text(F4 + "\n3x\n")
+    code, payload, _ = run_json(capsys, "facets", "--file", str(path))
+    assert code == 0
+    assert parse(payload["polynomial"]) == parse(F4)
+    path.write_text("# comment\n\n3x\n" + F4 + "\n")
+    code, out, err = run(capsys, "facets", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 3 of {path}: expected '+' or '-' between terms (at position 1)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -297,6 +297,22 @@ def test_act_unimodular_group_action():
         assert back == f
 
 
+def test_act_unimodular_matches_from_terms(act_unimodular_oracle):
+    rng = random.Random(23)
+    for _ in range(30):
+        rank = rng.randint(1, 4)
+        terms = {e: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for e in random_poly(rng, rank).support()}
+        f = LaurentPolynomial.from_terms(rank, terms)
+        a = random_unimodular(rng, rank)
+        assert act_unimodular(f, a) == act_unimodular_oracle(f, a)
+    f = parse("1/2*x + y^2")
+    with pytest.raises(ValueError):
+        act_unimodular(f, ((1, 1), (1, -1)))
+    # Determinant 1 over the rationals, but the exponents would not stay integral.
+    with pytest.raises(TypeError):
+        act_unimodular(f, ((2, 0), (0, Fraction(1, 2))))
+
+
 def test_act_unimodular_rejects_singular():
     with pytest.raises(ValueError):
         act_unimodular(parse("x + y"), ((1, 0), (0, 2)))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fraction_vertex_cycle, normalized_volume_2d
 from laumut import polyhedra
-from laumut.deformation import _level_slice, verify_main_theorem
+from laumut.deformation import verify_main_theorem
 from laumut.exactlat import (
     dot,
     inverse_unimodular,
@@ -42,6 +42,7 @@ from laumut.polyhedra import (
     is_minkowski_sum,
     kernel_slice,
     lattice_cycle,
+    level_slice,
     minkowski_sum,
     polar_dual,
     tailcone,
@@ -240,9 +241,56 @@ def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
         u = (0, 0, 1)
         tau = kernel_slice(sigma, u)
         for sign in (1, -1):
-            s = _level_slice(p.vertices, sign, tau)
+            s = level_slice(sigma, tau, sign)
             assert s == level_slice_oracle(sigma, u, sign)
             assert tailcone(s) == tau
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, level_slice_oracle):
+    # Halfspaces are not printed, so only full dataclass equality sees them.
+    rng = random.Random(90 + rank)
+    u = unit_vector(rank + 1, rank)
+    seen = {"bounded": 0, "unbounded": 0}
+    while min(seen.values()) < 6:
+        straddle = rng.random() < 0.5
+        low = -4 if straddle else 1
+        pts = [
+            tuple(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in range(rank - 1))
+            + (Fraction(rng.randint(low, 4), rng.choice([1, 1, 3])),)
+            for _ in range(rank + rng.randint(1, 4))
+        ]
+        p = hull(pts)
+        if p.dim() < rank:
+            continue
+        sigma = cone_over(p, 0)
+        tail = kernel_slice(sigma, u)
+        seen["unbounded" if tail.rays else "bounded"] += 1
+        for sign in (1, -1):
+            if not any(sign * v[-1] > 0 for v in p.vertices):
+                with pytest.raises(ValueError):
+                    level_slice(sigma, tail, sign)
+                continue
+            s = level_slice(sigma, tail, sign)
+            assert s == hull_slice_oracle(p.vertices, sign, tail)
+            assert s == level_slice_oracle(sigma, u, sign)
+            assert tailcone(s) == tail
+
+
+@pytest.mark.parametrize(
+    "cone,sign",
+    [
+        (Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)]), 1),
+        (Cone.from_generators(3, [(1, 0, 1), (1, 1, -1)]), 1),
+        (cone_over(hull(V((0, 1), (1, 2), (-1, 2))), 0), -1),
+    ],
+    ids=["line", "equation", "no_ray_at_level"],
+)
+def test_level_slice_preconditions(cone, sign):
+    # The line and equation cones have rays at level 1, so only their shape refuses them.
+    tail = kernel_slice(cone, (0, 0, 1))
+    with pytest.raises(ValueError):
+        level_slice(cone, tail, sign)
 
 
 # -- lattice tests and duals ------------------------------------------------------
@@ -761,6 +809,7 @@ def test_hull_rejects_zero_ray():
 
 
 SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
+SIGMA_TAIL = kernel_slice(SIGMA, (0, 0, 1))
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 SEGMENT = hull(V((0, 0), (1, 2)))
 OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
@@ -778,6 +827,8 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: dual_ehrhart_counts(SQUARE, 6), 0),
         (lambda: dual_ehrhart_counts(OCTAHEDRON, 6), 1),
         (lambda: kernel_slice(SIGMA, (0, 0, 1)), 1),
+        # A level slice of a pointed full-dimensional cone is read off its rays and facets.
+        (lambda: level_slice(SIGMA, SIGMA_TAIL, 1), 0),
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),
         # A cone with a line takes a second pass for its lineality basis.
         (lambda: Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]), 2),
@@ -793,7 +844,7 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
     ],
     ids=[
         "hull", "hull_rays", "from_halfspaces", "polar_dual", "dual_counts_rank2", "dual_counts_rank3",
-        "kernel_slice", "from_generators",
+        "kernel_slice", "level_slice", "from_generators",
         "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
         "divide_exact",
     ],
