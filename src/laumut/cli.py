@@ -17,9 +17,10 @@ import json
 import re
 import sys
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .deformation import FamilyData, FamilyError, build_family, check_hypotheses, verify_main_theorem
+from .exactlat import unit_vector
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -88,18 +89,17 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
     if args.by is None:
         raise UsageError("a divisor is required (--by)")
     if args.u is not None:
-        try:
-            direction = tuple(int(part) for part in args.u.split(","))
-        except ValueError:
+        # ASCII digits only, as in the polynomial syntax; int() alone takes any script's digits and "_".
+        if not re.fullmatch(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*", args.u):
             raise UsageError(f"--u must be a comma-separated integer vector, got {args.u!r}")
+        direction = tuple(int(part) for part in args.u.split(","))
         if len(direction) != f.rank:
             raise UsageError(f"--u has length {len(direction)}, expected {f.rank}")
     elif args.divide is not None:
         names = variable_names(f.rank)
         if args.divide not in names:
             raise UsageError(f"--divide must name one of {', '.join(names)}")
-        idx = names.index(args.divide)
-        direction = tuple(1 if i == idx else 0 for i in range(f.rank))
+        direction = unit_vector(f.rank, names.index(args.divide))
     else:
         raise UsageError("a direction is required (--divide or --u)")
     divisor = parse(args.by, rank=f.rank)
@@ -126,24 +126,16 @@ def _family_or_fail(f: LaurentPolynomial, spec: MutationSpec):
         raise DomainFailure({"error": str(exc), "failures": exc.failures})
 
 
-FAMILY_SLICES = (
-    ("Delta_0", "delta0"),
-    ("Delta_inf", "delta_inf"),
-    ("Delta_0^0", "delta00"),
-    ("Delta_0^1", "delta01"),
-)
-
-
 def _family_items(fd: FamilyData) -> list:
     """The four family slices to draw, labelled."""
-    return [(label, getattr(fd, name)) for label, name in FAMILY_SLICES]
+    return [("Delta_0", fd.delta0), ("Delta_inf", fd.delta_inf), ("Delta_0^0", fd.delta00), ("Delta_0^1", fd.delta01)]
 
 
-def _maybe_svg(args, items) -> Optional[str]:
-    if args.svg is None:
-        return None
-    _write_file(args.svg, render_svg(items))
-    return args.svg
+def _attach_svg(args, payload: dict, items: Callable[[], list]) -> None:
+    """With ``--svg``, draw ``items()`` there and name the file in the payload; without it, build nothing."""
+    if args.svg is not None:
+        _write_file(args.svg, render_svg(items()))
+        payload["svg"] = args.svg
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -153,9 +145,7 @@ def _cmd_newton(args):
     f = _load_polynomial(args)
     p = newton_polytope(f)
     payload = {"polynomial": to_string(f), "newton": p.to_dict()}
-    svg = _maybe_svg(args, [("Delta(f)", p)])
-    if svg:
-        payload["svg"] = svg
+    _attach_svg(args, payload, lambda: [("Delta(f)", p)])
     summary = [f"newton polytope: {len(p.vertices)} vertices, {len(p.rays)} rays"]
     return payload, 0, summary
 
@@ -195,9 +185,7 @@ def _cmd_mutate(args):
     g = _mutated_or_fail(f, spec, context)
     mutated = to_string(g)
     payload = {**context, "mutated": mutated, "support": [[str(c) for c in e] for e in g.support()]}
-    if args.svg is not None:
-        items = [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))]
-        payload["svg"] = _maybe_svg(args, items)
+    _attach_svg(args, payload, lambda: [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))])
     return payload, 0, [f"mutated: {mutated}"]
 
 
@@ -206,9 +194,7 @@ def _cmd_family(args):
     spec = _mutation_spec(f, args)
     fd = _family_or_fail(f, spec)
     payload = fd.to_dict()
-    svg = _maybe_svg(args, _family_items(fd))
-    if svg:
-        payload["svg"] = svg
+    _attach_svg(args, payload, lambda: _family_items(fd))
     summary = [
         f"general fiber toric: {payload['general_fiber_is_toric']}",
         f"sigma_infinity rays: {payload['sigma_infinity']['rays']}",
@@ -223,8 +209,8 @@ def _cmd_verify(args):
     spec = _mutation_spec(f, args)
     report = verify_main_theorem(f, spec, kmax=args.kmax)
     payload = report.to_dict()
-    if args.svg is not None and report.family is not None:
-        payload["svg"] = _maybe_svg(args, _family_items(report.family))
+    if report.family is not None:
+        _attach_svg(args, payload, lambda: _family_items(report.family))
     summary = [f"passed: {report.passed}"] + [
         f"  {c.name}: {c.status}" for c in report.checks
     ]

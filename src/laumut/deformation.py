@@ -2,11 +2,12 @@
 
 A polynomial f with 0 interior to its Newton polytope spans a cone
 sigma over Delta(f) placed at height 1 along a new grading coordinate
-(put first). Slicing sigma by the divided-variable functional u at
-levels +1, 0, -1 produces polyhedra Delta_0, tau, Delta_inf in the
-(grading, kernel) coordinates. Delta_0 and Delta_inf are read off
-sigma's rays and facets (:func:`polyhedra.level_slice`); only tau takes
-a kernel pass. A divisor g that makes f mutable splits Delta_0 into a
+(put first). The divided-variable functional u is the last coordinate
+of the adapted frame; slicing sigma at its levels +1, 0, -1 produces
+polyhedra Delta_0, tau, Delta_inf in the (grading, kernel) coordinates.
+Delta_0 and Delta_inf are read off sigma's rays and facets
+(:func:`polyhedra.level_slice`); only tau (:func:`polyhedra.kernel_slice`)
+takes a kernel pass. A divisor g that makes f mutable splits Delta_0 into a
 Minkowski sum Delta_0^0 + Delta_0^1, each the hull of integer points
 plus tau's rays, and regluing the pieces with opposite signs of the
 divided coordinate yields a second cone sigma_inf describing the other
@@ -146,7 +147,7 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
     sigma = cone_over(hyp.newton, 0)
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
-    tail = kernel_slice(sigma, u)
+    tail = kernel_slice(sigma)
     delta0 = level_slice(sigma, tail, 1)
     delta_inf = level_slice(sigma, tail, -1)
 
@@ -277,7 +278,7 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     cone_rays = {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}
     record("mutation_cone_match", family.sigma_inf == sigma_prime, cone_rays)
 
-    tail_prime = kernel_slice(sigma_prime, family.direction)
+    tail_prime = kernel_slice(sigma_prime)
     tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": _rows(tail_prime.rays)}
     record("tailcone_preserved", tail_prime == family.tail, tail_rays)
 

@@ -85,7 +85,7 @@ class MutationSpec:
     def from_direction(direction: Sequence[int], divisor: LaurentPolynomial) -> "MutationSpec":
         """Build the canonical adapted basis for u; the divisor is given in
         the original coordinates and must be supported on ker u."""
-        u = tuple(int(c) for c in direction)
+        u = tuple(exact_int(c) for c in direction)
         w, kernel = adapted_basis(u)
         basis = transpose(list(kernel) + [w])
         if divisor.rank != len(u):
@@ -103,12 +103,8 @@ class MutationSpec:
 
     @staticmethod
     def from_adapted(direction: Sequence[int], basis: Sequence[Sequence[int]], divisor: LaurentPolynomial) -> "MutationSpec":
-        return MutationSpec(
-            len(tuple(direction)),
-            tuple(int(c) for c in direction),
-            tuple(tuple(int(c) for c in row) for row in basis),
-            divisor,
-        )
+        u = tuple(exact_int(c) for c in direction)
+        return MutationSpec(len(u), u, tuple(tuple(exact_int(c) for c in row) for row in basis), divisor)
 
     def inverse(self) -> "MutationSpec":
         """Same divisor, opposite direction; undoes this mutation."""
@@ -142,7 +138,7 @@ class MutationSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "MutationSpec":
-        rank = int(data["rank"])
+        rank = exact_int(data["rank"])
         direction = tuple(exact_int(c) for c in data["direction"])
         basis = tuple(tuple(exact_int(c) for c in row) for row in data["basis"])
         divisor = parse(data["divisor"], rank=rank - 1)

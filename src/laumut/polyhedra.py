@@ -38,7 +38,6 @@ from typing import Iterable, Optional, Sequence
 from .exactlat import (
     IntVec,
     QVec,
-    adapted_basis,
     content,
     dot,
     exact_fraction,
@@ -188,7 +187,7 @@ class Cone:
         dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
-        rays = _irredundant(gens, tight, range(len(gens)), rank - 1 - len(dual_l))
+        rays = _irredundant(gens, tight, rank - 1 - len(dual_l))
         if rays is not None:
             return Cone(rank, tuple(rays), tuple(normals), ())
         ray_r, ray_l = extreme_rays(normals, rank)
@@ -214,7 +213,7 @@ class Cone:
 
     @staticmethod
     def from_dict(data: dict) -> "Cone":
-        rank = int(data["rank"])
+        rank = exact_int(data["rank"])
         gens = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return Cone.from_generators(rank, gens)
 
@@ -224,18 +223,16 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone.from_generators(cone.rank, cone.facet_normals)
 
 
-def _irredundant(
-    vectors: list[IntVec], tight: Sequence[int], slot: Sequence[int], need: int
-) -> Optional[list[IntVec]]:
+def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Optional[list[IntVec]]:
     """The members of ``vectors`` that span extreme rays of their cone, or
     None if that cone contains a line.
 
-    ``vectors`` are distinct primitive vectors. ``tight`` holds the masks
-    of the rays of the kernel pass that dualized them: bit j of
-    ``tight[i]`` marks ``vectors[slot[j]]`` as orthogonal to the i-th ray.
-    Those rays generate the dual cone up to its lineality, on which every
-    vector is tight. Transposed, the masks give each vector's tight set
-    (cdd's incidences: Fukuda-Prodon, "Double description method
+    ``vectors`` are the distinct primitive vectors that the kernel pass
+    dualized, in its input order; ``tight`` holds the masks of the rays of
+    that pass: bit j of ``tight[i]`` marks ``vectors[j]`` as orthogonal to
+    the i-th ray. Those rays generate the dual cone up to its lineality, on
+    which every vector is tight. Transposed, the masks give each vector's
+    tight set (cdd's incidences: Fukuda-Prodon, "Double description method
     revisited", 1996), which cuts out the smallest face containing it. A
     vector tight on every ray spans a line; in a pointed cone a vector is
     extreme iff no other vector's tight set contains its own. Vectors
@@ -247,7 +244,7 @@ def _irredundant(
         b = 1 << i
         while m:
             low = m & -m
-            masks[slot[low.bit_length() - 1]] |= b
+            masks[low.bit_length() - 1] |= b
             m ^= low
     if (1 << len(tight)) - 1 in masks:
         return None
@@ -262,19 +259,17 @@ def _irredundant(
 def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
     """The cone ``{x : <n, x> >= 0 for every normal}``, canonically presented.
 
-    One kernel pass turns the normals into rays. A pointed full-dimensional
-    cone's facet normals are then the primitive normals that
-    :func:`_irredundant` keeps, scaled copies sharing one slot; any other
-    cone is rebuilt from its rays.
+    The normals are made primitive and deduplicated, as
+    :meth:`Cone.from_generators` does with generators, and one kernel pass
+    turns them into rays. A pointed full-dimensional cone's facet normals
+    are then the normals that :func:`_irredundant` keeps; any other cone is
+    rebuilt from its rays.
     """
-    normals = sorted({n for n in normals if any(n)})
+    normals = sorted({primitive_vector(n) for n in normals if any(n)})
     tight: list[int] = []
     ray_r, ray_l = extreme_rays(normals, rank, tight=tight)
     if not ray_l:
-        prims = [primitive_vector(n) for n in normals]
-        distinct = sorted(set(prims))
-        index = {p: k for k, p in enumerate(distinct)}
-        facets = _irredundant(distinct, tight, [index[p] for p in prims], rank - 1)
+        facets = _irredundant(normals, tight, rank - 1)
         if facets is not None:
             return Cone(rank, tuple(ray_r), tuple(facets), ())
     return Cone.from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
@@ -439,13 +434,11 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)), ())
 
 
-def kernel_slice(cone: Cone, u: Sequence[int]) -> Cone:
-    """The cone ``{x in cone : u(x) = 0}`` in kernel coordinates."""
-    u = tuple(u)
-    if content(u) != 1:
-        raise ValueError("slice direction must be a primitive functional")
-    _, kernel = adapted_basis(u)
-    return _cone_from_normals(len(u) - 1, [tuple(dot(n, k) for k in kernel) for n in cone.facet_normals])
+def kernel_slice(cone: Cone) -> Cone:
+    """The cone ``{x in cone : x_last = 0}`` in the first coordinates: the
+    level-0 slice along the divided coordinate, which the adapted frame
+    puts last, as for :func:`level_slice`."""
+    return _cone_from_normals(cone.rank - 1, [n[:-1] for n in cone.facet_normals])
 
 
 def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:

@@ -17,6 +17,7 @@ from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
 SCALE = 32  # pixels per lattice unit
 MARGIN = 24
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # labels as character data
 
 
 def _fmt(q: Fraction | int) -> str:
@@ -105,7 +106,7 @@ class _Canvas:
 def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
     """Draw labeled polyhedra on one shared lattice grid.
 
-    items: (label, polyhedron) pairs, all of rank 2. Returns the SVG text.
+    items: (label, polyhedron) pairs, all of rank 2; labels are XML-escaped. Returns the SVG text.
     """
     if not items:
         raise ValueError("nothing to render")
@@ -134,6 +135,6 @@ def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
         anchor = min(true_vertices) if true_vertices else min(tuple(v) for v in clipped.vertices)
         canvas.body.append(
             f'<text x="{canvas.px(anchor[0])}" y="{canvas.py(anchor[1] + Fraction(1, 3))}" '
-            f'font-family="monospace" font-size="12" fill="{color}">{label}</text>'
+            f'font-family="monospace" font-size="12" fill="{color}">{label.translate(XML_TEXT)}</text>'
         )
     return canvas.emit()

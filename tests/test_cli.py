@@ -111,6 +111,11 @@ def test_parse_error_exit_two(capsys):
         (("mutate", "--f", F3, "--divide", "q", "--by", "1+x"), "--divide must name one of"),
         (("mutate", "--f", F3, "--u", "zero,one", "--by", "1+x"), "--u"),
         (("newton",), "a polynomial is required"),
+        # Covector entries are ASCII integers, as in the polynomial syntax:
+        # int() alone reads Arabic-Indic digits as (0, 1) and "1_0" as 10.
+        (("mutate", "--f", F3, "--u", "\u0660,\u0661", "--by", "1+x"), "--u must be"),
+        (("mutate", "--f", F3, "--u", "1_0,1", "--by", "1+x"), "--u must be"),
+        (("mutate", "--f", F3, "--u", "0,+1", "--by", "1+x"), "--u must be"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):
@@ -410,6 +415,27 @@ def test_verify_svg_draws_the_family_it_built(capsys, monkeypatch, tmp_path):
     assert len(calls) == 2 * plain
     assert run(capsys, "render", *F3_MUTATION, "--family", "-o", str(tmp_path / "r.svg"))[0] == 0
     assert (tmp_path / "v.svg").read_bytes() == (tmp_path / "r.svg").read_bytes()
+
+
+def test_family_svg_is_the_render_family_file(capsys, tmp_path):
+    assert run(capsys, "family", *F3_MUTATION, "--svg", str(tmp_path / "f.svg"))[0] == 0
+    assert run(capsys, "render", *F3_MUTATION, "--family", "-o", str(tmp_path / "r.svg"))[0] == 0
+    assert (tmp_path / "f.svg").read_bytes() == (tmp_path / "r.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("newton", "--f", F3), ("mutate", *F3_MUTATION), ("family", *F3_MUTATION), ("verify", *F3_MUTATION)],
+    ids=["newton", "mutate", "family", "verify"],
+)
+def test_payload_names_the_svg_exactly_when_asked(capsys, tmp_path, argv):
+    path = tmp_path / "out.svg"
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and "svg" not in payload and not path.exists()
+    code, drawn, _ = run_json(capsys, *argv, "--svg", str(path))
+    assert code == 0 and drawn.pop("svg") == str(path)
+    assert drawn == payload
+    assert path.read_text().startswith('<?xml version="1.0"')
 
 
 def test_mutate_formats_each_polynomial_once(capsys, monkeypatch):

@@ -335,6 +335,30 @@ def test_spec_from_dict_refuses_non_integral_entries():
         MutationSpec.from_dict({**data, "basis": basis})
 
 
+def test_spec_constructors_refuse_non_integers_instead_of_truncating():
+    # int() would build the mutation along (0, 1) from (1/2, 1) and read a rank of 2.9 as 2.
+    g = parse("1 + x", rank=2)
+    with pytest.raises(ValueError):
+        MutationSpec.from_direction((Fraction(1, 2), 1), g)
+    with pytest.raises(TypeError):
+        MutationSpec.from_direction((0.0, 1), g)
+    basis = ((1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        MutationSpec.from_adapted((0, 1.7), basis, parse("1 + x"))
+    with pytest.raises(ValueError):
+        MutationSpec.from_adapted((0, 1), ((Fraction(3, 2), 0), (0, 1)), parse("1 + x"))
+    data = MutationSpec.from_direction((0, 1), g).to_dict()
+    with pytest.raises(ValueError):
+        MutationSpec.from_dict({**data, "rank": "29/10"})
+    with pytest.raises(TypeError):
+        MutationSpec.from_dict({**data, "rank": 2.9})
+    # Ints, integral Fractions and integral strings still pass.
+    spec = MutationSpec.from_direction(("0", Fraction(2, 2)), g)
+    assert spec == MutationSpec.from_direction((0, 1), g)
+    assert MutationSpec.from_adapted(("0", "1"), (("1", 0), (0, "2/2")), parse("1 + x")) == spec
+    assert MutationSpec.from_dict({**data, "rank": "2"}) == spec
+
+
 def test_check_dict_shape():
     f = parse("x^-1*y + 2*y + x*y + y^-1")
     spec = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))

@@ -198,6 +198,15 @@ def test_cone_dict_round_trip():
     assert Cone.from_dict(c.to_dict()) == c
 
 
+def test_cone_from_dict_refuses_a_non_integral_rank():
+    rays = [["1", "0"], ["0", "1"]]
+    assert Cone.from_dict({"rank": "2", "rays": rays}).rank == 2
+    with pytest.raises(ValueError):
+        Cone.from_dict({"rank": "29/10", "rays": rays})
+    with pytest.raises(TypeError):
+        Cone.from_dict({"rank": 2.9, "rays": rays})
+
+
 def test_cone_from_dict_refuses_non_integral_rays():
     assert Cone.from_dict({"rank": 2, "rays": [["2/2", "1"], ["-1", "1"]]}).rays == ((-1, 1), (1, 1))
     with pytest.raises(ValueError):
@@ -239,7 +248,7 @@ def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
         tried += 1
         sigma = cone_over(p, 0)
         u = (0, 0, 1)
-        tau = kernel_slice(sigma, u)
+        tau = kernel_slice(sigma)
         for sign in (1, -1):
             s = level_slice(sigma, tau, sign)
             assert s == level_slice_oracle(sigma, u, sign)
@@ -264,7 +273,7 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
         if p.dim() < rank:
             continue
         sigma = cone_over(p, 0)
-        tail = kernel_slice(sigma, u)
+        tail = kernel_slice(sigma)
         seen["unbounded" if tail.rays else "bounded"] += 1
         for sign in (1, -1):
             if not any(sign * v[-1] > 0 for v in p.vertices):
@@ -288,7 +297,7 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
 )
 def test_level_slice_preconditions(cone, sign):
     # The line and equation cones have rays at level 1, so only their shape refuses them.
-    tail = kernel_slice(cone, (0, 0, 1))
+    tail = kernel_slice(cone)
     with pytest.raises(ValueError):
         level_slice(cone, tail, sign)
 
@@ -501,6 +510,12 @@ def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, ran
     corpus = [[], [(0,) * rank], basis + [vneg(e) for e in basis], basis + [(-1,) * rank]]
     kinds, shapes = set(), set()
     corpus += [random_generators(rng, rank, kinds) for _ in range(100)]
+    # Scaled copies n, 2n, 3n of one normal: pointed, with a line, and flat
+    # as normals; from normals they collapse before the kernel pass.
+    e0, rest = basis[0], basis[1:]
+    corpus += [basis + [vscale(2, e0), vscale(3, e0)], [e0, vscale(2, e0), vscale(3, e0)]]
+    corpus += [rest + [e0, vscale(-2, e0), vscale(3, e0)]]
+    corpus += [rows + [vscale(2, rows[0]), vscale(3, rows[0])] for rows in corpus[4:24] if rows and any(rows[0])]
     for rows in corpus:
         got = Cone.from_generators(rank, rows)
         assert structure(got) == structure(from_generators_oracle(rank, rows))
@@ -516,9 +531,9 @@ def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, ran
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_oracle, rank):
     # Both read-offs: generators against the facet normals of their pass,
-    # and deduplicated primitive normals against the rays of theirs, with
-    # the bits of scaled copies sharing one slot. The masks themselves
-    # must be the exact tight sets of the rays they come with.
+    # and normals against the rays of theirs. Both are deduplicated
+    # primitive vectors, so scaled copies of a normal collapse before the
+    # pass. The masks must be the exact tight sets of their rays.
     rng = random.Random(9100 + rank)
     kinds, shapes = set(), set()
     for _ in range(100):
@@ -528,23 +543,21 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
         dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
         assert tight == [sum(1 << j for j, g in enumerate(gens) if not dot(g, d)) for d in dual_r]
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
-        got = polyhedra._irredundant(gens, tight, range(len(gens)), rank - 1 - len(dual_l))
+        got = polyhedra._irredundant(gens, tight, rank - 1 - len(dual_l))
         assert got == irredundant_oracle(gens, normals)
         shapes.add("line" if got is None else "pointed")
         if dual_l and got is not None:
             shapes.add("lower-dimensional")
-        normals = sorted({r for r in rows if any(r)})
+        normals = sorted({primitive_vector(r) for r in rows if any(r)})
         tight = []
         ray_r, ray_l = extreme_rays(normals, rank, tight=tight)
         assert tight == [sum(1 << j for j, n in enumerate(normals) if not dot(n, r)) for r in ray_r]
         if ray_l:
             continue
-        prims = [primitive_vector(n) for n in normals]
-        distinct = sorted(set(prims))
-        if len(distinct) < len(prims):
+        if len(normals) < len({r for r in rows if any(r)}):
             shapes.add("scaled normals")
-        got = polyhedra._irredundant(distinct, tight, [distinct.index(p) for p in prims], rank - 1)
-        assert got == irredundant_oracle(distinct, ray_r)
+        got = polyhedra._irredundant(normals, tight, rank - 1)
+        assert got == irredundant_oracle(normals, ray_r)
         shapes.add("flat" if got is None else "full-dimensional")
     assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
     assert shapes == {"line", "pointed", "lower-dimensional", "scaled normals", "flat", "full-dimensional"}
@@ -809,7 +822,7 @@ def test_hull_rejects_zero_ray():
 
 
 SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
-SIGMA_TAIL = kernel_slice(SIGMA, (0, 0, 1))
+SIGMA_TAIL = kernel_slice(SIGMA)
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 SEGMENT = hull(V((0, 0), (1, 2)))
 OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
@@ -826,7 +839,7 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: polar_dual(SQUARE), 0),
         (lambda: dual_ehrhart_counts(SQUARE, 6), 0),
         (lambda: dual_ehrhart_counts(OCTAHEDRON, 6), 1),
-        (lambda: kernel_slice(SIGMA, (0, 0, 1)), 1),
+        (lambda: kernel_slice(SIGMA), 1),
         # A level slice of a pointed full-dimensional cone is read off its rays and facets.
         (lambda: level_slice(SIGMA, SIGMA_TAIL, 1), 0),
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 
@@ -61,6 +62,13 @@ def test_family_render_has_four_labels():
     for label, _ in items:
         assert f">{label}</text>" in svg
     assert svg.count("<path") >= 4
+
+
+def test_labels_are_escaped_as_xml_text():
+    label = "a<b & c>d"
+    svg = render_svg([(label, hull([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]))])
+    root = ElementTree.fromstring(svg.encode())
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == [label]
 
 
 def test_mutation_pair_render():
