@@ -75,14 +75,17 @@ def _write_file(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}")
 
 
-def _load_polynomial(args) -> LaurentPolynomial:
+def _load_polynomial(args, svg: Optional[str] = None) -> LaurentPolynomial:
+    """The polynomial of ``--f`` or ``--file``. Given the path of an SVG to
+    draw, a polynomial of rank other than 2 is a usage error before any work."""
     if args.poly is not None and args.file is not None:
         raise UsageError("give --f or --file, not both")
-    if args.poly is not None:
-        return parse(args.poly)
-    if args.file is not None:
-        return _read_file_polynomial(args.file)
-    raise UsageError("a polynomial is required (--f or --file)")
+    if args.poly is None and args.file is None:
+        raise UsageError("a polynomial is required (--f or --file)")
+    f = parse(args.poly) if args.poly is not None else _read_file_polynomial(args.file)
+    if svg is not None and f.rank != 2:
+        raise UsageError(f"SVG drawings are rank-2 only, got a polynomial of rank {f.rank}")
+    return f
 
 
 def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
@@ -142,7 +145,7 @@ def _attach_svg(args, payload: dict, items: Callable[[], list]) -> None:
 
 
 def _cmd_newton(args):
-    f = _load_polynomial(args)
+    f = _load_polynomial(args, args.svg)
     p = newton_polytope(f)
     payload = {"polynomial": to_string(f), "newton": p.to_dict()}
     _attach_svg(args, payload, lambda: [("Delta(f)", p)])
@@ -179,7 +182,7 @@ def _cmd_check(args):
 
 
 def _cmd_mutate(args):
-    f = _load_polynomial(args)
+    f = _load_polynomial(args, args.svg)
     spec = _mutation_spec(f, args)
     context = {"polynomial": to_string(f), "spec": spec.to_dict()}
     g = _mutated_or_fail(f, spec, context)
@@ -190,7 +193,7 @@ def _cmd_mutate(args):
 
 
 def _cmd_family(args):
-    f = _load_polynomial(args)
+    f = _load_polynomial(args, args.svg)
     spec = _mutation_spec(f, args)
     fd = _family_or_fail(f, spec)
     payload = fd.to_dict()
@@ -205,12 +208,14 @@ def _cmd_family(args):
 def _cmd_verify(args):
     if args.kmax < 1:
         raise UsageError("--kmax must be at least 1")
-    f = _load_polynomial(args)
+    f = _load_polynomial(args, args.svg)
     spec = _mutation_spec(f, args)
     report = verify_main_theorem(f, spec, kmax=args.kmax)
     payload = report.to_dict()
     if report.family is not None:
         _attach_svg(args, payload, lambda: _family_items(report.family))
+    elif args.svg is not None:
+        payload["svg"] = None  # the hypotheses failed: there is no family to draw
     summary = [f"passed: {report.passed}"] + [
         f"  {c.name}: {c.status}" for c in report.checks
     ]
@@ -235,7 +240,7 @@ def _cmd_graph(args):
 
 
 def _cmd_render(args):
-    f = _load_polynomial(args)
+    f = _load_polynomial(args, args.output)
     if args.family:
         fd = _family_or_fail(f, _mutation_spec(f, args))
         items = _family_items(fd)

@@ -3,18 +3,18 @@
 Every conversion runs through one double description kernel
 (:func:`extreme_rays`). A polyhedron is handled as its homogenization
 (points at height 1, rays at height 0 in a new first coordinate): that
-cone is canonicalized from generators or from normals and read back.
-A conversion runs one kernel pass to the other side and then reads the
-irredundant members of its own input off their incidences with that
-side's output. The kernel pass hands those incidences over as the
+cone is canonicalized from generators and read back; a cone given by
+normals is the dual of the cone they span, read with its two sides
+swapped. A conversion runs one kernel pass to the other side and then
+reads the irredundant members of its own input off their incidences with
+that side's output. The kernel pass hands those incidences over as the
 tight-constraint bitmasks it already keeps, so no dot product is taken
-again; only a cone with a line (or, from normals, one that is not
-full-dimensional) takes a second pass. The cone over a bounded
-full-dimensional polytope takes none: its rays and facets are the
-polytope's vertices and halfspaces, lifted. A polar dual takes none
-either: it swaps the polytope's vertices and facets. Nor does a level
-slice of a pointed full-dimensional cone: it is read off the cone's rays
-and facets.
+again; only a cone with a line takes a second pass. The cone over a
+bounded full-dimensional polytope takes none: its rays and facets are the
+polytope's vertices and halfspaces, lifted. A dual cone takes none: it
+swaps the two sides. Nor does a polar dual, which swaps the polytope's
+vertices and facets, or a level slice of a pointed full-dimensional
+cone, which is read off the cone's rays and facets.
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -23,7 +23,8 @@ Conventions: a halfspace is a pair ``(normal, offset)`` meaning
 ``<normal, x> >= offset`` with a primitive integer normal and a rational
 offset. Equations appear as the two opposite halfspaces. A polyhedron is
 presented by vertices plus recession-cone rays and never contains a
-line; cones may (their lineality basis is tracked separately).
+line; a cone may, and shows it as an opposite pair of rays, as it shows
+an equation as an opposite pair of facet normals.
 """
 
 from __future__ import annotations
@@ -162,16 +163,17 @@ def extreme_rays(
 class Cone:
     """Rational polyhedral cone, canonically presented.
 
-    ``rays`` is the canonical generating set: the extreme rays modulo
-    lineality together with +/- the lineality basis. ``facet_normals``
-    generates the dual cone, so membership is ``<n, x> >= 0`` for every
-    normal. Equality is semantic (same set of points).
+    Both sides have one shape: the extreme rays modulo lineality together
+    with +/- a lineality basis. ``rays`` generates the cone, so a line
+    shows as an opposite pair of rays; ``facet_normals`` generates the
+    dual cone, so membership is ``<n, x> >= 0`` for every normal and an
+    equation shows as an opposite pair of normals. Equality is semantic
+    (same set of points).
     """
 
     rank: int
     rays: tuple[IntVec, ...]
     facet_normals: tuple[IntVec, ...]
-    lineality: tuple[IntVec, ...]
 
     @staticmethod
     def from_generators(rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
@@ -189,10 +191,10 @@ class Cone:
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
         rays = _irredundant(gens, tight, rank - 1 - len(dual_l))
         if rays is not None:
-            return Cone(rank, tuple(rays), tuple(normals), ())
+            return Cone(rank, tuple(rays), tuple(normals))
         ray_r, ray_l = extreme_rays(normals, rank)
         rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
-        return Cone(rank, tuple(rays), tuple(normals), tuple(ray_l))
+        return Cone(rank, tuple(rays), tuple(normals))
 
     def contains(self, v: Sequence) -> bool:
         return all(dot(n, v) >= 0 for n in self.facet_normals)
@@ -219,8 +221,15 @@ class Cone:
 
 
 def dual_cone(cone: Cone) -> Cone:
-    """All functionals nonnegative on the cone."""
-    return Cone.from_generators(cone.rank, cone.facet_normals)
+    """All functionals nonnegative on the cone: both sides are in one
+    shape, so the dual swaps them and runs no kernel pass."""
+    return Cone(cone.rank, cone.facet_normals, cone.rays)
+
+
+def _has_opposite_pair(vectors: Sequence[IntVec]) -> bool:
+    """Whether some vector's negative is among ``vectors``: a line among rays, an equation among normals."""
+    found = set(vectors)
+    return any(vneg(v) in found for v in found)
 
 
 def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Optional[list[IntVec]]:
@@ -254,25 +263,6 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Opti
         for i in cand
         if not any(masks[k] & masks[i] == masks[i] for k in cand if k != i)
     ]
-
-
-def _cone_from_normals(rank: int, normals: Iterable[IntVec]) -> Cone:
-    """The cone ``{x : <n, x> >= 0 for every normal}``, canonically presented.
-
-    The normals are made primitive and deduplicated, as
-    :meth:`Cone.from_generators` does with generators, and one kernel pass
-    turns them into rays. A pointed full-dimensional cone's facet normals
-    are then the normals that :func:`_irredundant` keeps; any other cone is
-    rebuilt from its rays.
-    """
-    normals = sorted({primitive_vector(n) for n in normals if any(n)})
-    tight: list[int] = []
-    ray_r, ray_l = extreme_rays(normals, rank, tight=tight)
-    if not ray_l:
-        facets = _irredundant(normals, tight, rank - 1)
-        if facets is not None:
-            return Cone(rank, tuple(ray_r), tuple(facets), ())
-    return Cone.from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
 
 
 # -- polyhedra ----------------------------------------------------------------
@@ -326,13 +316,14 @@ def dehomogenize(cone: Cone) -> Polyhedron:
     """The polyhedron whose homogenization is ``cone``: generators at
     positive height in the first coordinate give its vertices, those at
     height 0 its rays, and facet normals other than ``x0 >= 0`` its
-    halfspaces."""
-    if cone.lineality:
+    halfspaces. The cone lies in ``x0 >= 0``, so a line in it lies at height
+    0 and shows as an opposite pair among the rays."""
+    rays = [g[1:] for g in cone.rays if not g[0]]
+    if rays and _has_opposite_pair(rays):
         raise ValueError("polyhedron contains a line")
     verts = [tuple(Fraction(c, g[0]) for c in g[1:]) for g in cone.rays if g[0]]
     if not verts:
         raise ValueError("empty polyhedron")
-    rays = [g[1:] for g in cone.rays if not g[0]]
     halfspaces = []
     for c in cone.facet_normals:
         normal = c[1:]
@@ -379,7 +370,7 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
             continue
         d = offset.denominator
         hcons.append((-int(offset * d),) + tuple(x * d for x in normal))
-    return dehomogenize(_cone_from_normals(rank + 1, hcons))
+    return dehomogenize(dual_cone(Cone.from_generators(rank + 1, hcons)))
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -431,14 +422,14 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     if p.dim() < p.rank:
         return Cone.from_generators(p.rank + 1, gens)
     normals = [primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in p.halfspaces]
-    return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)), ())
+    return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)))
 
 
 def kernel_slice(cone: Cone) -> Cone:
     """The cone ``{x in cone : x_last = 0}`` in the first coordinates: the
     level-0 slice along the divided coordinate, which the adapted frame
     puts last, as for :func:`level_slice`."""
-    return _cone_from_normals(cone.rank - 1, [n[:-1] for n in cone.facet_normals])
+    return dual_cone(Cone.from_generators(cone.rank - 1, [n[:-1] for n in cone.facet_normals]))
 
 
 def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
@@ -449,13 +440,12 @@ def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
     sign * r_last > 0 and by tail's rays, and cut out by (sign * N_last, N[:-1])
     for each facet normal N of sigma tight on such an r; the other facets miss
     the slice. ValueError for a line, an equation, or an empty slice."""
-    normals = set(sigma.facet_normals)
-    if sigma.lineality or any(vneg(n) in normals for n in normals):
+    if _has_opposite_pair(sigma.rays) or _has_opposite_pair(sigma.facet_normals):
         raise ValueError("level slice needs a pointed full-dimensional cone")
     side = [r for r in sigma.rays if sign * r[-1] > 0]
     rays = [(abs(r[-1]),) + r[:-1] for r in side] + [(0,) + t for t in tail.rays]
     facets = [(sign * n[-1],) + n[:-1] for n in sigma.facet_normals if any(dot(n, r) == 0 for r in side)]
-    return dehomogenize(Cone(sigma.rank, tuple(rays), tuple(facets), ()))
+    return dehomogenize(Cone(sigma.rank, tuple(rays), tuple(facets)))
 
 
 def is_lattice_polyhedron(p: Polyhedron) -> bool:

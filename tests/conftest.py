@@ -34,10 +34,10 @@ from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import (
     Cone,
-    _cone_from_normals,
     contains_origin_interior,
     convex_cycle,
     dehomogenize,
+    dual_cone,
     extreme_rays,
     hull,
 )
@@ -144,7 +144,7 @@ def kernel_polar_dual(p):
         raise ValueError("polar dual needs the origin in the interior")
     normals = [unit_vector(p.rank + 1, 0)]
     normals += [primitive_from_rational((1,) + v) for v in p.vertices]
-    return dehomogenize(_cone_from_normals(p.rank + 1, normals))
+    return dehomogenize(dual_cone(Cone.from_generators(p.rank + 1, normals)))
 
 
 @pytest.fixture
@@ -271,19 +271,32 @@ def two_pass_cone_from_generators(rank, generators):
     normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
     ray_r, ray_l = extreme_rays(normals, rank)
     rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
-    return Cone(rank, tuple(rays), tuple(normals), tuple(ray_l))
+    return Cone(rank, tuple(rays), tuple(normals))
 
 
 def three_pass_cone_from_normals(rank, normals):
-    """Oracle for ``_cone_from_normals``: one kernel pass from the normals
-    to the rays, then the two passes of the generator oracle."""
+    """Oracle for the cone cut out by ``normals``, which the library reads
+    as ``dual_cone(Cone.from_generators(rank, normals))``: one kernel pass
+    from the normals to the rays, then the two passes of the generator
+    oracle."""
     ray_r, ray_l = extreme_rays(sorted({n for n in normals if any(n)}), rank)
     return two_pass_cone_from_generators(rank, ray_r + ray_l + [vneg(l) for l in ray_l])
+
+
+def generator_dual_cone(cone):
+    """Oracle for ``dual_cone``: the cone spanned by the facet normals,
+    canonicalized by the kernel instead of read off by swapping sides."""
+    return Cone.from_generators(cone.rank, cone.facet_normals)
 
 
 @pytest.fixture
 def multi_pass_cones():
     return two_pass_cone_from_generators, three_pass_cone_from_normals
+
+
+@pytest.fixture
+def dual_cone_oracle():
+    return generator_dual_cone
 
 
 def dot_product_irredundant(vectors, duals):
@@ -360,7 +373,7 @@ def cone_level_slice(cone, u, level):
     w, kernel = adapted_basis(u)
     normals = [unit_vector(len(u), 0)]
     normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
-    return dehomogenize(_cone_from_normals(len(u), normals))
+    return dehomogenize(dual_cone(Cone.from_generators(len(u), normals)))
 
 
 @pytest.fixture

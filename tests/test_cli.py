@@ -438,6 +438,45 @@ def test_payload_names_the_svg_exactly_when_asked(capsys, tmp_path, argv):
     assert path.read_text().startswith('<?xml version="1.0"')
 
 
+RANK3_MUTATION = ("--f", "x + y + z + x*z + x^-1*y^-1*z^-1", "--divide", "z", "--by", "1 + x")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("newton", "--f", "x + y + z", "--svg", "{out}"),
+        ("newton", "--f", "x + x^-1", "--svg", "{out}"),
+        ("mutate", *RANK3_MUTATION, "--svg", "{out}"),
+        ("family", *RANK3_MUTATION, "--svg", "{out}"),
+        ("verify", *RANK3_MUTATION, "--svg", "{out}"),
+        ("render", *RANK3_MUTATION, "-o", "{out}"),
+        ("render", *RANK3_MUTATION, "--family", "-o", "{out}"),
+    ],
+    ids=["newton", "newton_rank1", "mutate", "family", "verify", "render", "render_family"],
+)
+def test_svg_of_a_polynomial_not_of_rank_2_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # Refused once the polynomial is read, before any work and any file.
+    for name in ("newton_polytope", "is_mutation", "build_family", "verify_main_theorem", "render_svg"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran before the rank check"))
+    path = tmp_path / "out.svg"
+    code, out, err = run(capsys, *[str(path) if a == "{out}" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: SVG drawings are rank-2 only, got a polynomial of rank ")
+    assert not path.exists()
+
+
+def test_verify_svg_is_null_when_the_hypotheses_fail(capsys, tmp_path):
+    # No family is built, so nothing is drawn, and the payload says so.
+    argv = ("verify", "--f", "x + y", "--divide", "y", "--by", "1 + x")
+    path = tmp_path / "v.svg"
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 1 and "svg" not in payload
+    code, drawn, _ = run_json(capsys, *argv, "--svg", str(path))
+    assert code == 1 and "svg" in drawn and drawn.pop("svg") is None
+    assert drawn == payload
+    assert not path.exists()
+
+
 def test_mutate_formats_each_polynomial_once(capsys, monkeypatch):
     # f, the divisor inside the spec, and the mutated polynomial; the
     # failure context, the payload and the summary share those strings.
@@ -447,8 +486,7 @@ def test_mutate_formats_each_polynomial_once(capsys, monkeypatch):
 
 
 def test_plain_mutate_builds_no_newton_polytopes(capsys, monkeypatch, tmp_path):
-    # Only the CLI's own calls count: the division still takes the Newton
-    # polytope of its dividend inside laurent.
+    # Only --svg hulls: f and the mutated polynomial, for the drawing.
     built = []
     monkeypatch.setattr(cli, "newton_polytope",lambda f: built.append(f) or laurent.newton_polytope(f))
     assert run(capsys, "mutate", *F3_MUTATION)[0] == 0
@@ -458,11 +496,10 @@ def test_plain_mutate_builds_no_newton_polytopes(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_hulls_each_support_once(capsys, monkeypatch):
-    # Delta(f) and Delta(mutated) once each, plus the Newton polytope that
-    # the one division takes of its dividend.
+    # Delta(f) and Delta(mutated) once each; the division takes none.
     calls = count_calls(monkeypatch, laurent.newton_polytope)
     assert run(capsys, "verify", *F3_MUTATION)[0] == 0
-    assert len(calls) <= 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

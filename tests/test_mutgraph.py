@@ -165,7 +165,8 @@ def test_mutation_neighbors_enumerates_facets_once(monkeypatch):
 def test_explore_hulls_each_polygon_once(monkeypatch):
     # The root once, then each successful edge's mutated polynomial once;
     # neighbours and merges reuse the polygon kept for every node. Only the
-    # graph's own calls count: each division also hulls its dividend.
+    # graph's own calls count; divisions take none (divide_exact bounds its
+    # quotient by a coordinate box).
     planar = []
     real = laurent.newton_polytope
 

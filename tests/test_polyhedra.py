@@ -292,11 +292,14 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
         (Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)]), 1),
         (Cone.from_generators(3, [(1, 0, 1), (1, 1, -1)]), 1),
         (cone_over(hull(V((0, 1), (1, 2), (-1, 2))), 0), -1),
+        (Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]), 1),
     ],
-    ids=["line", "equation", "no_ray_at_level"],
+    ids=["line", "equation", "no_ray_at_level", "line_across_levels"],
 )
 def test_level_slice_preconditions(cone, sign):
-    # The line and equation cones have rays at level 1, so only their shape refuses them.
+    # The line and equation cones have rays at level 1, so only their shape
+    # refuses them. The line across levels (along x_last) leaves a pointed
+    # tail and no opposite facet normals: only its pair of rays shows it.
     tail = kernel_slice(cone)
     with pytest.raises(ValueError):
         level_slice(cone, tail, sign)
@@ -497,18 +500,22 @@ def random_generators(rng, rank, kinds):
 
 
 def structure(cone):
-    return cone.rank, cone.rays, cone.facet_normals, cone.lineality
+    return cone.rank, cone.rays, cone.facet_normals
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
-def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, rank):
-    # Fields are compared as stored, not with the semantic Cone ==.
-    from_generators_oracle, from_normals_oracle = multi_pass_cones
+def has_opposite_pair(vectors):
+    return any(vneg(v) in vectors for v in vectors)
+
+
+def cone_corpus(rank):
+    """Generator (or normal) lists of every kind in ``random_generators``,
+    plus the trivial cone, the whole space and scaled copies of a normal.
+    Returns the lists and the kinds they cover."""
     rng = random.Random(9000 + rank)
     basis = [unit_vector(rank, i) for i in range(rank)]
     # the trivial cone, twice; the whole space, by +/- a basis and by a simplex
     corpus = [[], [(0,) * rank], basis + [vneg(e) for e in basis], basis + [(-1,) * rank]]
-    kinds, shapes = set(), set()
+    kinds = set()
     corpus += [random_generators(rng, rank, kinds) for _ in range(100)]
     # Scaled copies n, 2n, 3n of one normal: pointed, with a line, and flat
     # as normals; from normals they collapse before the kernel pass.
@@ -516,16 +523,45 @@ def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, ran
     corpus += [basis + [vscale(2, e0), vscale(3, e0)], [e0, vscale(2, e0), vscale(3, e0)]]
     corpus += [rest + [e0, vscale(-2, e0), vscale(3, e0)]]
     corpus += [rows + [vscale(2, rows[0]), vscale(3, rows[0])] for rows in corpus[4:24] if rows and any(rows[0])]
+    return corpus, kinds
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_one_pass_conversions_match_the_multi_pass_oracles(multi_pass_cones, rank):
+    # Fields are compared as stored, not with the semantic Cone ==.
+    from_generators_oracle, from_normals_oracle = multi_pass_cones
+    corpus, kinds = cone_corpus(rank)
+    shapes = set()
     for rows in corpus:
         got = Cone.from_generators(rank, rows)
         assert structure(got) == structure(from_generators_oracle(rank, rows))
-        shapes.add("line" if got.lineality else "pointed")
-        got = polyhedra._cone_from_normals(rank, rows)
+        shapes.add("line" if has_opposite_pair(got.rays) else "pointed")
+        got = dual_cone(Cone.from_generators(rank, rows))
         assert structure(got) == structure(from_normals_oracle(rank, rows))
-        flat = any(vneg(n) in got.facet_normals for n in got.facet_normals)
-        shapes.add("flat" if flat else "full-dimensional")
+        shapes.add("flat" if has_opposite_pair(got.facet_normals) else "full-dimensional")
     assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
     assert shapes == {"line", "pointed", "full-dimensional", "flat"}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_dual_cone_swap_matches_the_generator_oracle(dual_cone_oracle, rank):
+    # The oracle spans the facet normals with a kernel pass. Its rays may
+    # pick other representatives modulo a line, so it is compared
+    # semantically on every cone and field by field where both the cone
+    # and its dual are pointed: there every member is a primitive extreme ray.
+    corpus, _ = cone_corpus(rank)
+    shapes = set()
+    for rows in corpus:
+        for cone in (Cone.from_generators(rank, rows), dual_cone(Cone.from_generators(rank, rows))):
+            got, want = dual_cone(cone), dual_cone_oracle(cone)
+            assert got == want
+            line, flat = has_opposite_pair(cone.rays), has_opposite_pair(cone.facet_normals)
+            if not line and not flat:
+                assert structure(got) == structure(want)
+            shapes.add((line, flat))
+            assert structure(dual_cone(got)) == structure(cone)
+    # (line, flat): in rank 1 a cone cannot have both.
+    assert shapes == {(False, False), (True, False), (False, True)} | ({(True, True)} if rank > 1 else set())
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -825,6 +861,7 @@ SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
 SIGMA_TAIL = kernel_slice(SIGMA)
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 SEGMENT = hull(V((0, 0), (1, 2)))
+HALF_SPACE = Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
 OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
 
 
@@ -845,8 +882,8 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),
         # A cone with a line takes a second pass for its lineality basis.
         (lambda: Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]), 2),
-        # A flat homogenization (here the segment x = 0, 0 <= y <= 1) is
-        # rebuilt from its rays.
+        # A flat homogenization (here the segment x = 0, 0 <= y <= 1) has an
+        # equation, so the cone its normals span has a line: a second pass.
         (lambda: from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2), 2),
         # The cone over a full-dimensional polytope is read off its vertices
         # and halfspaces; a flat one (here a segment in the plane) is not.
@@ -854,12 +891,19 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: cone_over(SEGMENT), 1),
         # Exact division bounds the quotient by a box, not a Newton polytope.
         (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
+        # A dual cone swaps the two sides.
+        (lambda: dual_cone(SIGMA), 0),
+        # Cut out by normals, a cone with a line (here the slice y >= 0 of
+        # the half-space cone, and the half-plane y >= 0) is the dual of a
+        # pointed cone, so the pass from its normals reads both sides.
+        (lambda: kernel_slice(HALF_SPACE), 1),
+        (lambda: pytest.raises(ValueError, from_halfspaces, [((0, 1), 0)], 2), 1),
     ],
     ids=[
         "hull", "hull_rays", "from_halfspaces", "polar_dual", "dual_counts_rank2", "dual_counts_rank3",
         "kernel_slice", "level_slice", "from_generators",
         "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
-        "divide_exact",
+        "divide_exact", "dual_cone", "kernel_slice_line", "from_halfspaces_line",
     ],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
