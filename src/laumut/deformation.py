@@ -5,9 +5,10 @@ sigma over Delta(f) placed at height 1 along a new grading coordinate
 (put first). The divided-variable functional u is the last coordinate
 of the adapted frame; slicing sigma at its levels +1, 0, -1 produces
 polyhedra Delta_0, tau, Delta_inf in the (grading, kernel) coordinates.
-Delta_0 and Delta_inf are read off sigma's rays and facets
-(:func:`polyhedra.level_slice`); only tau (:func:`polyhedra.kernel_slice`)
-takes a kernel pass. A divisor g that makes f mutable splits Delta_0 into a
+sigma is the cone that the hull of Delta(f) builds, and all three slices
+are read off the incidence of its kernel pass with no pass of their own
+(:func:`polyhedra.kernel_slice`, :func:`polyhedra.level_slice`). A
+divisor g that makes f mutable splits Delta_0 into a
 Minkowski sum Delta_0^0 + Delta_0^1, each the hull of integer points
 plus tau's rays, and regluing the pieces with opposite signs of the
 divided coordinate yields a second cone sigma_inf describing the other
@@ -30,13 +31,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactlat import IntVec, unit_vector
-from .laurent import LaurentPolynomial, newton_polytope, to_string
+from .laurent import LaurentPolynomial, newton_cone, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
     AdmissibilityVerdict,
     Cone,
     Polyhedron,
-    cone_over,
     contains_origin_interior,
     dehomogenize,
     dual_ehrhart_counts,
@@ -105,14 +105,16 @@ class Hypotheses:
     """The family hypotheses for one mutation, checked once.
 
     ``report`` holds the per-level divisions and the mutated polynomial;
-    ``newton`` is Delta(f) in the adapted frame. The family construction
-    reuses both instead of dividing or hulling again.
+    ``newton`` is Delta(f) in the adapted frame and ``sigma`` the cone over
+    it, grading first, as its hull built it. The family construction reuses
+    them instead of dividing or hulling again.
     """
 
     failures: list[str]
     details: dict
     report: MutationCheck
     newton: Polyhedron
+    sigma: Cone
 
 
 def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
@@ -122,7 +124,8 @@ def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
     details: dict = {"mutation": report.to_dict()}
     if not ok:
         failures.append("mutation:non-divisible levels " + str(report.failing_levels()))
-    nf = newton_polytope(spec.to_adapted(f))
+    sigma = newton_cone(spec.to_adapted(f))
+    nf = dehomogenize(sigma)
     origin_ok = contains_origin_interior(nf)
     details["origin_interior"] = origin_ok
     if not origin_ok:
@@ -131,7 +134,7 @@ def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
     details["levels"] = {"low": report.low, "high": report.high, "straddles_zero": levels_ok}
     if not levels_ok:
         failures.append("levels:divided exponents must straddle zero")
-    return Hypotheses(failures, details, report, nf)
+    return Hypotheses(failures, details, report, nf, sigma)
 
 
 def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
@@ -144,7 +147,7 @@ def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
 
 def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_adapted: LaurentPolynomial) -> FamilyData:
     n = spec.rank
-    sigma = cone_over(hyp.newton, 0)
+    sigma = hyp.sigma
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
     tail = kernel_slice(sigma)
@@ -268,8 +271,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     }
     checks.append(CheckResult("family", "pass", fam_details))
 
-    nf_mut = newton_polytope(mutated_adapted)
-    sigma_prime = cone_over(nf_mut, 0)
+    sigma_prime = newton_cone(mutated_adapted)
+    nf_mut = dehomogenize(sigma_prime)
     data["mutated"] = to_string(hyp.report.mutated)
     data["sigma_rays"] = _rows(family.sigma.rays)
     data["sigma_infinity_rays"] = _rows(family.sigma_inf.rays)
@@ -278,9 +281,12 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     cone_rays = {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}
     record("mutation_cone_match", family.sigma_inf == sigma_prime, cone_rays)
 
-    tail_prime = kernel_slice(sigma_prime)
-    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": _rows(tail_prime.rays)}
-    record("tailcone_preserved", tail_prime == family.tail, tail_rays)
+    try:
+        tail_prime = kernel_slice(sigma_prime)
+    except ValueError:  # sigma' is flat or one-sided, so it cannot slice to tau
+        tail_prime = None
+    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": tail_prime and _rows(tail_prime.rays)}
+    record("tailcone_preserved", tail_prime is not None and tail_prime == family.tail, tail_rays)
 
     # The far-fiber classification is recorded: its truth value is data, not a requirement.
     fiber = {

@@ -9,12 +9,14 @@ swapped. A conversion runs one kernel pass to the other side and then
 reads the irredundant members of its own input off their incidences with
 that side's output. The kernel pass hands those incidences over as the
 tight-constraint bitmasks it already keeps, so no dot product is taken
-again; only a cone with a line takes a second pass. The cone over a
-bounded full-dimensional polytope takes none: its rays and facets are the
+again; only a cone with a line takes a second pass, and a pointed
+full-dimensional cone keeps them. The cone over a bounded
+full-dimensional polytope takes none: its rays and facets are the
 polytope's vertices and halfspaces, lifted. A dual cone takes none: it
 swaps the two sides. Nor does a polar dual, which swaps the polytope's
-vertices and facets, or a level slice of a pointed full-dimensional
-cone, which is read off the cone's rays and facets.
+vertices and facets, or a slice of a pointed full-dimensional cone at a
+level of its last coordinate, which is read off the cone's incidence
+(at level 0 through one insertion step of the kernel).
 All arithmetic is exact (ints and Fractions), every public object is
 immutable, and generator/facet lists are sorted, so equal polyhedra are
 structurally equal and all output is deterministic.
@@ -29,10 +31,10 @@ an equation as an opposite pair of facet normals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -50,7 +52,6 @@ from .exactlat import (
     unit_vector,
     vadd,
     vneg,
-    vscale,
     vsub,
 )
 
@@ -82,7 +83,9 @@ def extreme_rays(
     nonzero constraint as tight, a new ray gets its parents' common mask
     plus the new bit, and a pair with fewer than ``rank - len(lineality) - 2``
     common bits is dropped unscanned. An insertion costs one dot product
-    per ray plus one mask test per (pair, ray).
+    per ray, plus, once the lineality basis is empty and some ray is cut
+    off, one mask test per (pair, ray) in :func:`_dd_step`, which
+    :func:`kernel_slice` runs on a cone's incidence.
 
     Rays are primitive integer vectors; output is independent of input
     order only up to representatives, so callers sort constraints first
@@ -99,61 +102,71 @@ def extreme_rays(
             raise ValueError(f"constraint of length {len(a)} in rank {rank}")
         if not any(a):
             continue
-        lvals = [sum(map(mul, a, l)) for l in lineality]
+        lvals = [sum(map(mul, a, l)) for l in lineality] if lineality else []
         vals = [sum(map(mul, a, r)) for r in rays]
         if any(lvals):
             # Lineality vectors vanish on all earlier constraints: projecting keeps tight sets.
             j0 = next(j for j, val in enumerate(lvals) if val)
-            l0, v0 = lineality[j0], lvals[j0]
+            l0, v0 = lineality.pop(j0), lvals.pop(j0)
             if v0 < 0:
                 l0, v0 = vneg(l0), -v0
-            lineality = [
-                primitive_vector(vsub(vscale(v0, l), vscale(lv, l0))) if lv else l
-                for j, (l, lv) in enumerate(zip(lineality, lvals))
-                if j != j0
-            ]
-            rays = [
-                primitive_vector(vsub(vscale(v0, r), vscale(val, l0))) if val else r
-                for r, val in zip(rays, vals)
-            ]
-            rays.append(l0)
+            lineality = [_combination(v0, l, lv, l0) if lv else l for l, lv in zip(lineality, lvals)]
+            rays = [_combination(v0, r, val, l0) if val else r for r, val in zip(rays, vals)] + [l0]
             masks = [m | bit for m in masks] + [bit - 1]
+        elif min(vals, default=0) < 0:
+            survivors = _dd_step(rays, masks, vals, bit, rank - len(lineality) - 2)
+            rays, masks = list(survivors), list(survivors.values())
         else:
             masks = [m | bit if val == 0 else m for m, val in zip(masks, vals)]
-            if min(vals, default=0) < 0:
-                survivors: dict[IntVec, int] = {}
-                pos, neg = [], []
-                for r, m, val in zip(rays, masks, vals):
-                    if val < 0:
-                        neg.append((r, m, val))
-                    else:
-                        survivors.setdefault(r, m)
-                        if val:
-                            pos.append((r, m, val))
-                need = rank - len(lineality) - 2
-                for rp, mp, vp in pos:
-                    for rn, mn, vn in neg:
-                        common = mp & mn
-                        if common.bit_count() < need:
-                            continue
-                        # Both parents' masks contain the common set; a third one breaks adjacency.
-                        hits = 0
-                        for m in masks:
-                            if common & m == common:
-                                hits += 1
-                                if hits == 3:
-                                    break
-                        else:
-                            comb = tuple(vp * a - vn * b for a, b in zip(rn, rp))
-                            survivors.setdefault(primitive_vector(comb), common | bit)
-                rays = list(survivors)
-                masks = list(survivors.values())
         bit <<= 1
     incidence = dict(zip(rays, masks))  # a mask is its ray's exact tight set
     rays = sorted(incidence)
     if tight is not None:
         tight.extend([incidence[r] for r in rays])
     return rays, sorted(lineality)
+
+
+def _combination(a: int, u: IntVec, b: int, v: IntVec) -> IntVec:
+    """The primitive vector along ``a*u - b*v``, which is nonzero."""
+    w = [a * x - b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def _dd_step(rays: Sequence[IntVec], masks: Sequence[int], vals: Sequence[int], bit: int, need: int) -> dict[IntVec, int]:
+    """One kernel insertion of a constraint with values ``vals`` on the
+    ``rays``, whose ``masks`` are their tight sets: the rays where it is
+    nonnegative and the combination at 0 of each adjacent pair of opposite
+    signs, with masks, where the rays at 0 and the new ones gain ``bit``.
+    Adjacency is the mask test of :func:`extreme_rays`, exact as long as
+    the rays are irredundant; pairs with fewer than ``need`` common bits
+    are not scanned.
+    """
+    survivors: dict[IntVec, int] = {}
+    pos, neg = [], []
+    for r, m, val in zip(rays, masks, vals):
+        if val < 0:
+            neg.append((r, m, val))
+        elif val:
+            survivors[r] = m
+            pos.append((r, m, val))
+        else:
+            survivors[r] = m | bit
+    for rp, mp, vp in pos:
+        for rn, mn, vn in neg:
+            common = mp & mn
+            if common.bit_count() < need:
+                continue
+            # Both parents' masks contain the common set; a third one breaks adjacency.
+            hits = 0
+            for m in masks:
+                if common & m == common:
+                    hits += 1
+                    if hits == 3:
+                        break
+            else:
+                survivors.setdefault(_combination(vp, rn, vn, rp), common | bit)
+    return survivors
 
 
 # -- cones --------------------------------------------------------------------
@@ -169,11 +182,16 @@ class Cone:
     dual cone, so membership is ``<n, x> >= 0`` for every normal and an
     equation shows as an opposite pair of normals. Equality is semantic
     (same set of points).
+
+    A pointed full-dimensional cone from :meth:`from_generators` or
+    :func:`cone_over` carries its derived ``incidence`` (None otherwise):
+    bit j of ``incidence[i]`` is set iff ``facet_normals[j]`` vanishes on ``rays[i]``.
     """
 
     rank: int
     rays: tuple[IntVec, ...]
     facet_normals: tuple[IntVec, ...]
+    incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_generators(rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
@@ -181,17 +199,20 @@ class Cone:
 
         One kernel pass turns the generators into facet normals. A pointed
         cone's rays are then the generators that :func:`_irredundant` keeps,
-        read off the masks of that pass; only a cone with a line runs a
-        second pass, normals to rays, for its lineality basis.
+        read off the masks of that pass, which a full-dimensional one keeps
+        as its incidence; only a cone with a line runs a second pass,
+        normals to rays, for its lineality basis.
         """
         gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
         tight: list[int] = []
         dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
-        rays = _irredundant(gens, tight, rank - 1 - len(dual_l))
+        kept: list[int] = []
+        rays = _irredundant(gens, tight, rank - 1 - len(dual_l), kept)
         if rays is not None:
-            return Cone(rank, tuple(rays), tuple(normals))
+            # With no lineality the normals are the pass's rays, in the order of its masks.
+            return Cone(rank, tuple(rays), tuple(normals), None if dual_l else tuple(kept))
         ray_r, ray_l = extreme_rays(normals, rank)
         rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
         return Cone(rank, tuple(rays), tuple(normals))
@@ -226,27 +247,25 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone(cone.rank, cone.facet_normals, cone.rays)
 
 
-def _has_opposite_pair(vectors: Sequence[IntVec]) -> bool:
-    """Whether some vector's negative is among ``vectors``: a line among rays, an equation among normals."""
-    found = set(vectors)
-    return any(vneg(v) in found for v in found)
+def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: Optional[list[int]] = None) -> Optional[list[IntVec]]:
+    """The members of ``vectors`` that span extreme rays of the cone they
+    generate, or None if that cone contains a line.
 
-
-def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Optional[list[IntVec]]:
-    """The members of ``vectors`` that span extreme rays of their cone, or
-    None if that cone contains a line.
-
-    ``vectors`` are the distinct primitive vectors that the kernel pass
-    dualized, in its input order; ``tight`` holds the masks of the rays of
-    that pass: bit j of ``tight[i]`` marks ``vectors[j]`` as orthogonal to
-    the i-th ray. Those rays generate the dual cone up to its lineality, on
-    which every vector is tight. Transposed, the masks give each vector's
-    tight set (cdd's incidences: Fukuda-Prodon, "Double description method
-    revisited", 1996), which cuts out the smallest face containing it. A
-    vector tight on every ray spans a line; in a pointed cone a vector is
-    extreme iff no other vector's tight set contains its own. Vectors
-    tight on fewer than ``need`` rays cannot be extreme and are skipped
-    unscanned.
+    ``vectors`` are primitive, such as those a kernel pass dualized, in its
+    input order; ``tight`` holds the masks of the rays of the dual cone,
+    such as the rays of that pass: bit j of ``tight[i]`` marks
+    ``vectors[j]`` as orthogonal to the i-th ray. Those rays generate the
+    dual cone up to its lineality, on which every vector is tight.
+    Transposed, the masks give each vector's tight set (cdd's incidences:
+    Fukuda-Prodon, "Double description method revisited", 1996), which
+    cuts out the smallest face containing it. A vector tight on every ray
+    spans a line; in a pointed cone a vector is extreme iff no other
+    vector's tight set contains its own. Two vectors with one tight set are
+    equal, and the first stands for both, or lie in a face whose extreme
+    rays have larger sets. Vectors tight on fewer than ``need`` rays cannot
+    be extreme and are skipped unscanned. If a list is passed as ``kept``,
+    the tight set of each vector returned is appended to it: bit i marks
+    the i-th ray.
     """
     masks = [0] * len(vectors)
     for i, m in enumerate(tight):
@@ -258,11 +277,12 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Opti
     if (1 << len(tight)) - 1 in masks:
         return None
     cand = [i for i, m in enumerate(masks) if m.bit_count() >= need]
-    return [
-        vectors[i]
-        for i in cand
-        if not any(masks[k] & masks[i] == masks[i] for k in cand if k != i)
+    extreme = [
+        i for i in cand if not any(masks[k] & masks[i] == masks[i] and (k < i or masks[k] != masks[i]) for k in cand if k != i)
     ]
+    if kept is not None:
+        kept.extend(masks[i] for i in extreme)
+    return [vectors[i] for i in extreme]
 
 
 # -- polyhedra ----------------------------------------------------------------
@@ -319,7 +339,7 @@ def dehomogenize(cone: Cone) -> Polyhedron:
     halfspaces. The cone lies in ``x0 >= 0``, so a line in it lies at height
     0 and shows as an opposite pair among the rays."""
     rays = [g[1:] for g in cone.rays if not g[0]]
-    if rays and _has_opposite_pair(rays):
+    if any(vneg(r) in rays for r in rays):
         raise ValueError("polyhedron contains a line")
     verts = [tuple(Fraction(c, g[0]) for c in g[1:]) for g in cone.rays if g[0]]
     if not verts:
@@ -389,14 +409,15 @@ def is_minkowski_sum(p: Polyhedron, q: Polyhedron, r: Polyhedron) -> bool:
     """
     if not p.rank == q.rank == r.rank:
         raise ValueError("rank mismatch in Minkowski sum")
-    if not set(r.rays) <= set(p.rays + q.rays):
+    tail = set(p.rays) | set(q.rays)
+    if not set(r.rays) <= tail:
         return False
     d = lcm(*(c.denominator for v in p.vertices + q.vertices + r.vertices for c in v))
     ps, qs, rs = ([tuple(c.numerator * (d // c.denominator) for c in v) for v in x.vertices] for x in (p, q, r))
     if not set(rs) <= {vadd(v, w) for v in ps for w in qs}:
         return False
     return all(
-        all(sum(map(mul, n, x)) >= 0 for x in p.rays + q.rays)
+        all(sum(map(mul, n, x)) >= 0 for x in tail)
         and (min(sum(map(mul, n, v)) for v in ps) + min(sum(map(mul, n, w)) for w in qs)) * c.denominator
         >= c.numerator * d
         for n, c in r.halfspaces
@@ -412,7 +433,8 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     """Cone over a polytope placed at height 1 in one extra coordinate.
 
     The new coordinate is inserted at ``height_index`` (default: first). If p is full-dimensional,
-    no kernel pass runs: the lifted vertices and halfspaces are the cone's.
+    no kernel pass runs: the lifted vertices and halfspaces are the cone's,
+    and their incidence is where a halfspace's lift vanishes on a vertex's.
     """
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
@@ -421,15 +443,27 @@ def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     gens = [primitive_from_rational(v[:height_index] + (1,) + v[height_index:]) for v in p.vertices]
     if p.dim() < p.rank:
         return Cone.from_generators(p.rank + 1, gens)
-    normals = [primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in p.halfspaces]
-    return Cone(p.rank + 1, tuple(sorted(gens)), tuple(sorted(normals)))
+    gens = sorted(gens)
+    normals = sorted(primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in p.halfspaces)
+    incidence = tuple(sum(1 << j for j, n in enumerate(normals) if not dot(n, g)) for g in gens)
+    return Cone(p.rank + 1, tuple(gens), tuple(normals), incidence)
 
 
 def kernel_slice(cone: Cone) -> Cone:
     """The cone ``{x in cone : x_last = 0}`` in the first coordinates: the
     level-0 slice along the divided coordinate, which the adapted frame
-    puts last, as for :func:`level_slice`."""
-    return dual_cone(Cone.from_generators(cone.rank - 1, [n[:-1] for n in cone.facet_normals]))
+    puts last, as for :func:`level_slice`. No kernel pass runs: one kernel
+    insertion step over the incidence gives the rays, each with its tight
+    facets, and :func:`_irredundant` picks the facets among the restricted
+    normals. ValueError unless the cone is pointed and full-dimensional
+    with rays on both sides of x_last = 0."""
+    vals = [r[-1] for r in cone.rays]
+    if cone.incidence is None or min(vals) >= 0 or max(vals) <= 0:
+        raise ValueError("kernel slice needs a pointed full-dimensional cone with rays on both sides of x_last = 0")
+    cut = sorted((r[:-1], m) for r, m in _dd_step(cone.rays, cone.incidence, vals, 0, cone.rank - 2).items() if not r[-1])
+    # Normals with one restriction vanish together on x_last = 0, so their tight sets there are equal.
+    facets = _irredundant([primitive_vector(n[:-1]) for n in cone.facet_normals], [m for _, m in cut], cone.rank - 2)
+    return Cone(cone.rank - 1, tuple(r for r, _ in cut), tuple(sorted(facets)))
 
 
 def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
@@ -438,13 +472,19 @@ def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
     :func:`kernel_slice` gave as ``tail``. No kernel pass runs: homogenized,
     the slice is spanned by (|r_last|, r[:-1]) for each ray r with
     sign * r_last > 0 and by tail's rays, and cut out by (sign * N_last, N[:-1])
-    for each facet normal N of sigma tight on such an r; the other facets miss
-    the slice. ValueError for a line, an equation, or an empty slice."""
-    if _has_opposite_pair(sigma.rays) or _has_opposite_pair(sigma.facet_normals):
+    for each facet normal N of sigma tight on such an r, which the union of
+    their incidence masks marks; the other facets miss the slice. ValueError
+    for a cone without its incidence (one with a line or an equation), or an
+    empty slice."""
+    if sigma.incidence is None:
         raise ValueError("level slice needs a pointed full-dimensional cone")
-    side = [r for r in sigma.rays if sign * r[-1] > 0]
+    side, touched = [], 0
+    for r, m in zip(sigma.rays, sigma.incidence):
+        if sign * r[-1] > 0:
+            side.append(r)
+            touched |= m
     rays = [(abs(r[-1]),) + r[:-1] for r in side] + [(0,) + t for t in tail.rays]
-    facets = [(sign * n[-1],) + n[:-1] for n in sigma.facet_normals if any(dot(n, r) == 0 for r in side)]
+    facets = [(sign * n[-1],) + n[:-1] for j, n in enumerate(sigma.facet_normals) if touched >> j & 1]
     return dehomogenize(Cone(sigma.rank, tuple(rays), tuple(facets)))
 
 

@@ -1,5 +1,7 @@
+import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Optional
 
@@ -28,6 +30,7 @@ from laumut.laurent import (
     act_unimodular,
     divide_exact,
     newton_polytope,
+    parse,
     variable_names,
 )
 from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
@@ -109,6 +112,22 @@ def random_mutable_pair(rng, rank):
             terms.append((e + (level,), c))
     adapted = LaurentPolynomial.from_terms(rank, terms)
     return act_unimodular(adapted, basis), spec
+
+
+@cache
+def seeded_family_cases():
+    """The worked families F3 and F4, then 15 seeded mutable pairs in each
+    of ranks 2, 3 and 4 whose Newton polytope holds the origin inside."""
+    spec = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
+    cases = [(parse(text), spec) for text in ("x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1")]
+    for rank in (2, 3, 4):
+        rng = random.Random(60 + rank)
+        start = len(cases)
+        while len(cases) < start + 15:
+            f, spec = random_mutable_pair(rng, rank)
+            if contains_origin_interior(newton_polytope(f)):
+                cases.append((f, spec))
+    return tuple(cases)
 
 
 def fraction_vertex_cycle(p):
@@ -379,6 +398,18 @@ def cone_level_slice(cone, u, level):
 @pytest.fixture
 def level_slice_oracle():
     return cone_level_slice
+
+
+def kernel_pass_slice(cone):
+    """Oracle for ``kernel_slice``: the cone cut out by the facet normals
+    with their last coordinate dropped, canonicalized by one kernel pass
+    instead of read off the cone's incidence. It takes any cone."""
+    return dual_cone(Cone.from_generators(cone.rank - 1, [n[:-1] for n in cone.facet_normals]))
+
+
+@pytest.fixture
+def kernel_slice_oracle():
+    return kernel_pass_slice
 
 
 def hull_level_slice(points, sign, tail):

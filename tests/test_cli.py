@@ -496,10 +496,12 @@ def test_plain_mutate_builds_no_newton_polytopes(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_hulls_each_support_once(capsys, monkeypatch):
-    # Delta(f) and Delta(mutated) once each; the division takes none.
-    calls = count_calls(monkeypatch, laurent.newton_polytope)
+    # Delta(f) and Delta(mutated) once each, hulled as the cones over them
+    # that the family slices; the division takes none.
+    cones = count_calls(monkeypatch, laurent.newton_cone)
+    polytopes = count_calls(monkeypatch, laurent.newton_polytope)
     assert run(capsys, "verify", *F3_MUTATION)[0] == 0
-    assert len(calls) == 2
+    assert len(cones) + len(polytopes) == 2
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import random_mutable_pair
+from conftest import random_mutable_pair, seeded_family_cases
 from laumut import deformation, polyhedra
 from laumut.deformation import (
     FamilyError,
@@ -17,9 +18,10 @@ from laumut.deformation import (
     general_fiber_is_toric,
     verify_main_theorem,
 )
-from laumut.laurent import parse
+from laumut.exactlat import dot
+from laumut.laurent import newton_cone, parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, tailcone, verify_admissibility
+from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, kernel_slice, tailcone, verify_admissibility
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -65,11 +67,11 @@ def test_build_family_worked_example():
 
 @pytest.mark.parametrize("text", ["x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"])
 def test_family_kernel_passes(monkeypatch, text):
-    # build_family runs one pass each for Delta(f), the tail cone, Delta_0^0,
-    # Delta_0^1 and sigma_inf; verify adds Delta(mutated) and its tail cone.
-    # Delta_0 and Delta_inf are read off sigma, and exact division, the cones
-    # over the Newton polytopes, the decomposition check and the rank-2 dual
-    # counts run no kernel pass.
+    # build_family runs one pass each for Delta(f), whose cone is sigma,
+    # Delta_0^0, Delta_0^1 and sigma_inf; verify adds Delta(mutated). The
+    # tail cones, Delta_0 and Delta_inf are read off the incidences of the
+    # cones' own passes, and exact division, the decomposition check and the
+    # rank-2 dual counts run no kernel pass.
     calls = []
 
     def counted(constraints, rank, **kwargs):
@@ -78,10 +80,45 @@ def test_family_kernel_passes(monkeypatch, text):
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     build_family(parse(text), worked_spec())
-    assert len(calls) <= 5
+    assert len(calls) == 4
     calls.clear()
     verify_main_theorem(parse(text), worked_spec())
-    assert len(calls) <= 7
+    assert len(calls) == 5
+
+
+def test_family_tails_match_the_one_pass_oracle(kernel_slice_oracle):
+    # sigma is the Newton hull's own cone: it carries the exact incidence,
+    # from which tau is read with no kernel pass. The oracle cuts tau out of
+    # sigma's facet normals with one; every field must agree.
+    sigmas = [newton_cone(parse("x + x^-1"))]
+    for f, spec in seeded_family_cases():
+        fam = build_family(f, spec)
+        assert fam.sigma.incidence is not None and astuple(fam.tail) == astuple(kernel_slice_oracle(fam.sigma))
+        sigmas.append(fam.sigma)
+    assert len(sigmas) == 48
+    for sigma in sigmas:
+        assert sigma.incidence == tuple(
+            sum(1 << j for j, n in enumerate(sigma.facet_normals) if not dot(n, r)) for r in sigma.rays
+        )
+        assert astuple(kernel_slice(sigma)) == astuple(kernel_slice_oracle(sigma))
+
+
+def test_verify_records_a_mutated_cone_it_cannot_slice(monkeypatch):
+    # kernel_slice needs the incidence of a pointed full-dimensional cone.
+    # A sigma' without one fails tailcone_preserved instead of raising.
+    built = []
+
+    def stripped(f):
+        cone = newton_cone(f)
+        built.append(cone)
+        return cone if len(built) == 1 else Cone(cone.rank, cone.rays, cone.facet_normals)
+
+    monkeypatch.setattr(deformation, "newton_cone", stripped)
+    report = verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
+    status = {c.name: c.status for c in report.checks}
+    assert status["mutation_cone_match"] == "pass" and status["tailcone_preserved"] == "fail"
+    assert not report.passed
+    assert report.to_dict()["checks"][3]["details"]["tail_prime_rays"] is None
 
 
 FORGED_DELTA0 = """

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_mutable_pair, random_poly, random_unimodular
+from conftest import random_mutable_pair, random_poly, random_unimodular, seeded_family_cases
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     inverse_unimodular,
@@ -134,16 +134,7 @@ def test_dual_counts_match_box_scan_on_random_rank3_pairs(box_scan):
 def test_family_slices_match_cone_level_slice(level_slice_oracle):
     # The family reads Delta_0 and Delta_inf off the level points of
     # Delta(f); the oracle cuts them out of sigma's facets instead.
-    spec = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
-    cases = [(parse(text), spec) for text in ("x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1")]
-    for rank in (2, 3, 4):
-        rng = random.Random(60 + rank)
-        start = len(cases)
-        while len(cases) < start + 15:
-            f, spec = random_mutable_pair(rng, rank)
-            if contains_origin_interior(newton_polytope(f)):
-                cases.append((f, spec))
-    for f, spec in cases:
+    for f, spec in seeded_family_cases():
         fam = build_family(f, spec)
         assert fam.delta0 == level_slice_oracle(fam.sigma, fam.direction, 1)
         assert fam.delta_inf == level_slice_oracle(fam.sigma, fam.direction, -1)

@@ -1,13 +1,14 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d
+from conftest import fraction_vertex_cycle, normalized_volume_2d, seeded_family_cases
 from laumut import polyhedra
-from laumut.deformation import verify_main_theorem
+from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     dot,
     inverse_unimodular,
@@ -256,8 +257,10 @@ def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
-def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, level_slice_oracle):
+def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, level_slice_oracle, kernel_slice_oracle):
     # Halfspaces are not printed, so only full dataclass equality sees them.
+    # kernel_slice refuses a cone with rays on one side only; there the
+    # oracle gives the tail that level_slice is handed.
     rng = random.Random(90 + rank)
     u = unit_vector(rank + 1, rank)
     seen = {"bounded": 0, "unbounded": 0}
@@ -273,7 +276,13 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
         if p.dim() < rank:
             continue
         sigma = cone_over(p, 0)
-        tail = kernel_slice(sigma)
+        if min(v[-1] for v in p.vertices) < 0 < max(v[-1] for v in p.vertices):
+            tail = kernel_slice(sigma)
+            assert astuple(tail) == astuple(kernel_slice_oracle(sigma))
+        else:
+            with pytest.raises(ValueError):
+                kernel_slice(sigma)
+            tail = kernel_slice_oracle(sigma)
         seen["unbounded" if tail.rays else "bounded"] += 1
         for sign in (1, -1):
             if not any(sign * v[-1] > 0 for v in p.vertices):
@@ -286,23 +295,84 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
             assert tailcone(s) == tail
 
 
+LINE = Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)])
+EQUATION = Cone.from_generators(3, [(1, 0, 1), (1, 1, -1)])
+ABOVE = cone_over(hull(V((0, 1), (1, 2), (-1, 2))), 0)
+LINE_ACROSS_LEVELS = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
+
+
 @pytest.mark.parametrize(
     "cone,sign",
-    [
-        (Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)]), 1),
-        (Cone.from_generators(3, [(1, 0, 1), (1, 1, -1)]), 1),
-        (cone_over(hull(V((0, 1), (1, 2), (-1, 2))), 0), -1),
-        (Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]), 1),
-    ],
+    [(LINE, 1), (EQUATION, 1), (ABOVE, -1), (LINE_ACROSS_LEVELS, 1)],
     ids=["line", "equation", "no_ray_at_level", "line_across_levels"],
 )
-def test_level_slice_preconditions(cone, sign):
+def test_level_slice_preconditions(kernel_slice_oracle, cone, sign):
     # The line and equation cones have rays at level 1, so only their shape
-    # refuses them. The line across levels (along x_last) leaves a pointed
-    # tail and no opposite facet normals: only its pair of rays shows it.
-    tail = kernel_slice(cone)
+    # refuses them: a cone with a line or an equation carries no incidence.
+    # The line across levels (along x_last) leaves a pointed tail and no
+    # opposite facet normals. kernel_slice refuses every one of these
+    # cones, so the oracle gives the tail.
+    assert cone.incidence is None or cone is ABOVE
+    tail = kernel_slice_oracle(cone)
     with pytest.raises(ValueError):
         level_slice(cone, tail, sign)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        LINE,
+        EQUATION,
+        ABOVE,
+        cone_over(hull(V((0, -1), (1, -2), (-1, 0))), 0),
+        LINE_ACROSS_LEVELS,
+        # The half-space y >= 0 cut by x_last = 0: a line, and a slice that has one too.
+        Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]),
+        # The incidence is what the read-off needs: a cone built without it is refused.
+        Cone(3, ABOVE.rays, ABOVE.facet_normals),
+    ],
+    ids=["line", "equation", "no_ray_below", "no_ray_above", "line_across_levels", "half_space", "no_incidence"],
+)
+def test_kernel_slice_preconditions(kernel_slice_oracle, cone):
+    kernel_slice_oracle(cone)  # the one-pass oracle takes any cone
+    with pytest.raises(ValueError):
+        kernel_slice(cone)
+
+
+def dot_incidence(cone):
+    return tuple(sum(1 << j for j, n in enumerate(cone.facet_normals) if not dot(n, r)) for r in cone.rays)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_kernel_slice_read_off_matches_the_one_pass_oracle(kernel_slice_oracle, rank):
+    # Every pointed full-dimensional cone of the corpus, and the cone over
+    # every full-dimensional one of 60 seeded polytopes at each height,
+    # carries the exact incidence; the others carry none. Those with rays on
+    # both sides of x_last = 0 are sliced and compared field by field with
+    # the oracle.
+    corpus, _ = cone_corpus(rank)
+    rng = random.Random(7300 + rank)
+    lifted = [random_polytope(rng, rank - 1) for _ in range(60)]
+    cones = [Cone.from_generators(rank, rows) for rows in corpus]
+    cones += [cone_over(p, h) for p in lifted if p.dim() == rank - 1 for h in range(rank)]
+    shapes = set()
+    for cone in cones:
+        if has_opposite_pair(cone.rays) or has_opposite_pair(cone.facet_normals):
+            assert cone.incidence is None
+            continue
+        assert cone.incidence == dot_incidence(cone)
+        if min(r[-1] for r in cone.rays) < 0 < max(r[-1] for r in cone.rays):
+            tau = kernel_slice(cone)
+            assert astuple(tau) == astuple(kernel_slice_oracle(cone))
+            # Two facets restricting to one normal of the slice are read as one.
+            restricted = [primitive_vector(n[:-1]) for n in cone.facet_normals]
+            shapes.add("shared" if len(set(restricted)) < len(restricted) else "sliced")
+        else:
+            with pytest.raises(ValueError):
+                kernel_slice(cone)
+            shapes.add("one-sided")
+    # In rank 2 both facets of a slice restrict to its one normal.
+    assert shapes == {2: {"shared", "one-sided"}, 5: {"sliced", "one-sided"}}.get(rank, {"sliced", "shared", "one-sided"})
 
 
 # -- lattice tests and duals ------------------------------------------------------
@@ -462,8 +532,9 @@ def test_extreme_rays_match_recomputed_tight_sets(recompute_dd, rank):
 def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_dd, polar_dual_oracle, monkeypatch):
     # Record the homogenised hull and from_halfspaces inputs that the
     # Newton polytopes of the worked polygons and the kernel's polar duals
-    # of them produce, and the rank-3 cones and slices of the worked
-    # families under each shear.
+    # of them produce, the rank-3 cones of the worked families under each
+    # shear, and the rank-4 and rank-5 cones of the seeded rank-3 and
+    # rank-4 families.
     calls = []
 
     def recording(constraints, rank, **kwargs):
@@ -479,6 +550,9 @@ def test_extreme_rays_match_recomputed_tight_sets_on_worked_polygons(recompute_d
             u = mat_vec(transpose(inverse_unimodular(shear)), (0, 1))
             spec = MutationSpec.from_direction(u, act_unimodular(parse("1 + x", rank=2), shear))
             assert verify_main_theorem(act_unimodular(parse(text), shear), spec).passed
+    for f, spec in seeded_family_cases():
+        if f.rank > 2:
+            build_family(f, spec)
     assert len(calls) > 100
     for constraints, rank in calls:
         assert extreme_rays(constraints, rank) == recompute_dd(constraints, rank)
@@ -861,7 +935,6 @@ SIGMA = cone_over(hull(V((-1, 1), (1, 1), (0, -1))), 0)
 SIGMA_TAIL = kernel_slice(SIGMA)
 SQUARE = hull(V((1, 1), (1, -1), (-1, 1), (-1, -1)))
 SEGMENT = hull(V((0, 0), (1, 2)))
-HALF_SPACE = Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
 OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)))
 
 
@@ -876,7 +949,8 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: polar_dual(SQUARE), 0),
         (lambda: dual_ehrhart_counts(SQUARE, 6), 0),
         (lambda: dual_ehrhart_counts(OCTAHEDRON, 6), 1),
-        (lambda: kernel_slice(SIGMA), 1),
+        # Both slices are read off sigma's incidence.
+        (lambda: kernel_slice(SIGMA), 0),
         # A level slice of a pointed full-dimensional cone is read off its rays and facets.
         (lambda: level_slice(SIGMA, SIGMA_TAIL, 1), 0),
         (lambda: Cone.from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]), 1),
@@ -893,17 +967,16 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
         # A dual cone swaps the two sides.
         (lambda: dual_cone(SIGMA), 0),
-        # Cut out by normals, a cone with a line (here the slice y >= 0 of
-        # the half-space cone, and the half-plane y >= 0) is the dual of a
-        # pointed cone, so the pass from its normals reads both sides.
-        (lambda: kernel_slice(HALF_SPACE), 1),
+        # Cut out by normals, a cone with a line (here the half-plane
+        # y >= 0) is the dual of a pointed cone, so the pass from its
+        # normals reads both sides.
         (lambda: pytest.raises(ValueError, from_halfspaces, [((0, 1), 0)], 2), 1),
     ],
     ids=[
         "hull", "hull_rays", "from_halfspaces", "polar_dual", "dual_counts_rank2", "dual_counts_rank3",
         "kernel_slice", "level_slice", "from_generators",
         "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
-        "divide_exact", "dual_cone", "kernel_slice_line", "from_halfspaces_line",
+        "divide_exact", "dual_cone", "from_halfspaces_line",
     ],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
