@@ -32,7 +32,6 @@ from .polyhedra import (
     kernel_slice,
     minkowski_sum,
     polar_dual,
-    tailcone,
     verify_admissibility,
 )
 from .mutation import (

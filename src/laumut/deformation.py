@@ -5,8 +5,8 @@ sigma over Delta(f) placed at height 1 along a new grading coordinate
 (put first). The divided-variable functional u is the last coordinate
 of the adapted frame; slicing sigma at its levels +1, 0, -1 produces
 polyhedra Delta_0, tau, Delta_inf in the (grading, kernel) coordinates.
-sigma is the cone that the hull of Delta(f) builds, and all three slices
-are read off the incidence of its kernel pass with no pass of their own
+sigma is the cone Delta(f) is kept as, which its hull built, and all three
+slices are read off the incidence of that kernel pass with no pass of their own
 (:func:`polyhedra.kernel_slice`, :func:`polyhedra.level_slice`). A
 divisor g that makes f mutable splits Delta_0 into a
 Minkowski sum Delta_0^0 + Delta_0^1, each the hull of integer points
@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactlat import IntVec, unit_vector
-from .laurent import LaurentPolynomial, newton_cone, to_string
+from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
     AdmissibilityVerdict,
     Cone,
     Polyhedron,
     contains_origin_interior,
-    dehomogenize,
     dual_ehrhart_counts,
     is_admissible_pair,
     is_lattice_polyhedron,
@@ -105,16 +104,14 @@ class Hypotheses:
     """The family hypotheses for one mutation, checked once.
 
     ``report`` holds the per-level divisions and the mutated polynomial;
-    ``newton`` is Delta(f) in the adapted frame and ``sigma`` the cone over
-    it, grading first, as its hull built it. The family construction reuses
-    them instead of dividing or hulling again.
+    ``newton`` is Delta(f) in the adapted frame, whose cone is sigma. The
+    family construction reuses them instead of dividing or hulling again.
     """
 
     failures: list[str]
     details: dict
     report: MutationCheck
     newton: Polyhedron
-    sigma: Cone
 
 
 def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
@@ -124,8 +121,7 @@ def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
     details: dict = {"mutation": report.to_dict()}
     if not ok:
         failures.append("mutation:non-divisible levels " + str(report.failing_levels()))
-    sigma = newton_cone(spec.to_adapted(f))
-    nf = dehomogenize(sigma)
+    nf = newton_polytope(spec.to_adapted(f))
     origin_ok = contains_origin_interior(nf)
     details["origin_interior"] = origin_ok
     if not origin_ok:
@@ -134,7 +130,7 @@ def check_hypotheses(f: LaurentPolynomial, spec: MutationSpec) -> Hypotheses:
     details["levels"] = {"low": report.low, "high": report.high, "straddles_zero": levels_ok}
     if not levels_ok:
         failures.append("levels:divided exponents must straddle zero")
-    return Hypotheses(failures, details, report, nf, sigma)
+    return Hypotheses(failures, details, report, nf)
 
 
 def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
@@ -147,7 +143,7 @@ def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
 
 def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_adapted: LaurentPolynomial) -> FamilyData:
     n = spec.rank
-    sigma = hyp.sigma
+    sigma = hyp.newton.cone
     u = (0,) * n + (1,)
     grading = unit_vector(n + 1, 0)
     tail = kernel_slice(sigma)
@@ -160,9 +156,8 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
     # (1, 0, e) and (0, r), all int vectors.
     tail_gens = [(0,) + r for r in tail.rays]
     gens00 = [(e[-1], 1) + e[:-1] for e in mutated_adapted.support() if e[-1] > 0]
-    cone00 = Cone.from_generators(n + 1, gens00 + tail_gens)
-    cone01 = Cone.from_generators(n + 1, [(1, 0) + e for e in spec.divisor.support()] + tail_gens)
-    delta00, delta01 = dehomogenize(cone00), dehomogenize(cone01)
+    delta00 = Polyhedron(Cone.from_generators(n + 1, gens00 + tail_gens))
+    delta01 = Polyhedron(Cone.from_generators(n + 1, [(1, 0) + e for e in spec.divisor.support()] + tail_gens))
     if not is_minkowski_sum(delta00, delta01, delta0):
         raise AssertionError("divisor decomposition must rebuild the +1 slice")
 
@@ -174,9 +169,9 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
     # height -1 by each sum v + r[:-1]/|r_last| of a vertex of Delta_0^1 and one
     # of Delta_inf (r a down ray of sigma), scaled to (|r_last| v + r[:-1], r_last).
     # The cone keeps only the extreme ones, so Delta_0^1 + Delta_inf is never hulled.
-    gens = [r + (0,) for r in tail.rays] + [g[1:] + (g[0],) for g in cone00.rays if g[0]]
+    gens = [r + (0,) for r in tail.rays] + [g[1:] + (g[0],) for g in delta00.cone.rays if g[0]]
     down = [r for r in sigma.rays if r[-1] < 0]
-    verts01 = [g[1:] for g in cone01.rays if g[0]]
+    verts01 = [g[1:] for g in delta01.cone.rays if g[0]]
     gens += [tuple(-r[-1] * a + b for a, b in zip(v, r[:-1])) + (r[-1],) for v in verts01 for r in down]
     sigma_inf = Cone.from_generators(n + 1, gens)
     return FamilyData(
@@ -271,8 +266,8 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     }
     checks.append(CheckResult("family", "pass", fam_details))
 
-    sigma_prime = newton_cone(mutated_adapted)
-    nf_mut = dehomogenize(sigma_prime)
+    nf_mut = newton_polytope(mutated_adapted)
+    sigma_prime = nf_mut.cone
     data["mutated"] = to_string(hyp.report.mutated)
     data["sigma_rays"] = _rows(family.sigma.rays)
     data["sigma_infinity_rays"] = _rows(family.sigma_inf.rays)

@@ -324,31 +324,20 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
     """Convex hull of the support.
 
     The integer exponents go to the hull as they are, with no Fraction
-    copies; its vertices come back as Fractions. In ranks 1 and 2 the
-    support is first cut down to its extreme points (in rank 2 by the
-    chain that orders polygon vertices, :func:`polyhedra.convex_cycle`),
-    so the hull sees only the vertices however many terms f has.
+    copies. In ranks 1 and 2 the support is first cut down to its extreme
+    points (in rank 2 by the chain that orders polygon vertices,
+    :func:`polyhedra.convex_cycle`), so the hull sees only the vertices
+    however many terms f has. The polytope is kept as the cone over it, so
+    a full-dimensional one carries the incidence of the hull's kernel pass.
     """
-    return polyhedra.hull(_hull_points(f))
-
-
-def newton_cone(f: LaurentPolynomial) -> polyhedra.Cone:
-    """The cone over Delta(f) at height 1 in a new first coordinate: the
-    homogenization that the hull of :func:`newton_polytope` canonicalizes,
-    kept whole, so a full-dimensional one carries the incidence of its
-    kernel pass. Its dehomogenization is ``newton_polytope(f)``."""
-    return polyhedra.Cone.from_generators(f.rank + 1, [(1,) + e for e in _hull_points(f)])
-
-
-def _hull_points(f: LaurentPolynomial) -> list[IntVec]:
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = f.support()  # sorted, as every polynomial's terms are
     if f.rank == 1:
-        return sorted({support[0], support[-1]})
-    if f.rank == 2:
-        return polyhedra.convex_cycle(support)
-    return support
+        support = sorted({support[0], support[-1]})
+    elif f.rank == 2:
+        support = polyhedra.convex_cycle(support)
+    return polyhedra.hull(support)
 
 
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[LaurentPolynomial]:

@@ -1,25 +1,23 @@
 """Exact rational convex polyhedra and cones.
 
 Every conversion runs through one double description kernel
-(:func:`extreme_rays`). A polyhedron is handled as its homogenization
-(points at height 1, rays at height 0 in a new first coordinate): that
-cone is canonicalized from generators and read back; a cone given by
-normals is the dual of the cone they span, read with its two sides
+(:func:`extreme_rays`). A polyhedron is kept as its homogenization, the
+homogeneous form of cdd (points at height 1, rays at height 0 in a new
+first coordinate), canonicalized as a cone from generators; a cone given
+by normals is the dual of the cone they span, read with its two sides
 swapped. A conversion runs one kernel pass to the other side and then
 reads the irredundant members of its own input off their incidences with
 that side's output. The kernel pass hands those incidences over as the
 tight-constraint bitmasks it already keeps, so no dot product is taken
 again; only a cone with a line takes a second pass, and a pointed
-full-dimensional cone keeps them. The cone over a bounded
-full-dimensional polytope takes none: its rays and facets are the
-polytope's vertices and halfspaces, lifted. A dual cone takes none: it
-swaps the two sides. Nor does a polar dual, which swaps the polytope's
-vertices and facets, or a slice of a pointed full-dimensional cone at a
-level of its last coordinate, which is read off the cone's incidence
-(at level 0 through one insertion step of the kernel).
-All arithmetic is exact (ints and Fractions), every public object is
-immutable, and generator/facet lists are sorted, so equal polyhedra are
-structurally equal and all output is deterministic.
+full-dimensional cone keeps them. No pass runs for the cone over a
+polytope, which is the polytope's own; for a dual cone, which swaps the
+two sides; for a polar dual, the dual of the polytope's cone; or for a
+slice of a pointed full-dimensional cone at a level of its last
+coordinate, which is read off the cone's incidence (at level 0 through
+one insertion step of the kernel). All arithmetic is exact (ints and
+Fractions), every public object is immutable, and generator/facet lists
+are sorted, so all output is deterministic.
 
 Conventions: a halfspace is a pair ``(normal, offset)`` meaning
 ``<normal, x> >= offset`` with a primitive integer normal and a rational
@@ -32,6 +30,7 @@ an equation as an opposite pair of facet normals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -184,7 +183,7 @@ class Cone:
     (same set of points).
 
     A pointed full-dimensional cone from :meth:`from_generators` or
-    :func:`cone_over` carries its derived ``incidence`` (None otherwise):
+    :func:`cone_over` carries its ``incidence`` (None otherwise, or if dual):
     bit j of ``incidence[i]`` is set iff ``facet_normals[j]`` vanishes on ``rays[i]``.
     """
 
@@ -237,6 +236,8 @@ class Cone:
     @staticmethod
     def from_dict(data: dict) -> "Cone":
         rank = exact_int(data["rank"])
+        if rank < 0:
+            raise ValueError(f"a cone has a nonnegative rank, not {rank}")
         gens = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return Cone.from_generators(rank, gens)
 
@@ -292,25 +293,52 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: O
 class Polyhedron:
     """Pointed rational polyhedron: convex hull of vertices plus rays.
 
-    Both representations are stored in one canonical shape, which every
-    constructor builds: sorted vertices and rays, and sorted irredundant
-    halfspaces with primitive normals. So equal sets have equal fields.
+    Kept as its homogenization ``cone``, height first, whose generators at
+    positive height give the sorted vertices, those at height 0 the sorted
+    rays, and facet normals other than ``x0 >= 0`` the sorted halfspaces.
+    A line in a cone in ``x0 >= 0`` lies at height 0, an opposite pair of
+    rays; such a cone, one with no generator at positive height, or one
+    leaving ``x0 >= 0`` is refused (ValueError). Equality is semantic.
     """
 
-    rank: int
-    vertices: tuple[QVec, ...]
-    rays: tuple[IntVec, ...]
-    halfspaces: tuple[Halfspace, ...]
+    cone: Cone
+
+    __hash__ = None  # semantic equality, as for cones
+
+    def __post_init__(self):
+        if any(g[0] < 0 for g in self.cone.rays):
+            raise ValueError("the cone of a polyhedron lies in x0 >= 0")
+        if any(vneg(r) in self.rays for r in self.rays):
+            raise ValueError("polyhedron contains a line")
+        if not any(g[0] for g in self.cone.rays):
+            raise ValueError("empty polyhedron")
+
+    @property
+    def rank(self) -> int:
+        return self.cone.rank - 1
+
+    @cached_property
+    def vertices(self) -> tuple[QVec, ...]:
+        return tuple(sorted(tuple(Fraction(c, g[0]) for c in g[1:]) for g in self.cone.rays if g[0]))
+
+    @cached_property
+    def rays(self) -> tuple[IntVec, ...]:
+        return tuple(sorted(g[1:] for g in self.cone.rays if not g[0]))
+
+    @cached_property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        normals = [(n[0], n[1:], content(n[1:])) for n in self.cone.facet_normals]
+        return tuple(sorted((tuple(x // g for x in n), Fraction(-c, g)) for c, n, g in normals if g))
 
     def contains(self, point: Sequence) -> bool:
         return all(dot(n, point) >= c for n, c in self.halfspaces)
 
     def dim(self) -> int:
         """Dimension of the affine hull: the rank minus the number of
-        equations, each held among the canonical halfspaces as an opposite
-        pair ``(n, c)``, ``(-n, -c)``."""
-        halfspaces = set(self.halfspaces)
-        return self.rank - sum((vneg(n), -c) in halfspaces for n, c in halfspaces) // 2
+        equations, each held among the cone's facet normals as an opposite
+        pair."""
+        normals = set(self.cone.facet_normals)
+        return self.rank - sum(vneg(n) in normals for n in normals) // 2
 
     def support_minimum(self, u: Sequence[int]) -> Optional[Fraction]:
         """min of <u, .> over the polyhedron; None if unbounded below."""
@@ -332,27 +360,6 @@ class Polyhedron:
         return hull(verts, rays)
 
 
-def dehomogenize(cone: Cone) -> Polyhedron:
-    """The polyhedron whose homogenization is ``cone``: generators at
-    positive height in the first coordinate give its vertices, those at
-    height 0 its rays, and facet normals other than ``x0 >= 0`` its
-    halfspaces. The cone lies in ``x0 >= 0``, so a line in it lies at height
-    0 and shows as an opposite pair among the rays."""
-    rays = [g[1:] for g in cone.rays if not g[0]]
-    if any(vneg(r) in rays for r in rays):
-        raise ValueError("polyhedron contains a line")
-    verts = [tuple(Fraction(c, g[0]) for c in g[1:]) for g in cone.rays if g[0]]
-    if not verts:
-        raise ValueError("empty polyhedron")
-    halfspaces = []
-    for c in cone.facet_normals:
-        normal = c[1:]
-        if any(normal):
-            g = content(normal)
-            halfspaces.append((tuple(x // g for x in normal), Fraction(-c[0], g)))
-    return Polyhedron(cone.rank - 1, tuple(sorted(verts)), tuple(sorted(rays)), tuple(sorted(halfspaces)))
-
-
 def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Polyhedron:
     """Convex hull of points plus a recession cone spanned by rays.
 
@@ -371,7 +378,7 @@ def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Poly
         raise ValueError("mixed dimensions in hull input")
     gens = [primitive_from_rational((1,) + p) for p in pts]
     gens += [(0,) + primitive_vector(tuple(r)) for r in rays]
-    return dehomogenize(Cone.from_generators(rank + 1, gens))
+    return Polyhedron(Cone.from_generators(rank + 1, gens))
 
 
 def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: int) -> Polyhedron:
@@ -390,7 +397,7 @@ def from_halfspaces(halfspaces: Sequence[tuple[Sequence[int], Fraction]], rank: 
             continue
         d = offset.denominator
         hcons.append((-int(offset * d),) + tuple(x * d for x in normal))
-    return dehomogenize(dual_cone(Cone.from_generators(rank + 1, hcons)))
+    return Polyhedron(dual_cone(Cone.from_generators(rank + 1, hcons)))
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -401,50 +408,51 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def is_minkowski_sum(p: Polyhedron, q: Polyhedron, r: Polyhedron) -> bool:
-    """Whether r = p + q, decided on integers (vertices times their common denominator d), without a hull.
+    """Whether r = p + q, decided on integers without a hull: each generator
+    (h, y) of the three cones at positive height is scaled to the common
+    height d, the lcm of those heights, and the vertex y/h read as d*y/h.
 
     r lies in p + q iff its vertices are sums of a vertex of p and one of q
-    and its rays are rays of p or q; p + q lies in r iff for every halfspace
-    (n, c) of r the minima of n on p and q are finite and sum to at least c.
+    and its rays are rays of p or q; p + q lies in r iff for every facet
+    normal (N_0, n) of r's cone the minima of n on p and q are finite and
+    sum to at least -N_0.
     """
     if not p.rank == q.rank == r.rank:
         raise ValueError("rank mismatch in Minkowski sum")
     tail = set(p.rays) | set(q.rays)
     if not set(r.rays) <= tail:
         return False
-    d = lcm(*(c.denominator for v in p.vertices + q.vertices + r.vertices for c in v))
-    ps, qs, rs = ([tuple(c.numerator * (d // c.denominator) for c in v) for v in x.vertices] for x in (p, q, r))
+    d = lcm(*(g[0] for x in (p, q, r) for g in x.cone.rays if g[0]))
+    ps, qs, rs = ([tuple(c * (d // g[0]) for c in g[1:]) for g in x.cone.rays if g[0]] for x in (p, q, r))
     if not set(rs) <= {vadd(v, w) for v in ps for w in qs}:
         return False
     return all(
-        all(sum(map(mul, n, x)) >= 0 for x in tail)
-        and (min(sum(map(mul, n, v)) for v in ps) + min(sum(map(mul, n, w)) for w in qs)) * c.denominator
-        >= c.numerator * d
-        for n, c in r.halfspaces
+        all(sum(map(mul, n[1:], x)) >= 0 for x in tail)
+        and min(sum(map(mul, n[1:], v)) for v in ps) + min(sum(map(mul, n[1:], w)) for w in qs) >= -n[0] * d
+        for n in r.cone.facet_normals
     )
-
-
-def tailcone(p: Polyhedron) -> Cone:
-    """Recession cone of the polyhedron."""
-    return Cone.from_generators(p.rank, p.rays)
 
 
 def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
     """Cone over a polytope placed at height 1 in one extra coordinate.
 
-    The new coordinate is inserted at ``height_index`` (default: first). If p is full-dimensional,
-    no kernel pass runs: the lifted vertices and halfspaces are the cone's,
-    and their incidence is where a halfspace's lift vanishes on a vertex's.
+    The new coordinate sits at ``height_index`` (default: first, where the
+    cone is p's own). For another one, the coordinate of p's cone is moved:
+    with no kernel pass if p is full-dimensional, whose rays and normals
+    stay canonical once sorted and give their incidence again; a flat p's
+    equation pair does not, so its moved generators are canonicalized.
     """
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
     if not 0 <= height_index <= p.rank:
         raise ValueError("height_index out of range")
-    gens = [primitive_from_rational(v[:height_index] + (1,) + v[height_index:]) for v in p.vertices]
+    if not height_index:
+        return p.cone
+    h = height_index
+    gens, normals = ([v[1:h + 1] + v[:1] + v[h + 1:] for v in vs] for vs in (p.cone.rays, p.cone.facet_normals))
     if p.dim() < p.rank:
         return Cone.from_generators(p.rank + 1, gens)
-    gens = sorted(gens)
-    normals = sorted(primitive_from_rational(n[:height_index] + (-c,) + n[height_index:]) for n, c in p.halfspaces)
+    gens, normals = sorted(gens), sorted(normals)
     incidence = tuple(sum(1 << j for j, n in enumerate(normals) if not dot(n, g)) for g in gens)
     return Cone(p.rank + 1, tuple(gens), tuple(normals), incidence)
 
@@ -483,38 +491,33 @@ def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:
         if sign * r[-1] > 0:
             side.append(r)
             touched |= m
-    rays = [(abs(r[-1]),) + r[:-1] for r in side] + [(0,) + t for t in tail.rays]
+    rays = sorted([(abs(r[-1]),) + r[:-1] for r in side] + [(0,) + t for t in tail.rays])
     facets = [(sign * n[-1],) + n[:-1] for j, n in enumerate(sigma.facet_normals) if touched >> j & 1]
-    return dehomogenize(Cone(sigma.rank, tuple(rays), tuple(facets)))
+    return Polyhedron(Cone(sigma.rank, tuple(rays), tuple(facets)))
 
 
 def is_lattice_polyhedron(p: Polyhedron) -> bool:
-    return all(c.denominator == 1 for v in p.vertices for c in v)
+    # A generator (h, y) is primitive, so the vertex y/h is integral iff h = 1.
+    return all(g[0] == 1 for g in p.cone.rays if g[0])
 
 
 def contains_origin_interior(p: Polyhedron) -> bool:
-    """True iff p is bounded, full-dimensional, and 0 is interior.
-
-    Lower-dimensional polyhedra carry an equation, hence a halfspace
-    with offset >= 0, so they are rejected automatically.
-    """
-    return not p.rays and all(c < 0 for _, c in p.halfspaces)
+    """True iff p is bounded and every facet normal (N_0, n) of its cone,
+    which says <n, x> >= -N_0, has N_0 > 0: then 0 is interior. An
+    equation is an opposite pair of normals, so it is rejected."""
+    return not p.rays and all(n[0] > 0 for n in p.cone.facet_normals)
 
 
 def polar_dual(p: Polyhedron) -> Polyhedron:
     """Polar dual ``{u : <u, x> >= -1 on p}`` (origin must be interior).
 
-    Read off p's canonical presentation, as :meth:`Polyhedron.dim` is, so
-    no kernel pass runs: each facet ``<n, x> >= c`` of p (c < 0, as the
-    origin is interior) is the dual vertex ``n / -c``, and each vertex v of
-    p gives the dual facet ``<v, u> >= -1``, scaled to a primitive normal.
+    Its homogenization ``{(s, u) : s + <u, x> >= 0 on p}`` is the dual of
+    p's cone, so no kernel pass runs: the facets of p are the vertices of
+    the dual, and the vertices of p its facets.
     """
     if not contains_origin_interior(p):
         raise ValueError("polar dual needs the origin in the interior")
-    verts = [tuple(x / -c for x in n) for n, c in p.halfspaces]
-    normals = [primitive_from_rational(v) for v in p.vertices]
-    halfspaces = [(n, -dot(n, n) / dot(n, v)) for n, v in zip(normals, p.vertices)]
-    return Polyhedron(p.rank, tuple(sorted(verts)), (), tuple(sorted(halfspaces)))
+    return Polyhedron(dual_cone(p.cone))
 
 
 def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
@@ -523,35 +526,31 @@ def dual_ehrhart_counts(p: Polyhedron, kmax: int) -> list[int]:
     Counted fibre by fibre. Once u_0..u_{j-1} are fixed, the projection
     of the dual P* onto its first j+1 coordinates bounds u_j to an exact
     interval: u_0 by P*'s extreme vertex coordinates, the last coordinate
-    by P*'s facets, and each one between by the facets of a hull (r-2
-    kernel passes in rank r). Each dilate kP* is walked one prefix
-    u_0..u_{r-3} at a time; on the remaining plane, the last coordinate's
-    floor and ceiling bounds are lines in x = u_{r-2}, summed over x by
-    :func:`_envelope_floor_sum` in integer arithmetic.
+    by P*'s facets, and each one between by the facets of the cone over a
+    projection (r-2 kernel passes in rank r). Each dilate kP* is walked one
+    prefix u_0..u_{r-3} at a time; on the remaining plane, the last
+    coordinate's floor and ceiling bounds are lines in x = u_{r-2}, summed
+    over x by :func:`_envelope_floor_sum` in integer arithmetic.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    dual = polar_dual(p)
-    # levels[j] bounds u_j given the prefix u_0..u_{j-1}: (a, c, rest)
-    # stands for a*u_j + <rest, prefix> >= k*c, a lower bound if a > 0 and
-    # an upper one if a < 0. Facets with a = 0 only restate earlier levels.
+    dual = polar_dual(p).cone
+    # levels[j] holds the lower and upper bounds on u_j given the prefix
+    # u_0..u_{j-1}: a facet normal (N_0, rest..., a) of the projected cone
+    # stands for a*u_j + <rest, prefix> >= k*c with c = -N_0, a lower bound
+    # if a > 0 and an upper one if a < 0. Facets with a = 0 only restate
+    # earlier levels.
     levels = []
     for j in range(1, p.rank + 1):
         if j == p.rank:
-            halfspaces = dual.halfspaces
+            normals = dual.facet_normals
         elif j == 1:
-            first = [v[0] for v in dual.vertices]
-            halfspaces = (((1,), min(first)), ((-1,), -max(first)))
+            first = [Fraction(g[1], g[0]) for g in dual.rays]
+            lo, hi = min(first), max(first)
+            normals = ((-lo.numerator, lo.denominator), (hi.numerator, -hi.denominator))
         else:
-            halfspaces = hull([v[:j] for v in dual.vertices]).halfspaces
-        lower, upper = [], []
-        for normal, offset in halfspaces:
-            d = offset.denominator
-            a = normal[-1] * d
-            if a:
-                bound = (a, offset.numerator, tuple(x * d for x in normal[:-1]))
-                (lower if a > 0 else upper).append(bound)
-        levels.append((lower, upper))
+            normals = Cone.from_generators(j + 1, [g[:j + 1] for g in dual.rays]).facet_normals
+        levels.append(tuple([(n[-1], -n[0], n[1:-1]) for n in normals if side * n[-1] > 0] for side in (1, -1)))
     return [_dilate_count(levels, k) for k in range(1, kmax + 1)]
 
 
@@ -801,42 +800,50 @@ def is_admissible_pair(
 
 
 def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVerdict) -> bool:
-    """Independently re-check a verdict's evidence. Returns True if it holds."""
-    if verdict.status == STATUS_NO:
-        if verdict.witness is None:
-            return set(p.rays) != set(q.rays)
-        u = verdict.witness
-        if set(p.rays) != set(q.rays):
-            return False
-        mp = p.support_minimum(u)
-        mq = q.support_minimum(u)
-        return mp is not None and mq is not None and mp.denominator != 1 and mq.denominator != 1
-    if verdict.status == STATUS_YES:
-        if set(p.rays) != set(q.rays) or verdict.certificate is None:
-            return False
-        cert = verdict.certificate
-        if cert["kind"] == "lattice_polyhedron":
-            return is_lattice_polyhedron((p, q)[cert["which"]])
-        if cert["kind"] == "refinement":
-            listed = set()
+    """Independently re-check a verdict's evidence. Returns True if it holds.
+
+    Evidence that cannot be read (a missing key, or a value of the wrong
+    type or length) is refused, not raised on; only its reading is
+    guarded, so errors from p and q themselves propagate.
+    """
+
+    def read(coords, exact=exact_int) -> tuple:
+        v = tuple(map(exact, coords))
+        if len(v) != p.rank:
+            raise ValueError(f"expected {p.rank} coordinates, got {len(v)}")
+        return v
+
+    try:
+        witness, cert = verdict.witness, verdict.certificate
+        witness = witness if witness is None else read(witness)
+        kind = cert and cert["kind"]
+        if kind == "lattice_polyhedron":
+            lattice = (p, q)[cert["which"]]
+        elif kind == "refinement":
+            cells = []
             for cell in cert["cells"]:
-                vs, ws = cell["vertex_pair"]
-                v = tuple(Fraction(c) for c in vs)
-                w = tuple(Fraction(c) for c in ws)
-                if v not in p.vertices or w not in q.vertices:
+                v, w = (read(x, exact_fraction) for x in cell["vertex_pair"])
+                cells.append((v, w, [read(r) for r in cell["cell_rays"]]))
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
+        return False
+    same_tail = set(p.rays) == set(q.rays)
+    if verdict.status == STATUS_NO:
+        if witness is None or not same_tail:  # unequal tails need no witness
+            return witness is None and not same_tail
+        mp, mq = p.support_minimum(witness), q.support_minimum(witness)
+        return mp is not None and mq is not None and mp.denominator != 1 and mq.denominator != 1
+    if verdict.status == STATUS_YES and same_tail:
+        if kind == "lattice_polyhedron":
+            return is_lattice_polyhedron(lattice)
+        if kind == "refinement":
+            listed = set()
+            for v, w, rays in cells:
+                integral = all(c.denominator == 1 for c in v) or all(c.denominator == 1 for c in w)
+                if not integral or v not in p.vertices or w not in q.vertices:
+                    return False
+                if any(p.support_minimum(r) != dot(r, v) or q.support_minimum(r) != dot(r, w) for r in rays):
                     return False
                 listed.add((v, w))
-                iv = all(c.denominator == 1 for c in v)
-                iw = all(c.denominator == 1 for c in w)
-                if not (iv or iw):
-                    return False
-                for rs in cell["cell_rays"]:
-                    try:
-                        r = tuple(exact_int(c) for c in rs)
-                    except ValueError:
-                        return False
-                    if p.support_minimum(r) != dot(r, v) or q.support_minimum(r) != dot(r, w):
-                        return False
             # The full-dimensional cells are the normal cones of p + q at its
             # vertices, and each vertex is the sum of exactly one vertex pair;
             # every such pair must be listed, or the cells need not cover.

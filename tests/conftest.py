@@ -37,9 +37,9 @@ from laumut.mutation import MutationCheck, MutationSpec, SliceCheck
 from laumut.mutgraph import CanonicalForm
 from laumut.polyhedra import (
     Cone,
+    Polyhedron,
     contains_origin_interior,
     convex_cycle,
-    dehomogenize,
     dual_cone,
     extreme_rays,
     hull,
@@ -163,7 +163,7 @@ def kernel_polar_dual(p):
         raise ValueError("polar dual needs the origin in the interior")
     normals = [unit_vector(p.rank + 1, 0)]
     normals += [primitive_from_rational((1,) + v) for v in p.vertices]
-    return dehomogenize(dual_cone(Cone.from_generators(p.rank + 1, normals)))
+    return Polyhedron(dual_cone(Cone.from_generators(p.rank + 1, normals)))
 
 
 @pytest.fixture
@@ -392,7 +392,7 @@ def cone_level_slice(cone, u, level):
     w, kernel = adapted_basis(u)
     normals = [unit_vector(len(u), 0)]
     normals += [(level * dot(n, w),) + tuple(dot(n, k) for k in kernel) for n in cone.facet_normals]
-    return dehomogenize(dual_cone(Cone.from_generators(len(u), normals)))
+    return Polyhedron(dual_cone(Cone.from_generators(len(u), normals)))
 
 
 @pytest.fixture
@@ -532,6 +532,44 @@ def kernel_cone_over(p, height_index=0):
 @pytest.fixture
 def cone_over_oracle():
     return kernel_cone_over
+
+
+def fraction_dehomogenize(cone):
+    """Oracle for the views of ``Polyhedron(cone)``: (rank, vertices, rays,
+    halfspaces) of the polyhedron whose homogenization is ``cone``, built
+    as Fraction fields. Generators at positive height in the first
+    coordinate give its vertices, those at height 0 its rays, and facet
+    normals other than ``x0 >= 0`` its halfspaces. The cone lies in
+    ``x0 >= 0``, so a line in it lies at height 0 and shows as an opposite
+    pair among the rays."""
+    rays = [g[1:] for g in cone.rays if not g[0]]
+    if any(vneg(r) in rays for r in rays):
+        raise ValueError("polyhedron contains a line")
+    verts = [tuple(Fraction(c, g[0]) for c in g[1:]) for g in cone.rays if g[0]]
+    if not verts:
+        raise ValueError("empty polyhedron")
+    halfspaces = []
+    for c in cone.facet_normals:
+        normal = c[1:]
+        if any(normal):
+            g = content(normal)
+            halfspaces.append((tuple(x // g for x in normal), Fraction(-c[0], g)))
+    return cone.rank - 1, tuple(sorted(verts)), tuple(sorted(rays)), tuple(sorted(halfspaces))
+
+
+@pytest.fixture
+def dehomogenize_oracle():
+    return fraction_dehomogenize
+
+
+def views(p):
+    """A polyhedron's derived fields, which equality (semantic, on cones) does not compare."""
+    return p.rank, p.vertices, p.rays, p.halfspaces
+
+
+def recession_cone(p):
+    """The recession cone of a polyhedron, spanned by its rays."""
+    return Cone.from_generators(p.rank, p.rays)
 
 
 def span_rank_dim(p):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_mutable_pair, seeded_family_cases
+from conftest import random_mutable_pair, recession_cone, seeded_family_cases
 from laumut import deformation, polyhedra
 from laumut.deformation import (
     FamilyError,
@@ -19,9 +19,9 @@ from laumut.deformation import (
     verify_main_theorem,
 )
 from laumut.exactlat import dot
-from laumut.laurent import newton_cone, parse
+from laumut.laurent import newton_polytope, parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, extreme_rays, hull, is_admissible_pair, kernel_slice, tailcone, verify_admissibility
+from laumut.polyhedra import Cone, Polyhedron, extreme_rays, hull, is_admissible_pair, kernel_slice, verify_admissibility
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -51,7 +51,7 @@ def test_build_family_worked_example():
     assert set(fam.delta00.vertices) == {(1, -1), (1, 0)}
     assert set(fam.delta01.vertices) == {(0, 0), (0, 1)}
     assert sorted(fam.delta00.rays) == TAIL_RAYS
-    assert tailcone(fam.delta00) == fam.tail
+    assert recession_cone(fam.delta00) == fam.tail
     assert sorted(fam.sigma.rays) == [(1, -1, 1), (1, 0, -1), (1, 1, 1)]
     assert sorted(fam.sigma_inf.rays) == [
         (1, -1, 1),
@@ -90,7 +90,7 @@ def test_family_tails_match_the_one_pass_oracle(kernel_slice_oracle):
     # sigma is the Newton hull's own cone: it carries the exact incidence,
     # from which tau is read with no kernel pass. The oracle cuts tau out of
     # sigma's facet normals with one; every field must agree.
-    sigmas = [newton_cone(parse("x + x^-1"))]
+    sigmas = [newton_polytope(parse("x + x^-1")).cone]
     for f, spec in seeded_family_cases():
         fam = build_family(f, spec)
         assert fam.sigma.incidence is not None and astuple(fam.tail) == astuple(kernel_slice_oracle(fam.sigma))
@@ -109,11 +109,11 @@ def test_verify_records_a_mutated_cone_it_cannot_slice(monkeypatch):
     built = []
 
     def stripped(f):
-        cone = newton_cone(f)
+        cone = newton_polytope(f).cone
         built.append(cone)
-        return cone if len(built) == 1 else Cone(cone.rank, cone.rays, cone.facet_normals)
+        return Polyhedron(cone if len(built) == 1 else Cone(cone.rank, cone.rays, cone.facet_normals))
 
-    monkeypatch.setattr(deformation, "newton_cone", stripped)
+    monkeypatch.setattr(deformation, "newton_polytope", stripped)
     report = verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
     status = {c.name: c.status for c in report.checks}
     assert status["mutation_cone_match"] == "pass" and status["tailcone_preserved"] == "fail"

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d, seeded_family_cases
+from conftest import fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, views
 from laumut import polyhedra
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
@@ -46,7 +46,6 @@ from laumut.polyhedra import (
     level_slice,
     minkowski_sum,
     polar_dual,
-    tailcone,
     verify_admissibility,
 )
 
@@ -144,9 +143,9 @@ def test_minkowski_commutative_associative():
 
 
 def test_tailcone_examples():
-    assert tailcone(hull(V((1, 1), (0, 0)))) == Cone.from_generators(2, [])
+    assert recession_cone(hull(V((1, 1), (0, 0)))) == Cone.from_generators(2, [])
     p = hull(V((-1, 1), (1, 1)), [(-1, 2), (1, 2)])
-    assert tailcone(p) == Cone.from_generators(2, [(-1, 2), (1, 2)])
+    assert recession_cone(p) == Cone.from_generators(2, [(-1, 2), (1, 2)])
 
 
 def test_tail_of_sum_is_sum_of_tails():
@@ -161,7 +160,7 @@ def test_tail_of_sum_is_sum_of_tails():
             [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))) for _ in range(3)],
             rng.sample(ray_pool, rng.randint(0, 2)),
         )
-        lhs = tailcone(minkowski_sum(p, q))
+        lhs = recession_cone(minkowski_sum(p, q))
         rhs = Cone.from_generators(2, list(p.rays) + list(q.rays))
         assert lhs == rhs
 
@@ -208,10 +207,107 @@ def test_cone_from_dict_refuses_a_non_integral_rank():
         Cone.from_dict({"rank": 2.9, "rays": rays})
 
 
+REFINED_P = hull(V((-1, -1), (0, 1)) + [(Fraction(-1, 2), Fraction(1))])
+REFINED_Q = hull(V((-1, 1)) + [(Fraction(1, 2), Fraction(1))])
+REFINED = is_admissible_pair(REFINED_P, REFINED_Q)
+
+
+def forged_first_cell(**fields):
+    cells = REFINED.certificate["cells"]
+    cert = {"kind": "refinement", "cells": [dict(cells[0], **fields)] + cells[1:]}
+    return AdmissibilityVerdict(STATUS_YES, "forged", certificate=cert)
+
+
+@pytest.mark.parametrize(
+    "evidence",
+    [
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"which": 0}),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": 5}),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": "0"}),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "refinement"}),
+        forged_first_cell(vertex_pair=(["abc", "0"], REFINED.certificate["cells"][0]["vertex_pair"][1])),
+        forged_first_cell(vertex_pair=(["1/0", "0"], REFINED.certificate["cells"][0]["vertex_pair"][1])),
+        forged_first_cell(cell_rays=[[1.5, 0]] + REFINED.certificate["cells"][0]["cell_rays"][1:]),
+        AdmissibilityVerdict(STATUS_NO, "forged", witness=(1, 1, 1)),
+        {"rank": -2},
+    ],
+    ids=["no_kind", "which_out_of_range", "which_a_string", "no_cells", "vertex_not_a_number",
+         "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank"],
+)
+def test_readers_refuse_malformed_evidence(evidence):
+    # Malformed evidence is refused: False from the admissibility checker, on
+    # a pair whose genuine verdict it accepts, and ValueError from the cone
+    # reader. It used to raise KeyError, IndexError, TypeError,
+    # ValueError or ZeroDivisionError, or to build a cone of negative rank.
+    assert REFINED.certificate["kind"] == "refinement" and verify_admissibility(REFINED_P, REFINED_Q, REFINED)
+    if isinstance(evidence, dict):
+        with pytest.raises(ValueError):
+            Cone.from_dict(evidence)
+    else:
+        assert verify_admissibility(REFINED_P, REFINED_Q, evidence) is False
+
+
 def test_cone_from_dict_refuses_non_integral_rays():
     assert Cone.from_dict({"rank": 2, "rays": [["2/2", "1"], ["-1", "1"]]}).rays == ((-1, 1), (1, 1))
     with pytest.raises(ValueError):
         Cone.from_dict({"rank": 2, "rays": [["1/2", "1"], ["-1", "1"]]})
+
+
+# -- the cone a polyhedron is kept as ---------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_polyhedron_views_match_the_fraction_oracle(dehomogenize_oracle, rank):
+    # The vertices, rays and halfspaces read off the cone of each
+    # constructor's output equal the Fraction fields it dehomogenizes to,
+    # for bounded, unbounded and flat polyhedra alike.
+    rng = random.Random(2100 + rank)
+    seen = set()
+    for _ in range(40):
+        pts = [
+            tuple(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 3))
+        ]
+        rays = [tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rng.randint(0, 2))]
+        p = hull(pts, [r for r in rays if any(r)])
+        outputs = [p, from_halfspaces(p.halfspaces, rank)]
+        if contains_origin_interior(p):
+            outputs.append(polar_dual(p))
+        if not p.rays and p.dim() == rank and min(v[-1] for v in p.vertices) < 0 < max(v[-1] for v in p.vertices):
+            sigma = cone_over(p, 0)
+            outputs += [level_slice(sigma, kernel_slice(sigma), sign) for sign in (1, -1)]
+        for out in outputs:
+            assert views(out) == dehomogenize_oracle(out.cone)
+            seen.add("flat" if out.dim() < rank else "unbounded" if out.rays else "bounded")
+    assert seen == {"bounded", "unbounded", "flat"}
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, -1, 0)]),
+        Cone.from_generators(3, [(0, 1, 0), (0, 0, 1)]),
+        Cone.from_generators(3, []),
+    ],
+    ids=["line_at_height_0", "no_point", "origin"],
+)
+def test_polyhedron_refuses_a_cone_with_a_line_or_no_point(dehomogenize_oracle, cone):
+    with pytest.raises(ValueError):
+        dehomogenize_oracle(cone)
+    with pytest.raises(ValueError):
+        Polyhedron(cone)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[(1, 0, 0), (-1, 0, 0), (1, 1, 0)], [(-1, 1), (1, 0)]],
+    ids=["line_across_heights", "below_height_0"],
+)
+def test_polyhedron_refuses_a_cone_below_height_0(gens):
+    # Read as before, the first gave the vertex (0, 0) twice, and the second
+    # a polytope whose halfspaces x >= -1 and x >= 0 left its vertex -1 out.
+    with pytest.raises(ValueError):
+        Polyhedron(Cone.from_generators(len(gens[0]), gens))
 
 
 # -- cone_over / slices -----------------------------------------------------------
@@ -253,12 +349,12 @@ def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
         for sign in (1, -1):
             s = level_slice(sigma, tau, sign)
             assert s == level_slice_oracle(sigma, u, sign)
-            assert tailcone(s) == tau
+            assert recession_cone(s) == tau
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, level_slice_oracle, kernel_slice_oracle):
-    # Halfspaces are not printed, so only full dataclass equality sees them.
+    # Halfspaces are not printed, so the views are compared field by field.
     # kernel_slice refuses a cone with rays on one side only; there the
     # oracle gives the tail that level_slice is handed.
     rng = random.Random(90 + rank)
@@ -290,9 +386,9 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
                     level_slice(sigma, tail, sign)
                 continue
             s = level_slice(sigma, tail, sign)
-            assert s == hull_slice_oracle(p.vertices, sign, tail)
-            assert s == level_slice_oracle(sigma, u, sign)
-            assert tailcone(s) == tail
+            assert views(s) == views(hull_slice_oracle(p.vertices, sign, tail))
+            assert views(s) == views(level_slice_oracle(sigma, u, sign))
+            assert recession_cone(s) == tail
 
 
 LINE = Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)])
@@ -944,8 +1040,8 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         (lambda: hull(V((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0))), 1),
         (lambda: hull(V((0, 0), (1, 0)), [(1, 1), (-1, 1)]), 1),
         (lambda: from_halfspaces(SQUARE.halfspaces, 2), 1),
-        # The polar dual is read off the canonical presentation, and a
-        # rank-r dual count hulls the projections onto r - 2 prefixes.
+        # The polar dual is the dual of the polytope's cone, and a rank-r
+        # dual count canonicalizes the cones over r - 2 projections.
         (lambda: polar_dual(SQUARE), 0),
         (lambda: dual_ehrhart_counts(SQUARE, 6), 0),
         (lambda: dual_ehrhart_counts(OCTAHEDRON, 6), 1),
@@ -959,10 +1055,10 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         # A flat homogenization (here the segment x = 0, 0 <= y <= 1) has an
         # equation, so the cone its normals span has a line: a second pass.
         (lambda: from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2), 2),
-        # The cone over a full-dimensional polytope is read off its vertices
-        # and halfspaces; a flat one (here a segment in the plane) is not.
+        # The cone over a polytope at height first is the polytope's own; at
+        # another height, a full-dimensional one's is moved from it.
         (lambda: cone_over(SQUARE, 1), 0),
-        (lambda: cone_over(SEGMENT), 1),
+        (lambda: cone_over(SEGMENT), 0),
         # Exact division bounds the quotient by a box, not a Newton polytope.
         (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
         # A dual cone swaps the two sides.
