@@ -20,7 +20,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .deformation import FamilyData, FamilyError, build_family, check_hypotheses, verify_main_theorem
-from .exactlat import unit_vector
+from .exactlat import content, unit_vector
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -98,6 +98,8 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
         direction = tuple(int(part) for part in args.u.split(","))
         if len(direction) != f.rank:
             raise UsageError(f"--u has length {len(direction)}, expected {f.rank}")
+        if content(direction) != 1:
+            raise UsageError(f"--u must be a primitive covector (entries with gcd 1), got {args.u!r}")
     elif args.divide is not None:
         names = variable_names(f.rank)
         if args.divide not in names:

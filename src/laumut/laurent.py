@@ -175,10 +175,6 @@ _ZN = re.compile(r"z(\d+)", re.ASCII)
 _XYZ_INDEX = {name: i for i, name in enumerate(_XYZ)}
 
 
-class _TokenError(Exception):
-    """A parse failure: its message and the index of the token it is at."""
-
-
 def _token_position(text: str, index: int) -> int:
     """Start of the index-th token of text, or len(text) past the last one."""
     for k, m in enumerate(_TOKEN.finditer(text)):
@@ -209,110 +205,102 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     reported before any other error.
     """
     tokens = _TOKEN.findall(text)
+    for i, (_, _, _, bad) in enumerate(tokens):
+        if bad:
+            message = "parentheses are not part of the grammar" if bad in "()" else f"unexpected character {bad!r}"
+            raise ParseError(message, _token_position(text, i))
     end = len(tokens)
     tokens.append(("", "", "", ""))
     terms: list[tuple[dict[int, int], int | Fraction]] = []
     style: Optional[str] = None
     top, top_at = -1, 0  # highest variable index and the token that first used it
+    if not end:
+        raise ParseError("empty polynomial", len(text))
     i = 0
-    try:
-        if not end:
-            raise _TokenError("empty polynomial", i)
-        while True:
+    while True:
+        num, name, op, _ = tokens[i]
+        sign = 1
+        while op == "+" or op == "-":
+            if op == "-":
+                sign = -sign
+            i += 1
             num, name, op, _ = tokens[i]
-            sign = 1
-            while op == "+" or op == "-":
-                if op == "-":
-                    sign = -sign
+        coeff = sign
+        if num:
+            coeff *= int(num)
+            i += 1
+            _, name, op, _ = tokens[i]
+            if op == "/":
                 i += 1
-                num, name, op, _ = tokens[i]
-            coeff = sign
-            if num:
-                coeff *= int(num)
-                i += 1
-                _, name, op, _ = tokens[i]
-                if op == "/":
-                    i += 1
-                    den = tokens[i][0]
-                    if not den:
-                        raise _TokenError("expected a denominator", i)
-                    den = int(den)
-                    if not den:
-                        raise _TokenError("zero denominator", i)
-                    coeff = Fraction(coeff, den)
-                    i += 1
-                    op = tokens[i][2]
-                if op == "*":
-                    i += 1
-                    name = tokens[i][1]
-                    if not name:
-                        raise _TokenError("expected a variable", i)
-                else:
-                    name = ""
-            elif not name:
-                raise _TokenError("expected a variable", i)
-            exps: dict[int, int] = {}
-            while name:
-                idx = _XYZ_INDEX.get(name)
-                if idx is not None:
-                    kind = "xyz"
-                else:
-                    m = _ZN.fullmatch(name)
-                    if not m:
-                        raise _TokenError(f"unknown variable {name!r}", i)
-                    idx = int(m[1]) - 1
-                    if idx < 0:
-                        raise _TokenError("variable indices start at z1", i)
-                    kind = "zn"
-                if style is None:
-                    style = kind
-                elif style != kind:
-                    raise _TokenError("cannot mix x/y/z and z1..zn variable names", i)
-                if idx > top:
-                    top, top_at = idx, i
+                den = tokens[i][0]
+                if not den:
+                    raise ParseError("expected a denominator", _token_position(text, i))
+                den = int(den)
+                if not den:
+                    raise ParseError("zero denominator", _token_position(text, i))
+                coeff = Fraction(coeff, den)
                 i += 1
                 op = tokens[i][2]
-                power = 1
-                if op == "^":
-                    i += 1
-                    num, _, op, _ = tokens[i]
-                    if op == "+" or op == "-":
-                        i += 1
-                        num = tokens[i][0]
-                    if not num:
-                        raise _TokenError("expected an integer exponent", i)
-                    power = -int(num) if op == "-" else int(num)
-                    i += 1
-                    op = tokens[i][2]
-                exps[idx] = exps.get(idx, 0) + power
-                if op == "*":
-                    i += 1
-                    name = tokens[i][1]
-                    if not name:
-                        raise _TokenError("expected a variable after '*'", i)
-                else:
-                    name = ""
-            terms.append((exps, coeff))
-            if i == end:
-                break
+            if op == "*":
+                i += 1
+                name = tokens[i][1]
+                if not name:
+                    raise ParseError("expected a variable", _token_position(text, i))
+            else:
+                name = ""
+        elif not name:
+            raise ParseError("expected a variable", _token_position(text, i))
+        exps: dict[int, int] = {}
+        while name:
+            idx = _XYZ_INDEX.get(name)
+            if idx is not None:
+                kind = "xyz"
+            else:
+                m = _ZN.fullmatch(name)
+                if not m:
+                    raise ParseError(f"unknown variable {name!r}", _token_position(text, i))
+                idx = int(m[1]) - 1
+                if idx < 0:
+                    raise ParseError("variable indices start at z1", _token_position(text, i))
+                kind = "zn"
+            if style is None:
+                style = kind
+            elif style != kind:
+                raise ParseError("cannot mix x/y/z and z1..zn variable names", _token_position(text, i))
+            if idx > top:
+                top, top_at = idx, i
+            i += 1
             op = tokens[i][2]
-            if op != "+" and op != "-":
-                raise _TokenError("expected '+' or '-' between terms", i)
-        if rank is None:
-            rank = max(top + 1, 1)
-        elif top >= rank:
-            raise _TokenError(f"variable index exceeds rank {rank}", top_at)
-    except _TokenError as err:
-        # A character outside the grammar is reported first, wherever it is.
-        message, i = err.args
-        for k, (_, _, _, bad) in enumerate(tokens):
-            if bad:
-                message = f"unexpected character {bad!r}"
-                if bad in "()":
-                    message = "parentheses are not part of the grammar"
-                i = k
-                break
-        raise ParseError(message, _token_position(text, i)) from None
+            power = 1
+            if op == "^":
+                i += 1
+                num, _, op, _ = tokens[i]
+                if op == "+" or op == "-":
+                    i += 1
+                    num = tokens[i][0]
+                if not num:
+                    raise ParseError("expected an integer exponent", _token_position(text, i))
+                power = -int(num) if op == "-" else int(num)
+                i += 1
+                op = tokens[i][2]
+            exps[idx] = exps.get(idx, 0) + power
+            if op == "*":
+                i += 1
+                name = tokens[i][1]
+                if not name:
+                    raise ParseError("expected a variable after '*'", _token_position(text, i))
+            else:
+                name = ""
+        terms.append((exps, coeff))
+        if i == end:
+            break
+        op = tokens[i][2]
+        if op != "+" and op != "-":
+            raise ParseError("expected '+' or '-' between terms", _token_position(text, i))
+    if rank is None:
+        rank = max(top + 1, 1)
+    elif top >= rank:
+        raise ParseError(f"variable index exceeds rank {rank}", _token_position(text, top_at))
     zeros = [0] * rank
     return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
 
@@ -324,18 +312,17 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
     """Convex hull of the support.
 
     The integer exponents go to the hull as they are, with no Fraction
-    copies. In ranks 1 and 2 the support is first cut down to its extreme
-    points (in rank 2 by the chain that orders polygon vertices,
-    :func:`polyhedra.convex_cycle`), so the hull sees only the vertices
-    however many terms f has. The polytope is kept as the cone over it, so
-    a full-dimensional one carries the incidence of the hull's kernel pass.
+    copies. In rank 2, where the mutation graph and the dual counts hull
+    large supports, the support is first cut down to its vertices by the
+    chain that orders them, :func:`polyhedra.convex_cycle`; in every other
+    rank the hull's one kernel pass drops the other points. The polytope is
+    kept as the cone over it, so a full-dimensional one carries the
+    incidence of that pass.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = f.support()  # sorted, as every polynomial's terms are
-    if f.rank == 1:
-        support = sorted({support[0], support[-1]})
-    elif f.rank == 2:
+    if f.rank == 2:
         support = polyhedra.convex_cycle(support)
     return polyhedra.hull(support)
 

@@ -182,9 +182,9 @@ class Cone:
     equation shows as an opposite pair of normals. Equality is semantic
     (same set of points).
 
-    A pointed full-dimensional cone from :meth:`from_generators` or
-    :func:`cone_over` carries its ``incidence`` (None otherwise, or if dual):
-    bit j of ``incidence[i]`` is set iff ``facet_normals[j]`` vanishes on ``rays[i]``.
+    Only :meth:`from_generators` builds the ``incidence``, for a pointed
+    full-dimensional cone (None otherwise, or if dual): bit j of
+    ``incidence[i]`` is set iff ``facet_normals[j]`` vanishes on ``rays[i]``.
     """
 
     rank: int
@@ -333,13 +333,6 @@ class Polyhedron:
     def contains(self, point: Sequence) -> bool:
         return all(dot(n, point) >= c for n, c in self.halfspaces)
 
-    def dim(self) -> int:
-        """Dimension of the affine hull: the rank minus the number of
-        equations, each held among the cone's facet normals as an opposite
-        pair."""
-        normals = set(self.cone.facet_normals)
-        return self.rank - sum(vneg(n) in normals for n in normals) // 2
-
     def support_minimum(self, u: Sequence[int]) -> Optional[Fraction]:
         """min of <u, .> over the polyhedron; None if unbounded below."""
         if any(dot(u, r) < 0 for r in self.rays):
@@ -434,27 +427,15 @@ def is_minkowski_sum(p: Polyhedron, q: Polyhedron, r: Polyhedron) -> bool:
 
 
 def cone_over(p: Polyhedron, height_index: int = 0) -> Cone:
-    """Cone over a polytope placed at height 1 in one extra coordinate.
-
-    The new coordinate sits at ``height_index`` (default: first, where the
-    cone is p's own). For another one, the coordinate of p's cone is moved:
-    with no kernel pass if p is full-dimensional, whose rays and normals
-    stay canonical once sorted and give their incidence again; a flat p's
-    equation pair does not, so its moved generators are canonicalized.
-    """
+    """Cone over a polytope placed at height 1 in one extra coordinate,
+    which comes first: the polytope's own cone, with no kernel pass.
+    ``height_index`` names that coordinate and must be 0 (ValueError
+    otherwise)."""
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
-    if not 0 <= height_index <= p.rank:
+    if height_index:
         raise ValueError("height_index out of range")
-    if not height_index:
-        return p.cone
-    h = height_index
-    gens, normals = ([v[1:h + 1] + v[:1] + v[h + 1:] for v in vs] for vs in (p.cone.rays, p.cone.facet_normals))
-    if p.dim() < p.rank:
-        return Cone.from_generators(p.rank + 1, gens)
-    gens, normals = sorted(gens), sorted(normals)
-    incidence = tuple(sum(1 << j for j, n in enumerate(normals) if not dot(n, g)) for g in gens)
-    return Cone(p.rank + 1, tuple(gens), tuple(normals), incidence)
+    return p.cone
 
 
 def kernel_slice(cone: Cone) -> Cone:
@@ -606,8 +587,9 @@ def lattice_cycle(p: Polyhedron) -> list[IntVec]:
     lexicographically smallest one.
 
     A lattice polygon is a bounded, full-dimensional rank-2 polyhedron
-    with integral vertices; anything else raises ValueError. The
-    vertices are already sorted, so :func:`convex_cycle` orders them.
+    with integral vertices; anything else raises ValueError. Its cone's
+    generators then all have height 1 and come sorted, so
+    :func:`convex_cycle` orders them with the height dropped.
     """
     if p.rank != 2:
         raise ValueError(f"a lattice polygon has rank 2, not {p.rank}")
@@ -615,9 +597,9 @@ def lattice_cycle(p: Polyhedron) -> list[IntVec]:
         raise ValueError("a lattice polygon is bounded")
     if not is_lattice_polyhedron(p):
         raise ValueError("a lattice polygon has integral vertices")
-    if len(p.vertices) < 3:
+    if len(p.cone.rays) < 3:
         raise ValueError("a lattice polygon is full-dimensional")
-    return convex_cycle([(int(x), int(y)) for x, y in p.vertices])
+    return convex_cycle([g[1:] for g in p.cone.rays])
 
 
 def convex_cycle(points: Sequence[Sequence]) -> list:

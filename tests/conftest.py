@@ -25,8 +25,12 @@ from laumut.exactlat import (
 )
 from laumut.exactlat import primitive_from_rational
 from laumut.laurent import (
+    _TOKEN,
+    _XYZ_INDEX,
+    _ZN,
     LaurentPolynomial,
     ParseError,
+    _token_position,
     act_unimodular,
     divide_exact,
     newton_polytope,
@@ -448,7 +452,7 @@ def mat_vec_canonical_form(p):
         raise ValueError("canonical forms need a bounded polytope")
     if any(c.denominator != 1 for v in p.vertices for c in v):
         raise ValueError("canonical forms need a lattice polygon")
-    if p.dim() != 2:
+    if span_rank_dim(p) != 2:
         raise ValueError("canonical forms need a full-dimensional polygon")
     cyc = [tuple(int(c) for c in v) for v in fraction_vertex_cycle(p)]
     m = len(cyc)
@@ -520,13 +524,13 @@ def hull_bound_divide():
     return newton_hull_divide_exact
 
 
-def kernel_cone_over(p, height_index=0):
-    """Oracle for ``cone_over``: the lifted vertices canonicalized by the
-    double description kernel, whatever the polytope's dimension."""
+def kernel_cone_over(p):
+    """Oracle for ``cone_over``: the vertices lifted to height 1 in a new
+    first coordinate, canonicalized by the double description kernel,
+    whatever the polytope's dimension."""
     if p.rays:
         raise ValueError("cone_over requires a bounded polytope")
-    h = height_index
-    return Cone.from_generators(p.rank + 1, [primitive_from_rational(v[:h] + (1,) + v[h:]) for v in p.vertices])
+    return Cone.from_generators(p.rank + 1, [primitive_from_rational((1,) + v) for v in p.vertices])
 
 
 @pytest.fixture
@@ -573,15 +577,10 @@ def recession_cone(p):
 
 
 def span_rank_dim(p):
-    """Oracle for ``Polyhedron.dim``: the rank of the vertices' differences
-    from the first vertex together with the rays, in Fractions."""
+    """Dimension of a polyhedron's affine hull: the rank of the vertices'
+    differences from the first vertex together with the rays, in Fractions."""
     v0 = p.vertices[0]
     return matrix_rank([vsub(v, v0) for v in p.vertices[1:]] + list(p.rays))
-
-
-@pytest.fixture
-def dim_oracle():
-    return span_rank_dim
 
 
 # -- text boundary oracles --------------------------------------------------
@@ -801,3 +800,126 @@ def per_token_parse(text, rank=None):
 @pytest.fixture
 def parse_oracle():
     return per_token_parse
+
+
+class _TokenError(Exception):
+    """A parse failure: its message and the index of the token it is at."""
+
+
+def rescan_parse(text, rank=None):
+    """Oracle for ``parse``'s error paths: the same token walk, with every
+    failure raised as a token index and turned into a ParseError at one
+    place, which rescans the tokens and reports the first character
+    outside the grammar instead, if there is one."""
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append(("", "", "", ""))
+    terms: list[tuple[dict[int, int], int | Fraction]] = []
+    style: Optional[str] = None
+    top, top_at = -1, 0  # highest variable index and the token that first used it
+    i = 0
+    try:
+        if not end:
+            raise _TokenError("empty polynomial", i)
+        while True:
+            num, name, op, _ = tokens[i]
+            sign = 1
+            while op == "+" or op == "-":
+                if op == "-":
+                    sign = -sign
+                i += 1
+                num, name, op, _ = tokens[i]
+            coeff = sign
+            if num:
+                coeff *= int(num)
+                i += 1
+                _, name, op, _ = tokens[i]
+                if op == "/":
+                    i += 1
+                    den = tokens[i][0]
+                    if not den:
+                        raise _TokenError("expected a denominator", i)
+                    den = int(den)
+                    if not den:
+                        raise _TokenError("zero denominator", i)
+                    coeff = Fraction(coeff, den)
+                    i += 1
+                    op = tokens[i][2]
+                if op == "*":
+                    i += 1
+                    name = tokens[i][1]
+                    if not name:
+                        raise _TokenError("expected a variable", i)
+                else:
+                    name = ""
+            elif not name:
+                raise _TokenError("expected a variable", i)
+            exps: dict[int, int] = {}
+            while name:
+                idx = _XYZ_INDEX.get(name)
+                if idx is not None:
+                    kind = "xyz"
+                else:
+                    m = _ZN.fullmatch(name)
+                    if not m:
+                        raise _TokenError(f"unknown variable {name!r}", i)
+                    idx = int(m[1]) - 1
+                    if idx < 0:
+                        raise _TokenError("variable indices start at z1", i)
+                    kind = "zn"
+                if style is None:
+                    style = kind
+                elif style != kind:
+                    raise _TokenError("cannot mix x/y/z and z1..zn variable names", i)
+                if idx > top:
+                    top, top_at = idx, i
+                i += 1
+                op = tokens[i][2]
+                power = 1
+                if op == "^":
+                    i += 1
+                    num, _, op, _ = tokens[i]
+                    if op == "+" or op == "-":
+                        i += 1
+                        num = tokens[i][0]
+                    if not num:
+                        raise _TokenError("expected an integer exponent", i)
+                    power = -int(num) if op == "-" else int(num)
+                    i += 1
+                    op = tokens[i][2]
+                exps[idx] = exps.get(idx, 0) + power
+                if op == "*":
+                    i += 1
+                    name = tokens[i][1]
+                    if not name:
+                        raise _TokenError("expected a variable after '*'", i)
+                else:
+                    name = ""
+            terms.append((exps, coeff))
+            if i == end:
+                break
+            op = tokens[i][2]
+            if op != "+" and op != "-":
+                raise _TokenError("expected '+' or '-' between terms", i)
+        if rank is None:
+            rank = max(top + 1, 1)
+        elif top >= rank:
+            raise _TokenError(f"variable index exceeds rank {rank}", top_at)
+    except _TokenError as err:
+        # A character outside the grammar is reported first, wherever it is.
+        message, i = err.args
+        for k, (_, _, _, bad) in enumerate(tokens):
+            if bad:
+                message = f"unexpected character {bad!r}"
+                if bad in "()":
+                    message = "parentheses are not part of the grammar"
+                i = k
+                break
+        raise ParseError(message, _token_position(text, i)) from None
+    zeros = [0] * rank
+    return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
+
+
+@pytest.fixture
+def rescan_parse_oracle():
+    return rescan_parse

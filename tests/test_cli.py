@@ -124,6 +124,16 @@ def test_usage_errors(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("u", ["2,0", "0,0", "-3,6"])
+def test_non_primitive_covector_is_a_usage_error(capsys, monkeypatch, u):
+    # A zero or non-primitive covector has no adapted basis: the argument is
+    # refused next to its length check, before the spec is built.
+    monkeypatch.setattr(cli.MutationSpec, "from_direction", lambda *a: pytest.fail("ran before the argument check"))
+    code, out, err = run(capsys, "mutate", "--f", "x + y", "--u", u, "--by", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --u must be a primitive covector")
+
+
 def test_both_f_and_file_rejected(capsys, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("x + y\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d, random_unimodular
+from conftest import fraction_vertex_cycle, normalized_volume_2d, random_unimodular, span_rank_dim
 from laumut import laurent, mutation, mutgraph, polyhedra
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
@@ -109,7 +109,7 @@ def test_canonical_form_matches_mat_vec_oracle(canonical_form_oracle):
             m = (m[0], tuple(-c for c in m[1]))
         pts = [mat_vec(m, (s * x + shift[0], s * y + shift[1])) for x, y in _lattice_polygon(rng, i)]
         p = hull(pts)
-        if p.dim() != 2:
+        if span_rank_dim(p) != 2:
             continue
         got = canonical_form(p)
         assert got == canonical_form_oracle(p)

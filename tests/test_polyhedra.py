@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, views
+from conftest import fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
 from laumut import polyhedra
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
@@ -116,7 +116,7 @@ def test_hull_rank_mismatch_rejected():
 def test_hull_single_point():
     p = hull(V((0, 0)))
     assert vertex_set(p) == {(0, 0)}
-    assert p.dim() == 0
+    assert span_rank_dim(p) == 0
 
 
 # -- Minkowski sums and tailcones ------------------------------------------------
@@ -273,12 +273,12 @@ def test_polyhedron_views_match_the_fraction_oracle(dehomogenize_oracle, rank):
         outputs = [p, from_halfspaces(p.halfspaces, rank)]
         if contains_origin_interior(p):
             outputs.append(polar_dual(p))
-        if not p.rays and p.dim() == rank and min(v[-1] for v in p.vertices) < 0 < max(v[-1] for v in p.vertices):
+        if not p.rays and span_rank_dim(p) == rank and min(v[-1] for v in p.vertices) < 0 < max(v[-1] for v in p.vertices):
             sigma = cone_over(p, 0)
             outputs += [level_slice(sigma, kernel_slice(sigma), sign) for sign in (1, -1)]
         for out in outputs:
             assert views(out) == dehomogenize_oracle(out.cone)
-            seen.add("flat" if out.dim() < rank else "unbounded" if out.rays else "bounded")
+            seen.add("flat" if span_rank_dim(out) < rank else "unbounded" if out.rays else "bounded")
     assert seen == {"bounded", "unbounded", "flat"}
 
 
@@ -335,6 +335,15 @@ def test_cone_over_rejects_unbounded():
         cone_over(hull(V((0, 0)), [(1, 0)]), 0)
 
 
+@pytest.mark.parametrize("height_index", [1, 2, -1])
+def test_cone_over_takes_the_height_first(height_index):
+    # The height coordinate comes first, where the cone is the polytope's own.
+    p = hull(V((-1, 1), (1, 1), (0, -1)))
+    assert cone_over(p) is p.cone
+    with pytest.raises(ValueError, match="height_index out of range"):
+        cone_over(p, height_index)
+
+
 def test_slice_tailcones_match_kernel_slice(level_slice_oracle):
     rng = random.Random(53)
     tried = 0
@@ -369,7 +378,7 @@ def test_level_slice_matches_hull_and_facet_oracles(rank, hull_slice_oracle, lev
             for _ in range(rank + rng.randint(1, 4))
         ]
         p = hull(pts)
-        if p.dim() < rank:
+        if span_rank_dim(p) < rank:
             continue
         sigma = cone_over(p, 0)
         if min(v[-1] for v in p.vertices) < 0 < max(v[-1] for v in p.vertices):
@@ -442,15 +451,18 @@ def dot_incidence(cone):
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_kernel_slice_read_off_matches_the_one_pass_oracle(kernel_slice_oracle, rank):
     # Every pointed full-dimensional cone of the corpus, and the cone over
-    # every full-dimensional one of 60 seeded polytopes at each height,
-    # carries the exact incidence; the others carry none. Those with rays on
-    # both sides of x_last = 0 are sliced and compared field by field with
-    # the oracle.
+    # every full-dimensional one of 60 seeded polytopes with the height at
+    # each coordinate, carries the exact incidence; the others carry none.
+    # Those with rays on both sides of x_last = 0 are sliced and compared
+    # field by field with the oracle.
     corpus, _ = cone_corpus(rank)
     rng = random.Random(7300 + rank)
     lifted = [random_polytope(rng, rank - 1) for _ in range(60)]
     cones = [Cone.from_generators(rank, rows) for rows in corpus]
-    cones += [cone_over(p, h) for p in lifted if p.dim() == rank - 1 for h in range(rank)]
+    cones += [
+        Cone.from_generators(rank, [g[1:h + 1] + g[:1] + g[h + 1:] for g in p.cone.rays])
+        for p in lifted if span_rank_dim(p) == rank - 1 for h in range(rank)
+    ]
     shapes = set()
     for cone in cones:
         if has_opposite_pair(cone.rays) or has_opposite_pair(cone.facet_normals):
@@ -770,21 +782,16 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_cone_over_matches_the_kernel_oracle(cone_over_oracle, dim_oracle, rank):
-    # dim() counts the equation pairs among the halfspaces; the oracle takes
-    # the rank of the spans. Both are compared on every dimension from a
-    # point up, bounded and with rays (nonnegative, so no line appears).
+def test_cone_over_matches_the_kernel_oracle(cone_over_oracle, rank):
+    # The polytope's own cone equals the lifted vertices canonicalized by
+    # the kernel, on every dimension from a point up.
     rng = random.Random(7100 + rank)
     dims = set()
     for _ in range(60):
         p = random_polytope(rng, rank)
-        rays = [tuple(rng.randint(0, 2) for _ in range(rank)) for _ in range(rng.randint(1, 2))]
-        for q in (p, hull(p.vertices, [r for r in rays if any(r)])):
-            assert q.dim() == dim_oracle(q)
-            dims.add((q.dim(), bool(q.rays)))
-        for h in range(rank + 1):
-            assert structure(cone_over(p, h)) == structure(cone_over_oracle(p, h))
-    assert dims >= {(d, False) for d in range(rank + 1)} | {(d, True) for d in range(1, rank + 1)}
+        dims.add(span_rank_dim(p))
+        assert structure(cone_over(p, 0)) == structure(cone_over_oracle(p))
+    assert dims == set(range(rank + 1))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -844,6 +851,16 @@ def test_lattice_cycle_ccw_from_lex_min():
     assert lattice_cycle(p) == [(-1, 1), (0, -1), (1, 1)]
     a, b, c = lattice_cycle(p)
     assert [f.vertices for f in polygon_facets(p)] == [(a, b), (b, c), (c, a)]
+
+
+def test_lattice_cycle_reads_the_int_generators():
+    # The cycle comes from the cone's generators at height 1: the Fraction
+    # vertices of a fresh hull are never built.
+    p = hull([(0, 0), (2, 0), (1, 1), (0, 2)])
+    cycle = lattice_cycle(p)
+    assert "vertices" not in vars(p)
+    assert cycle == [(0, 0), (2, 0), (0, 2)]
+    assert all(type(c) is int for v in cycle for c in v)
 
 
 def test_lattice_cycle_of_random_lattice_polygons():
@@ -1055,9 +1072,8 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         # A flat homogenization (here the segment x = 0, 0 <= y <= 1) has an
         # equation, so the cone its normals span has a line: a second pass.
         (lambda: from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2), 2),
-        # The cone over a polytope at height first is the polytope's own; at
-        # another height, a full-dimensional one's is moved from it.
-        (lambda: cone_over(SQUARE, 1), 0),
+        # The cone over a polytope, full-dimensional or flat, is its own.
+        (lambda: cone_over(SQUARE, 0), 0),
         (lambda: cone_over(SEGMENT), 0),
         # Exact division bounds the quotient by a box, not a Newton polytope.
         (lambda: divide_exact(parse("x^2*y + 2*x*y^2 + y^3 + x^2 + x*y"), parse("x + y")), 0),
