@@ -20,7 +20,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .deformation import FamilyData, FamilyError, build_family, check_hypotheses, verify_main_theorem
-from .exactlat import content, unit_vector
+from .exactlat import content, dot, unit_vector
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -108,6 +108,10 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
     else:
         raise UsageError("a direction is required (--divide or --u)")
     divisor = parse(args.by, rank=f.rank)
+    if divisor.is_zero():
+        raise UsageError(f"--by must be a nonzero polynomial, got {args.by!r}")
+    if any(dot(direction, e) for e in divisor.support()):
+        raise UsageError(f"--by must not involve the divided direction: every term of {args.by!r} must have level 0")
     return MutationSpec.from_direction(direction, divisor)
 
 

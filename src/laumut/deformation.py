@@ -12,7 +12,9 @@ divisor g that makes f mutable splits Delta_0 into a
 Minkowski sum Delta_0^0 + Delta_0^1, each the hull of integer points
 plus tau's rays, and regluing the pieces with opposite signs of the
 divided coordinate yields a second cone sigma_inf describing the other
-end of the family. Delta_0^1 is the divisor's Newton polytope at
+end of the family. The passes for the pieces continue tau's description
+at height 0, and the pass for sigma_inf continues Delta_0^0's cone, so
+each inserts only new generators. Delta_0^1 is the divisor's Newton polytope at
 grading 0, a lattice polytope, and it belongs to both pairs the gluing
 needs, (Delta_0^0, Delta_0^1) and (Delta_0^1, Delta_inf); so both are
 certified admissible by the lattice-polyhedron certificate and the
@@ -39,6 +41,7 @@ from .polyhedra import (
     Polyhedron,
     contains_origin_interior,
     dual_ehrhart_counts,
+    first_coordinate_last,
     is_admissible_pair,
     is_lattice_polyhedron,
     is_minkowski_sum,
@@ -152,28 +155,28 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
 
     # The mutated terms at a positive level i are those of the quotient f_i / g^i.
     # Delta_0^0 is the hull of each (1, x)/i and Delta_0^1 of each (0, e), both
-    # plus the tail rays; their homogenizations are spanned by (i, 1, x),
-    # (1, 0, e) and (0, r), all int vectors.
-    tail_gens = [(0,) + r for r in tail.rays]
+    # plus the tail rays; their homogenizations are spanned by tau at height 0,
+    # whose description both passes continue, and by (i, 1, x) and (1, 0, e).
     gens00 = [(e[-1], 1) + e[:-1] for e in mutated_adapted.support() if e[-1] > 0]
-    delta00 = Polyhedron(Cone.from_generators(n + 1, gens00 + tail_gens))
-    delta01 = Polyhedron(Cone.from_generators(n + 1, [(1, 0) + e for e in spec.divisor.support()] + tail_gens))
+    delta00 = Polyhedron(Cone.from_generators(n + 1, gens00, tail))
+    delta01 = Polyhedron(Cone.from_generators(n + 1, [(1, 0) + e for e in spec.divisor.support()], tail))
     if not is_minkowski_sum(delta00, delta01, delta0):
         raise AssertionError("divisor decomposition must rebuild the +1 slice")
 
     # Both pairs contain the lattice polytope delta01, and every slice has the
     # rays tail.rays, so both verdicts are "yes" by the lattice certificate.
     adm = (is_admissible_pair(delta00, delta01), is_admissible_pair(delta01, delta_inf))
-    # sigma_inf is spanned by the tail rays at divided height 0, by each vertex
-    # y/h of Delta_0^0 (homogenized ray (h, y)) at height +1 as (y, h), and at
-    # height -1 by each sum v + r[:-1]/|r_last| of a vertex of Delta_0^1 and one
-    # of Delta_inf (r a down ray of sigma), scaled to (|r_last| v + r[:-1], r_last).
-    # The cone keeps only the extreme ones, so Delta_0^1 + Delta_inf is never hulled.
-    gens = [r + (0,) for r in tail.rays] + [g[1:] + (g[0],) for g in delta00.cone.rays if g[0]]
+    # sigma_inf is spanned by the tail rays at divided height 0 and each vertex
+    # y/h of Delta_0^0 (homogenized ray (h, y)) at height +1 as (y, h): the
+    # rays of Delta_0^0's cone with the height moved last, which the pass
+    # continues. At height -1 it adds each sum v + r[:-1]/|r_last| of a vertex
+    # of Delta_0^1 and one of Delta_inf (r a down ray of sigma), scaled to
+    # (|r_last| v + r[:-1], r_last). The cone keeps only the extreme ones, so
+    # Delta_0^1 + Delta_inf is never hulled.
     down = [r for r in sigma.rays if r[-1] < 0]
     verts01 = [g[1:] for g in delta01.cone.rays if g[0]]
-    gens += [tuple(-r[-1] * a + b for a, b in zip(v, r[:-1])) + (r[-1],) for v in verts01 for r in down]
-    sigma_inf = Cone.from_generators(n + 1, gens)
+    gens = [tuple(-r[-1] * a + b for a, b in zip(v, r[:-1])) + (r[-1],) for v in verts01 for r in down]
+    sigma_inf = Cone.from_generators(n + 1, gens, first_coordinate_last(delta00.cone))
     return FamilyData(
         f=f,
         spec=spec,

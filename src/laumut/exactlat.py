@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -20,7 +21,7 @@ IntMat = tuple[tuple[int, ...], ...]
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -134,7 +135,7 @@ def transpose(a):
 
 
 def mat_vec(a, v):
-    return tuple(dot(row, v) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_mul(a, b):
@@ -193,14 +194,19 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
 
 
 def inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMat:
-    """Exact inverse of a matrix with determinant +/-1."""
+    """Exact inverse of a matrix with determinant +/-1, else ValueError: one
+    Bareiss pass over [a | I] ends as [d*I | d*a^-1] with d = +/-1. A singular
+    matrix pivots in the identity block, so the whole left block is checked:
+    ((1, 1), (1, 1)) ends with m[0][0] = -1."""
     n = len(a)
-    if abs(determinant(a)) != 1:
-        raise ValueError("matrix is not unimodular")
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     _bareiss(m)
-    # m is now [d*I | d*a^-1] with d = +/-1, so a^-1 = d * (right block).
-    return tuple(tuple(m[0][0] * x for x in row[n:]) for row in m)
+    d = m[0][0] if n else 1
+    if abs(d) != 1 or any(m[i][j] != (d if i == j else 0) for i in range(n) for j in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * x for x in row[n:]) for row in m)
 
 
 def adapted_basis(u: Sequence[int]) -> tuple[IntVec, tuple[IntVec, ...]]:

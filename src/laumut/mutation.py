@@ -14,8 +14,9 @@ flat family, where g lives in the kernel coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactlat import (
@@ -23,7 +24,6 @@ from .exactlat import (
     IntVec,
     adapted_basis,
     content,
-    determinant,
     dot,
     exact_int,
     inverse_unimodular,
@@ -32,7 +32,7 @@ from .exactlat import (
     transpose,
     vsub,
 )
-from .laurent import LaurentPolynomial, act_unimodular, divide_exact, parse, to_string
+from .laurent import LaurentPolynomial, divide_exact, parse, to_string
 from .polyhedra import Polyhedron, contains_origin_interior, lattice_cycle
 
 
@@ -52,17 +52,22 @@ class MutationSpec:
     u(w) = 1; the divisor lives in the kernel coordinates (rank one
     less). Exponents transport to the adapted frame by the inverse
     basis matrix and back by the basis itself.
+
+    The basis is inverted once, which checks that it is unimodular, unless
+    ``_known_inverse`` hands in the inverse (:meth:`from_direction`,
+    :meth:`inverse`); it is adapted iff u is the inverse's last row.
     """
 
     rank: int
     direction: IntVec
     basis: IntMat
     divisor: LaurentPolynomial
-    # The inverse basis, worked out once per spec on first use; it is
-    # derived from ``basis``, so equality, repr and to_dict leave it out.
-    _inverse: Optional[IntMat] = field(default=None, init=False, repr=False, compare=False)
+    _known_inverse: InitVar[Optional[IntMat]] = field(default=None, kw_only=True)
+    # The inverse basis; it is derived from ``basis``, so equality, repr
+    # and to_dict leave it out.
+    _inverse: IntMat = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _known_inverse):
         n = self.rank
         if len(self.direction) != n:
             raise ValueError("direction length does not match rank")
@@ -70,11 +75,9 @@ class MutationSpec:
             raise ValueError("mutation direction must be primitive")
         if len(self.basis) != n or any(len(row) != n for row in self.basis):
             raise ValueError("basis must be a square matrix of the full rank")
-        if abs(determinant(self.basis)) != 1:
-            raise ValueError("basis is not unimodular")
-        cols = transpose(self.basis)
-        pairing = [dot(self.direction, c) for c in cols]
-        if pairing != [0] * (n - 1) + [1]:
+        inverse = inverse_unimodular(self.basis) if _known_inverse is None else _known_inverse
+        object.__setattr__(self, "_inverse", inverse)
+        if inverse[-1] != tuple(self.direction):
             raise ValueError("basis is not adapted: direction must kill the kernel columns and pair to 1 with the last")
         if self.divisor.rank != n - 1:
             raise ValueError("divisor must have rank one less than the ambient rank")
@@ -93,13 +96,11 @@ class MutationSpec:
         inv = inverse_unimodular(basis)
         terms = []
         for e, c in divisor.terms:
-            if dot(u, e) != 0:
-                raise ValueError("divisor is not supported on the kernel of the direction")
             te = mat_vec(inv, e)
+            if te[-1]:  # the last row of the inverse is u
+                raise ValueError("divisor is not supported on the kernel of the direction")
             terms.append((te[:-1], c))
-        spec = MutationSpec(len(u), u, basis, LaurentPolynomial.from_terms(len(u) - 1, terms))
-        object.__setattr__(spec, "_inverse", inv)
-        return spec
+        return MutationSpec(len(u), u, basis, LaurentPolynomial.from_terms(len(u) - 1, terms), _known_inverse=inv)
 
     @staticmethod
     def from_adapted(direction: Sequence[int], basis: Sequence[Sequence[int]], divisor: LaurentPolynomial) -> "MutationSpec":
@@ -107,21 +108,19 @@ class MutationSpec:
         return MutationSpec(len(u), u, tuple(tuple(exact_int(c) for c in row) for row in basis), divisor)
 
     def inverse(self) -> "MutationSpec":
-        """Same divisor, opposite direction; undoes this mutation."""
+        """Same divisor, opposite direction; undoes this mutation. Negating
+        the last basis column negates the last row of the inverse."""
         cols = list(transpose(self.basis))
         cols[-1] = tuple(-c for c in cols[-1])
-        return MutationSpec(
-            self.rank,
-            tuple(-c for c in self.direction),
-            transpose(cols),
-            self.divisor,
-        )
+        inv = self._inverse[:-1] + (tuple(-c for c in self._inverse[-1]),)
+        return MutationSpec(self.rank, inv[-1], transpose(cols), self.divisor, _known_inverse=inv)
 
     def to_adapted(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """f in the adapted frame: kernel coordinates first, divided one last."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", inverse_unimodular(self.basis))
-        return act_unimodular(f, self._inverse)
+        """f in the adapted frame: kernel coordinates first, divided one last.
+        The inverse basis is unimodular, so only the terms' order changes."""
+        if f.rank != self.rank:
+            raise ValueError("polynomial rank does not match the mutation spec")
+        return LaurentPolynomial(f.rank, tuple(sorted((mat_vec(self._inverse, e), c) for e, c in f.terms)))
 
     def divisor_in_ambient(self) -> LaurentPolynomial:
         """The divisor transported back to the original coordinates."""
@@ -193,9 +192,10 @@ def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, Mutatio
         raise ValueError("cannot mutate the zero polynomial")
     # Each level is an ordered run of f's sorted terms, so it is already
     # a polynomial in canonical form.
+    u = spec.direction
     levels: dict[int, list] = {}
     for e, c in f.terms:
-        levels.setdefault(dot(spec.direction, e), []).append((e, c))
+        levels.setdefault(sum(map(mul, u, e)), []).append((e, c))
     parts = {k: LaurentPolynomial(f.rank, tuple(terms)) for k, terms in levels.items()}
     low, high = min(parts), max(parts)
     g = spec.divisor_in_ambient()

@@ -15,7 +15,9 @@ polytope, which is the polytope's own; for a dual cone, which swaps the
 two sides; for a polar dual, the dual of the polytope's cone; or for a
 slice of a pointed full-dimensional cone at a level of its last
 coordinate, which is read off the cone's incidence (at level 0 through
-one insertion step of the kernel). All arithmetic is exact (ints and
+one insertion step of the kernel). A pass can also continue the
+description of a pointed full-dimensional cone and insert only new
+generators. All arithmetic is exact (ints and
 Fractions), every public object is immutable, and generator/facet lists
 are sorted, so all output is deterministic.
 
@@ -63,7 +65,7 @@ DEFAULT_WITNESS_BOUND = 10
 
 
 def extreme_rays(
-    constraints: Sequence[IntVec], rank: int, *, tight: Optional[list[int]] = None
+    constraints: Sequence[IntVec], rank: int, *, tight: Optional[list[int]] = None, start: Optional[tuple] = None
 ) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of ``{x : <a, x> >= 0 for all a}``.
 
@@ -86,16 +88,21 @@ def extreme_rays(
     off, one mask test per (pair, ray) in :func:`_dd_step`, which
     :func:`kernel_slice` runs on a cone's incidence.
 
+    A pass can continue a finished one: ``start`` is ``(count, lineality,
+    rays, masks)``, the state after ``count`` earlier nonzero constraints,
+    with irredundant rays and exact masks; ``constraints`` take the next bits.
+
     Rays are primitive integer vectors; output is independent of input
     order only up to representatives, so callers sort constraints first
     when canonical output matters. If a list is passed as ``tight``, the
     mask of every output ray is appended to it in the order of the sorted
     rays: bit j set iff the j-th nonzero constraint vanishes on that ray.
     """
-    lineality = [unit_vector(rank, i) for i in range(rank)]
-    rays: list[IntVec] = []
-    masks: list[int] = []
-    bit = 1
+    if start is None:
+        start = (0, [unit_vector(rank, i) for i in range(rank)], [], [])
+    count, lineality, rays, masks = start
+    lineality = list(lineality)
+    bit = 1 << count
     for a in constraints:
         if len(a) != rank:
             raise ValueError(f"constraint of length {len(a)} in rank {rank}")
@@ -182,9 +189,10 @@ class Cone:
     equation shows as an opposite pair of normals. Equality is semantic
     (same set of points).
 
-    Only :meth:`from_generators` builds the ``incidence``, for a pointed
-    full-dimensional cone (None otherwise, or if dual): bit j of
-    ``incidence[i]`` is set iff ``facet_normals[j]`` vanishes on ``rays[i]``.
+    The ``incidence`` is kept for a pointed full-dimensional cone that
+    :meth:`from_generators` or :func:`kernel_slice` builds (None otherwise,
+    or if dual): bit j of ``incidence[i]`` is set iff ``facet_normals[j]``
+    vanishes on ``rays[i]``.
     """
 
     rank: int
@@ -193,25 +201,43 @@ class Cone:
     incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_generators(rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
-        """The cone spanned by ``generators``, canonically presented.
+    def from_generators(rank: int, generators: Iterable[Sequence[int]], start: Optional["Cone"] = None) -> "Cone":
+        """The cone spanned by ``generators``, and by the rays of ``start``
+        if given, canonically presented.
 
         One kernel pass turns the generators into facet normals. A pointed
         cone's rays are then the generators that :func:`_irredundant` keeps,
         read off the masks of that pass, which a full-dimensional one keeps
         as its incidence; only a cone with a line runs a second pass,
         normals to rays, for its lineality basis.
+
+        With ``start``, a pointed full-dimensional cone with its incidence,
+        the pass starts from its facet normals, with the transposed incidence
+        as masks, and inserts only the generators; a start of rank one less
+        is taken at 0 in a new first coordinate, kept as lineality. The
+        fields are those of one pass over all the generators (ValueError for
+        any other start).
         """
-        gens = sorted({primitive_vector(tuple(g)) for g in generators if any(g)})
+        first, description = [], None
+        if start is not None:
+            if start.incidence is None or rank - start.rank not in (0, 1):
+                raise ValueError("a pass continues a pointed full-dimensional cone of its rank or one less")
+            lift = (0,) * (rank - start.rank)
+            first = [lift + r for r in start.rays]
+            masks = _transpose(start.incidence, len(start.facet_normals))
+            description = (len(first), [unit_vector(rank, 0)] if lift else [], [lift + n for n in start.facet_normals], masks)
+        new = sorted({primitive_vector(tuple(g)) for g in generators if any(g)}.difference(first))
         tight: list[int] = []
-        dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
+        dual_r, dual_l = extreme_rays(new, rank, tight=tight, start=description)
+        gens = first + new
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
         kept: list[int] = []
         rays = _irredundant(gens, tight, rank - 1 - len(dual_l), kept)
         if rays is not None:
             # With no lineality the normals are the pass's rays, in the order of its masks.
-            return Cone(rank, tuple(rays), tuple(normals), None if dual_l else tuple(kept))
+            pairs = sorted(zip(rays, kept))
+            return Cone(rank, tuple(r for r, _ in pairs), tuple(normals), None if dual_l else tuple(m for _, m in pairs))
         ray_r, ray_l = extreme_rays(normals, rank)
         rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
         return Cone(rank, tuple(rays), tuple(normals))
@@ -248,6 +274,18 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone(cone.rank, cone.facet_normals, cone.rays)
 
 
+def first_coordinate_last(cone: Cone) -> Cone:
+    """The cone with its first coordinate moved last, with no kernel pass:
+    both sides are permuted and sorted again, and the incidence follows
+    its rays and normals."""
+    rays = sorted((r[1:] + r[:1], i) for i, r in enumerate(cone.rays))
+    normals = sorted((n[1:] + n[:1], j) for j, n in enumerate(cone.facet_normals))
+    incidence = cone.incidence and tuple(
+        sum(1 << k for k, (_, j) in enumerate(normals) if cone.incidence[i] >> j & 1) for _, i in rays
+    )
+    return Cone(cone.rank, tuple(r for r, _ in rays), tuple(n for n, _ in normals), incidence)
+
+
 def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: Optional[list[int]] = None) -> Optional[list[IntVec]]:
     """The members of ``vectors`` that span extreme rays of the cone they
     generate, or None if that cone contains a line.
@@ -268,13 +306,7 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: O
     the tight set of each vector returned is appended to it: bit i marks
     the i-th ray.
     """
-    masks = [0] * len(vectors)
-    for i, m in enumerate(tight):
-        b = 1 << i
-        while m:
-            low = m & -m
-            masks[low.bit_length() - 1] |= b
-            m ^= low
+    masks = _transpose(tight, len(vectors))
     if (1 << len(tight)) - 1 in masks:
         return None
     cand = [i for i, m in enumerate(masks) if m.bit_count() >= need]
@@ -284,6 +316,19 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: O
     if kept is not None:
         kept.extend(masks[i] for i in extreme)
     return [vectors[i] for i in extreme]
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The bit matrix with rows ``masks`` transposed: bit i of entry j is
+    bit j of ``masks[i]``, for ``width`` entries."""
+    out = [0] * width
+    for i, m in enumerate(masks):
+        b = 1 << i
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= b
+            m ^= low
+    return out
 
 
 # -- polyhedra ----------------------------------------------------------------
@@ -308,7 +353,8 @@ class Polyhedron:
     def __post_init__(self):
         if any(g[0] < 0 for g in self.cone.rays):
             raise ValueError("the cone of a polyhedron lies in x0 >= 0")
-        if any(vneg(r) in self.rays for r in self.rays):
+        flat = {g for g in self.cone.rays if not g[0]}
+        if any(vneg(g) in flat for g in flat):
             raise ValueError("polyhedron contains a line")
         if not any(g[0] for g in self.cone.rays):
             raise ValueError("empty polyhedron")
@@ -340,9 +386,14 @@ class Polyhedron:
         return min(Fraction(dot(u, v)) for v in self.vertices)
 
     def to_dict(self) -> dict:
+        """Vertices y/h printed from their int generators (h, y), in the
+        order of ``vertices``: at the lcm d of the heights, y/h sorts as d*y/h."""
+        points = [g for g in self.cone.rays if g[0]]
+        d = lcm(*(g[0] for g in points))
+        points.sort(key=lambda g: [c * (d // g[0]) for c in g[1:]])
         return {
             "rank": self.rank,
-            "vertices": [[str(c) for c in v] for v in self.vertices],
+            "vertices": [[_ratio(c, g[0]) for c in g[1:]] for g in points],
             "rays": [[str(c) for c in r] for r in self.rays],
         }
 
@@ -351,6 +402,12 @@ class Polyhedron:
         verts = [tuple(exact_fraction(c) for c in v) for v in data["vertices"]]
         rays = [tuple(exact_int(c) for c in r) for r in data.get("rays", [])]
         return hull(verts, rays)
+
+
+def _ratio(c: int, h: int) -> str:
+    """``str(Fraction(c, h))`` for h > 0, with no Fraction built."""
+    g = gcd(c, h)
+    return str(c // g) if g == h else f"{c // g}/{h // g}"
 
 
 def hull(points: Sequence[Sequence], rays: Sequence[Sequence[int]] = ()) -> Polyhedron:
@@ -444,15 +501,19 @@ def kernel_slice(cone: Cone) -> Cone:
     puts last, as for :func:`level_slice`. No kernel pass runs: one kernel
     insertion step over the incidence gives the rays, each with its tight
     facets, and :func:`_irredundant` picks the facets among the restricted
-    normals. ValueError unless the cone is pointed and full-dimensional
-    with rays on both sides of x_last = 0."""
+    normals with the rays each is tight on: the slice's incidence, transposed.
+    ValueError unless the cone is pointed and full-dimensional with rays on
+    both sides of x_last = 0."""
     vals = [r[-1] for r in cone.rays]
     if cone.incidence is None or min(vals) >= 0 or max(vals) <= 0:
         raise ValueError("kernel slice needs a pointed full-dimensional cone with rays on both sides of x_last = 0")
     cut = sorted((r[:-1], m) for r, m in _dd_step(cone.rays, cone.incidence, vals, 0, cone.rank - 2).items() if not r[-1])
     # Normals with one restriction vanish together on x_last = 0, so their tight sets there are equal.
-    facets = _irredundant([primitive_vector(n[:-1]) for n in cone.facet_normals], [m for _, m in cut], cone.rank - 2)
-    return Cone(cone.rank - 1, tuple(r for r, _ in cut), tuple(sorted(facets)))
+    kept: list[int] = []
+    facets = _irredundant([primitive_vector(n[:-1]) for n in cone.facet_normals], [m for _, m in cut], cone.rank - 2, kept)
+    facets = sorted(zip(facets, kept))
+    incidence = _transpose([m for _, m in facets], len(cut))
+    return Cone(cone.rank - 1, tuple(r for r, _ in cut), tuple(n for n, _ in facets), tuple(incidence))
 
 
 def level_slice(sigma: Cone, tail: Cone, sign: int) -> Polyhedron:

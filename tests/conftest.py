@@ -404,16 +404,49 @@ def level_slice_oracle():
     return cone_level_slice
 
 
+def dot_incidence(cone):
+    """A cone's incidence by dot products: bit j of entry i is set iff
+    ``facet_normals[j]`` vanishes on ``rays[i]``."""
+    return tuple(sum(1 << j for j, n in enumerate(cone.facet_normals) if not dot(n, r)) for r in cone.rays)
+
+
 def kernel_pass_slice(cone):
     """Oracle for ``kernel_slice``: the cone cut out by the facet normals
     with their last coordinate dropped, canonicalized by one kernel pass
-    instead of read off the cone's incidence. It takes any cone."""
-    return dual_cone(Cone.from_generators(cone.rank - 1, [n[:-1] for n in cone.facet_normals]))
+    instead of read off the cone's incidence, and given its incidence by
+    dot products when it is pointed and full-dimensional. It takes any cone."""
+    tau = dual_cone(Cone.from_generators(cone.rank - 1, [n[:-1] for n in cone.facet_normals]))
+    if any(vneg(v) in side for side in (tau.rays, tau.facet_normals) for v in side):
+        return tau
+    return Cone(tau.rank, tau.rays, tau.facet_normals, dot_incidence(tau))
 
 
 @pytest.fixture
 def kernel_slice_oracle():
     return kernel_pass_slice
+
+
+def cold_gluing(fam, mutated_adapted):
+    """Oracle for the family's three continued kernel passes: Delta_0^0,
+    Delta_0^1 and sigma_inf, each as one cold pass over its full generator
+    list, tau's rays and Delta_0^0's rays inserted again. ``fam`` gives
+    sigma, tau and the spec; ``mutated_adapted`` is the mutated polynomial
+    in the adapted frame. Returns the three cones."""
+    n = fam.spec.rank
+    tail_gens = [(0,) + r for r in fam.tail.rays]
+    gens00 = [(e[-1], 1) + e[:-1] for e in mutated_adapted.support() if e[-1] > 0]
+    delta00 = Cone.from_generators(n + 1, gens00 + tail_gens)
+    delta01 = Cone.from_generators(n + 1, [(1, 0) + e for e in fam.spec.divisor.support()] + tail_gens)
+    gens = [r + (0,) for r in fam.tail.rays] + [g[1:] + (g[0],) for g in delta00.rays if g[0]]
+    down = [r for r in fam.sigma.rays if r[-1] < 0]
+    verts01 = [g[1:] for g in delta01.rays if g[0]]
+    gens += [tuple(-r[-1] * a + b for a, b in zip(v, r[:-1])) + (r[-1],) for v in verts01 for r in down]
+    return delta00, delta01, Cone.from_generators(n + 1, gens)
+
+
+@pytest.fixture
+def cold_gluing_oracle():
+    return cold_gluing
 
 
 def hull_level_slice(points, sign, tail):

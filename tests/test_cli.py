@@ -8,6 +8,7 @@ from laumut import cli, exactlat, laurent, polyhedra
 from laumut.cli import main
 from laumut.deformation import VerificationReport
 from laumut.laurent import parse
+from laumut.mutation import MutationSpec
 
 F3 = "x^-1*y + 2*y + x*y + y^-1"
 F4 = "x^-1 + x^-1*y + y + y^-1 + x*y^-1"
@@ -132,6 +133,26 @@ def test_non_primitive_covector_is_a_usage_error(capsys, monkeypatch, u):
     code, out, err = run(capsys, "mutate", "--f", "x + y", "--u", u, "--by", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: --u must be a primitive covector")
+
+
+@pytest.mark.parametrize(
+    "by,message",
+    [
+        ("0", "--by must be a nonzero polynomial"),
+        ("0*x", "--by must be a nonzero polynomial"),
+        ("y", "--by must not involve the divided direction"),
+        ("1 + x*y", "--by must not involve the divided direction"),
+    ],
+    ids=["zero", "zero_term", "divided", "mixed"],
+)
+def test_bad_divisor_is_a_usage_error(capsys, monkeypatch, by, message):
+    # A zero divisor, or one with a term off level 0, is refused next to the
+    # --u checks, before the spec is built.
+    monkeypatch.setattr(cli.MutationSpec, "from_direction", lambda *a: pytest.fail("ran before the argument check"))
+    for direction in (("--u", "0,1"), ("--divide", "y")):
+        code, out, err = run(capsys, "mutate", "--f", "x + y", *direction, "--by", by)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: " + message)
 
 
 def test_both_f_and_file_rejected(capsys, tmp_path):
@@ -428,10 +449,14 @@ def test_one_division_per_positive_level(capsys, monkeypatch, tmp_path, argv, di
 def test_frame_changes_only_in_the_family(capsys, monkeypatch, argv, changes):
     # Mutations read their levels off the ambient exponents; only the
     # family's own coordinates move frames: f once, and the mutated
-    # polynomial once, shared by Delta_0^0 and the cone match.
-    calls = count_calls(monkeypatch, laurent.act_unimodular)
+    # polynomial once, shared by Delta_0^0 and the cone match. The spec
+    # transports by its own inverse, so no other change of variables runs.
+    calls = []
+    transport = MutationSpec.to_adapted
+    monkeypatch.setattr(MutationSpec, "to_adapted", lambda spec, f: calls.append(f) or transport(spec, f))
+    others = count_calls(monkeypatch, laurent.act_unimodular)
     assert run(capsys, *argv)[0] == 0
-    assert len(calls) == changes
+    assert (len(calls), len(others)) == (changes, 0)
 
 
 def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_path):

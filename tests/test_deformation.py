@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_mutable_pair, recession_cone, seeded_family_cases
+from conftest import dot_incidence, random_mutable_pair, recession_cone, seeded_family_cases
 from laumut import deformation, polyhedra
 from laumut.deformation import (
     FamilyError,
@@ -18,7 +18,6 @@ from laumut.deformation import (
     general_fiber_is_toric,
     verify_main_theorem,
 )
-from laumut.exactlat import dot
 from laumut.laurent import newton_polytope, parse
 from laumut.mutation import MutationSpec, apply_mutation
 from laumut.polyhedra import Cone, Polyhedron, extreme_rays, hull, is_admissible_pair, kernel_slice, verify_admissibility
@@ -65,25 +64,50 @@ def test_build_family_worked_example():
     assert fam.grading == (1, 0, 0)
 
 
-@pytest.mark.parametrize("text", ["x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"])
-def test_family_kernel_passes(monkeypatch, text):
+@pytest.mark.parametrize(
+    "text,inserted",
+    [("x^-1*y + 2*y + x*y + y^-1", [3, 2, 2, 2]), ("x^-1 + x^-1*y + y + y^-1 + x*y^-1", [5, 1, 2, 3])],
+    ids=["x^-1*y + 2*y + x*y + y^-1", "x^-1 + x^-1*y + y + y^-1 + x*y^-1"],
+)
+def test_family_kernel_passes(monkeypatch, text, inserted):
     # build_family runs one pass each for Delta(f), whose cone is sigma,
     # Delta_0^0, Delta_0^1 and sigma_inf; verify adds Delta(mutated). The
     # tail cones, Delta_0 and Delta_inf are read off the incidences of the
     # cones' own passes, and exact division, the decomposition check and the
-    # rank-2 dual counts run no kernel pass.
+    # rank-2 dual counts run no kernel pass. The gluing passes continue the
+    # descriptions of tau and Delta_0^0, so each inserts only its new
+    # generators: the mutated terms at positive levels, the divisor's terms,
+    # and the down sums (F3: 2 + 2 + 2, F4: 1 + 2 + 3, against 4 + 4 + 6 and
+    # 3 + 4 + 6 in cold passes).
     calls = []
 
     def counted(constraints, rank, **kwargs):
-        calls.append(rank)
+        calls.append(len(constraints))
         return extreme_rays(constraints, rank, **kwargs)
 
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     build_family(parse(text), worked_spec())
-    assert len(calls) == 4
+    assert calls == inserted
     calls.clear()
     verify_main_theorem(parse(text), worked_spec())
-    assert len(calls) == 5
+    assert calls == inserted + [4]
+
+
+def test_continued_gluing_matches_the_cold_oracle(cold_gluing_oracle):
+    # Delta_0^0 and Delta_0^1 continue tau's description at height 0, and
+    # sigma_inf continues Delta_0^0's cone with the height moved last; the
+    # oracle runs each as one cold pass over its full generator list. Every
+    # stored field must agree, and every incidence must be the exact one.
+    ranks = set()
+    for f, spec in seeded_family_cases():
+        fam = build_family(f, spec)
+        cold = cold_gluing_oracle(fam, spec.to_adapted(apply_mutation(f, spec)))
+        for got, want in zip((fam.delta00.cone, fam.delta01.cone, fam.sigma_inf), cold):
+            assert astuple(got) == astuple(want)
+            assert got.incidence == dot_incidence(got)
+        assert fam.tail.incidence == dot_incidence(fam.tail)
+        ranks.add(spec.rank)
+    assert ranks == {2, 3, 4}
 
 
 def test_family_tails_match_the_one_pass_oracle(kernel_slice_oracle):
@@ -97,9 +121,7 @@ def test_family_tails_match_the_one_pass_oracle(kernel_slice_oracle):
         sigmas.append(fam.sigma)
     assert len(sigmas) == 48
     for sigma in sigmas:
-        assert sigma.incidence == tuple(
-            sum(1 << j for j, n in enumerate(sigma.facet_normals) if not dot(n, r)) for r in sigma.rays
-        )
+        assert sigma.incidence == dot_incidence(sigma)
         assert astuple(kernel_slice(sigma)) == astuple(kernel_slice_oracle(sigma))
 
 

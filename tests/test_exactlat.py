@@ -98,6 +98,31 @@ def test_determinant_and_inverse_on_random_unimodular():
         assert mat_mul(inv, a) == eye
 
 
+@pytest.mark.parametrize(
+    "a",
+    [((1, 1), (1, 1)), ((2, 0), (0, 1)), ((0, 0), (0, 0)), ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 0), (0, 1), (0, 0))],
+    ids=["ones", "det2", "zero", "rank2", "not_square"],
+)
+def test_inverse_refuses_a_matrix_that_is_not_unimodular(a):
+    # One elimination over [a | I]: a singular matrix pivots inside the
+    # identity block, and ((1, 1), (1, 1)) ends with m[0][0] = -1 there, so
+    # the whole left block must be d*I with |d| = 1.
+    with pytest.raises(ValueError):
+        inverse_unimodular(a)
+
+
+def test_inverse_exists_exactly_for_determinant_one():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if abs(determinant(a)) == 1:
+            assert mat_mul(a, inverse_unimodular(a)) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        else:
+            with pytest.raises(ValueError):
+                inverse_unimodular(a)
+
+
 def test_matrix_rank():
     assert matrix_rank([(1, 2), (2, 4)]) == 1
     assert matrix_rank([(1, 0), (0, 1)]) == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -95,6 +96,22 @@ def test_spec_validation():
         MutationSpec.from_adapted((0, 1), ((1, 0), (0, 2)), parse("1 + x"))
     with pytest.raises(ValueError):
         MutationSpec.from_adapted((0, 1), ((1, 0), (0, 1)), LaurentPolynomial.zero(1))
+
+
+def test_spec_transports_by_the_inverse_of_its_basis(act_unimodular_oracle):
+    # from_direction and inverse() hand the spec the inverse they know, and
+    # replace() inverts the new basis; to_adapted must equal the checked
+    # change of variables by the inverse basis in every case.
+    rng = random.Random(77)
+    for rank in (2, 3, 4):
+        for _ in range(10):
+            f, spec = random_mutable_pair(rng, rank)
+            ambient = MutationSpec.from_direction(spec.direction, spec.divisor_in_ambient())
+            moved = replace(spec, basis=ambient.basis)
+            for s in (spec, spec.inverse(), ambient, ambient.inverse(), moved):
+                assert s.to_adapted(f) == act_unimodular_oracle(f, inverse_unimodular(s.basis))
+    with pytest.raises(ValueError):
+        spec.to_adapted(parse("x + y", rank=rank - 1))
 
 
 def test_is_mutation_failure_level():

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
+from conftest import dot_incidence, fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
 from laumut import polyhedra
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
@@ -444,10 +444,6 @@ def test_kernel_slice_preconditions(kernel_slice_oracle, cone):
         kernel_slice(cone)
 
 
-def dot_incidence(cone):
-    return tuple(sum(1 << j for j, n in enumerate(cone.facet_normals) if not dot(n, r)) for r in cone.rays)
-
-
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_kernel_slice_read_off_matches_the_one_pass_oracle(kernel_slice_oracle, rank):
     # Every pointed full-dimensional cone of the corpus, and the cone over
@@ -481,6 +477,33 @@ def test_kernel_slice_read_off_matches_the_one_pass_oracle(kernel_slice_oracle, 
             shapes.add("one-sided")
     # In rank 2 both facets of a slice restrict to its one normal.
     assert shapes == {2: {"shared", "one-sided"}, 5: {"sliced", "one-sided"}}.get(rank, {"sliced", "shared", "one-sided"})
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_continued_pass_matches_a_cold_pass(rank):
+    # A pass started from a pointed full-dimensional cone of the corpus, of
+    # this rank or of one less taken at 0 in a new first coordinate, and
+    # given the rows of another corpus entry, stores the fields of one cold
+    # pass over the cone's rays and those rows together, incidence included.
+    rng = random.Random(7400 + rank)
+    corpus, _ = cone_corpus(rank)
+    starts = [(Cone.from_generators(rank, rows), ()) for rows in corpus]
+    starts += [(Cone.from_generators(rank - 1, rows), (0,)) for rows in cone_corpus(rank - 1)[0]]
+    shapes = set()
+    for start, lift in starts:
+        if start.incidence is None:
+            with pytest.raises(ValueError):
+                Cone.from_generators(rank, corpus[5], start)
+            continue
+        rows = rng.choice(corpus)
+        got = Cone.from_generators(rank, rows, start)
+        assert astuple(got) == astuple(Cone.from_generators(rank, [lift + r for r in start.rays] + rows))
+        assert got.incidence is None or got.incidence == dot_incidence(got)
+        line, flat = has_opposite_pair(got.rays), has_opposite_pair(got.facet_normals)
+        shapes.add((len(lift), "line" if line else "flat" if flat else "pointed"))
+    assert shapes == {(0, "line"), (0, "pointed"), (1, "line"), (1, "flat"), (1, "pointed")}
+    with pytest.raises(ValueError):
+        Cone.from_generators(rank + 2, [], Cone.from_generators(rank, [unit_vector(rank, i) for i in range(rank)]))
 
 
 # -- lattice tests and duals ------------------------------------------------------
@@ -937,6 +960,19 @@ def test_from_halfspaces_line():
 def test_polyhedron_dict_round_trip():
     p = hull(V((-1, 1), (1, 1)), [(-1, 2), (1, 2)])
     assert Polyhedron.from_dict(p.to_dict()) == p
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_polyhedron_dict_prints_the_fraction_vertices(rank):
+    # to_dict prints each vertex from its int generator; the Fraction view
+    # must print the same strings in the same order, signs and lowest terms
+    # included.
+    rng = random.Random(4400 + rank)
+    for _ in range(80):
+        p = random_polytope(rng, rank)
+        if rng.random() < 0.3:
+            p = hull(p.vertices, [(1,) + tuple(rng.randint(-3, 3) for _ in range(rank - 1))])
+        assert p.to_dict()["vertices"] == [[str(c) for c in v] for v in p.vertices]
 
 
 def test_polyhedron_from_dict_refuses_non_integral_rays():
