@@ -95,7 +95,10 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
         # ASCII digits only, as in the polynomial syntax; int() alone takes any script's digits and "_".
         if not re.fullmatch(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*", args.u):
             raise UsageError(f"--u must be a comma-separated integer vector, got {args.u!r}")
-        direction = tuple(int(part) for part in args.u.split(","))
+        try:
+            direction = tuple(int(part) for part in args.u.split(","))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise UsageError("--u has an entry too long to read") from None
         if len(direction) != f.rank:
             raise UsageError(f"--u has length {len(direction)}, expected {f.rank}")
         if content(direction) != 1:

@@ -143,70 +143,35 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix, in place.
-
-    Pivot p at (r, c), after pivot ``prev``, turns every other row into
-    ``(p*row - row[c]*m[r]) / prev``, exactly, since each entry stays a minor
-    of the input (Sylvester's identity). Returns ``(rank, sign)``; the pivot
-    columns then hold d*I for the last pivot d, and a full-rank square
-    matrix has determinant sign*d.
-    """
-    rank, prev, sign = 0, 1, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        row = m[rank]
-        p = row[c]
-        for i, other in enumerate(m):
-            if i != rank:
-                f = other[c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(other, row)]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank, sign
-
-
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix given by its rows (int or Fraction entries)."""
-    m = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        m.append([int(x * d) for x in row])
-    return _bareiss(m)[0]
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    m = [list(row) for row in a]
-    rank, sign = _bareiss(m)
-    if rank < n:
-        return 0
-    return sign * m[-1][-1] if m else 1
-
-
 def inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMat:
-    """Exact inverse of a matrix with determinant +/-1, else ValueError: one
-    Bareiss pass over [a | I] ends as [d*I | d*a^-1] with d = +/-1. A singular
-    matrix pivots in the identity block, so the whole left block is checked:
-    ((1, 1), (1, 1)) ends with m[0][0] = -1."""
+    """Exact inverse of a matrix with determinant +/-1, else ValueError.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of m = [a | I], in
+    place, pivoting in a's columns: pivot p at (c, c), after pivot ``prev``,
+    turns every other row into ``(p*row - row[c]*m[c]) / prev``, exactly
+    (Sylvester's identity). A singular a runs out of pivots; any other ends
+    as [d*I | d*a^-1] with d = +/-det(a).
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    _bareiss(m)
-    d = m[0][0] if n else 1
-    if abs(d) != 1 or any(m[i][j] != (d if i == j else 0) for i in range(n) for j in range(n)):
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is not unimodular")
+        m[c], m[piv] = m[piv], m[c]
+        row = m[c]
+        p = row[c]
+        for i, other in enumerate(m):
+            if i != c:
+                f = other[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(other, row)]
+        prev = p
+    if abs(prev) != 1:
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * x for x in row[n:]) for row in m)
+    return tuple(tuple(prev * x for x in row[n:]) for row in m)
 
 
 def adapted_basis(u: Sequence[int]) -> tuple[IntVec, tuple[IntVec, ...]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlat import IntVec, mat_vec, determinant
+from .exactlat import IntVec, inverse_unimodular, mat_vec
 from . import polyhedra
 
 _XYZ = ("x", "y", "z")
@@ -183,6 +183,14 @@ def _token_position(text: str, index: int) -> int:
     return len(text)
 
 
+def _numeral(digits: str, text: str, index: int) -> int:
+    """``int(digits)`` for the index-th token of text, or ParseError there."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"a numeral of {len(digits)} digits is too long", _token_position(text, index)) from None
+
+
 def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     """Parse polynomial text.
 
@@ -200,9 +208,9 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     term (``x^2*x^-1`` is ``x``). Ranks up to three use x, y, z; general
     rank uses z1..zn, and the two styles do not mix. The rank is the highest
     variable index used unless ``rank`` is given. Raises
-    :class:`ParseError` with a position on malformed input; a character
-    outside the grammar anywhere in the text, parentheses included, is
-    reported before any other error.
+    :class:`ParseError` with a position on malformed input, a numeral too
+    long for ``int()`` among it; a character outside the grammar anywhere
+    in the text, parentheses included, is reported before any other error.
     """
     tokens = _TOKEN.findall(text)
     for i, (_, _, _, bad) in enumerate(tokens):
@@ -227,7 +235,7 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
             num, name, op, _ = tokens[i]
         coeff = sign
         if num:
-            coeff *= int(num)
+            coeff *= _numeral(num, text, i)
             i += 1
             _, name, op, _ = tokens[i]
             if op == "/":
@@ -235,7 +243,7 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
                 den = tokens[i][0]
                 if not den:
                     raise ParseError("expected a denominator", _token_position(text, i))
-                den = int(den)
+                den = _numeral(den, text, i)
                 if not den:
                     raise ParseError("zero denominator", _token_position(text, i))
                 coeff = Fraction(coeff, den)
@@ -259,7 +267,7 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
                 m = _ZN.fullmatch(name)
                 if not m:
                     raise ParseError(f"unknown variable {name!r}", _token_position(text, i))
-                idx = int(m[1]) - 1
+                idx = _numeral(m[1], text, i) - 1
                 if idx < 0:
                     raise ParseError("variable indices start at z1", _token_position(text, i))
                 kind = "zn"
@@ -280,7 +288,7 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
                     num = tokens[i][0]
                 if not num:
                     raise ParseError("expected an integer exponent", _token_position(text, i))
-                power = -int(num) if op == "-" else int(num)
+                power = (-1 if op == "-" else 1) * _numeral(num, text, i)
                 i += 1
                 op = tokens[i][2]
             exps[idx] = exps.get(idx, 0) + power
@@ -373,6 +381,5 @@ def act_unimodular(f: LaurentPolynomial, matrix: Sequence[Sequence[int]]) -> Lau
     matrix = [tuple(map(index, row)) for row in matrix]
     if len(matrix) != f.rank or any(len(row) != f.rank for row in matrix):
         raise ValueError("matrix shape does not match rank")
-    if abs(determinant(matrix)) != 1:
-        raise ValueError("matrix is not unimodular")
+    inverse_unimodular(matrix)  # ValueError("matrix is not unimodular") unless det = +-1
     return LaurentPolynomial(f.rank, tuple(sorted((mat_vec(matrix, e), c) for e, c in f.terms)))

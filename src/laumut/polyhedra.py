@@ -47,13 +47,11 @@ from .exactlat import (
     exact_fraction,
     exact_int,
     floor_sum,
-    matrix_rank,
     primitive_from_rational,
     primitive_vector,
     unit_vector,
     vadd,
     vneg,
-    vsub,
 )
 
 Halfspace = tuple[IntVec, Fraction]
@@ -232,11 +230,10 @@ class Cone:
         gens = first + new
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
-        kept: list[int] = []
-        rays = _irredundant(gens, tight, rank - 1 - len(dual_l), kept)
-        if rays is not None:
+        picked = _irredundant(gens, tight, rank - 1 - len(dual_l))
+        if picked is not None:
             # With no lineality the normals are the pass's rays, in the order of its masks.
-            pairs = sorted(zip(rays, kept))
+            pairs = sorted(zip(*picked))
             return Cone(rank, tuple(r for r, _ in pairs), tuple(normals), None if dual_l else tuple(m for _, m in pairs))
         ray_r, ray_l = extreme_rays(normals, rank)
         rays = sorted(ray_r + ray_l + [vneg(l) for l in ray_l])
@@ -286,9 +283,9 @@ def first_coordinate_last(cone: Cone) -> Cone:
     return Cone(cone.rank, tuple(r for r, _ in rays), tuple(n for n, _ in normals), incidence)
 
 
-def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: Optional[list[int]] = None) -> Optional[list[IntVec]]:
+def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int) -> Optional[tuple[list[IntVec], list[int]]]:
     """The members of ``vectors`` that span extreme rays of the cone they
-    generate, or None if that cone contains a line.
+    generate, each with its tight set, or None if that cone contains a line.
 
     ``vectors`` are primitive, such as those a kernel pass dualized, in its
     input order; ``tight`` holds the masks of the rays of the dual cone,
@@ -302,9 +299,8 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: O
     vector's tight set contains its own. Two vectors with one tight set are
     equal, and the first stands for both, or lie in a face whose extreme
     rays have larger sets. Vectors tight on fewer than ``need`` rays cannot
-    be extreme and are skipped unscanned. If a list is passed as ``kept``,
-    the tight set of each vector returned is appended to it: bit i marks
-    the i-th ray.
+    be extreme and are skipped unscanned. In a returned tight set, bit i
+    marks the i-th ray.
     """
     masks = _transpose(tight, len(vectors))
     if (1 << len(tight)) - 1 in masks:
@@ -313,9 +309,7 @@ def _irredundant(vectors: list[IntVec], tight: Sequence[int], need: int, kept: O
     extreme = [
         i for i in cand if not any(masks[k] & masks[i] == masks[i] and (k < i or masks[k] != masks[i]) for k in cand if k != i)
     ]
-    if kept is not None:
-        kept.extend(masks[i] for i in extreme)
-    return [vectors[i] for i in extreme]
+    return [vectors[i] for i in extreme], [masks[i] for i in extreme]
 
 
 def _transpose(masks: Sequence[int], width: int) -> list[int]:
@@ -509,9 +503,8 @@ def kernel_slice(cone: Cone) -> Cone:
         raise ValueError("kernel slice needs a pointed full-dimensional cone with rays on both sides of x_last = 0")
     cut = sorted((r[:-1], m) for r, m in _dd_step(cone.rays, cone.incidence, vals, 0, cone.rank - 2).items() if not r[-1])
     # Normals with one restriction vanish together on x_last = 0, so their tight sets there are equal.
-    kept: list[int] = []
-    facets = _irredundant([primitive_vector(n[:-1]) for n in cone.facet_normals], [m for _, m in cut], cone.rank - 2, kept)
-    facets = sorted(zip(facets, kept))
+    facets = _irredundant([primitive_vector(n[:-1]) for n in cone.facet_normals], [m for _, m in cut], cone.rank - 2)
+    facets = sorted(zip(*facets))
     incidence = _transpose([m for _, m in facets], len(cut))
     return Cone(cone.rank - 1, tuple(r for r, _ in cut), tuple(n for n, _ in facets), tuple(incidence))
 
@@ -747,35 +740,27 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
     """Full-dimensional cells of the common refinement of both normal fans.
 
     Cell(v, w) = {u : u is minimized at v on p and at w on q}, intersected
-    with the dual of the tailcone. The cells cover that dual cone.
+    with the dual of the tailcone. The cells cover that dual cone. They are
+    the normal cones of p + q (Ziegler, *Lectures on Polytopes*, Prop. 7.12)
+    at its vertices v + w, spanned by the normals of its halfspaces tight there.
     """
-    rank = p.rank
+    r = minkowski_sum(p, q)
+    corners = set(r.vertices)
     cells = []
     for v in p.vertices:
         for w in q.vertices:
-            cons = set()
-            for v2 in p.vertices:
-                if v2 != v:
-                    cons.add(primitive_from_rational(vsub(v2, v)))
-            for w2 in q.vertices:
-                if w2 != w:
-                    cons.add(primitive_from_rational(vsub(w2, w)))
-            cons.update(p.rays)
-            cons.update(q.rays)
-            ray_r, ray_l = extreme_rays(sorted(cons), rank)
-            gens = ray_r + ray_l + [vneg(l) for l in ray_l]
-            if matrix_rank(gens) < rank:
-                continue
-            cells.append(
-                {
-                    "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
-                    "cell_rays": [[str(c) for c in r] for r in gens],
-                    "integral": (
-                        all(c.denominator == 1 for c in v),
-                        all(c.denominator == 1 for c in w),
-                    ),
-                }
-            )
+            x = vadd(v, w)
+            if x in corners:
+                cells.append(
+                    {
+                        "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
+                        "cell_rays": [[str(c) for c in n] for n, offset in r.halfspaces if dot(n, x) == offset],
+                        "integral": (
+                            all(c.denominator == 1 for c in v),
+                            all(c.denominator == 1 for c in w),
+                        ),
+                    }
+                )
     return cells
 
 
@@ -794,18 +779,10 @@ def is_admissible_pair(
         raise ValueError("rank mismatch in admissible pair test")
     if set(p.rays) != set(q.rays):
         return AdmissibilityVerdict(STATUS_NO, "tailcones differ")
-    if is_lattice_polyhedron(p):
-        return AdmissibilityVerdict(
-            STATUS_YES,
-            "first polyhedron has integral vertices",
-            certificate={"kind": "lattice_polyhedron", "which": 0},
-        )
-    if is_lattice_polyhedron(q):
-        return AdmissibilityVerdict(
-            STATUS_YES,
-            "second polyhedron has integral vertices",
-            certificate={"kind": "lattice_polyhedron", "which": 1},
-        )
+    for which, (name, lattice) in enumerate((("first", p), ("second", q))):
+        if is_lattice_polyhedron(lattice):
+            certificate = {"kind": "lattice_polyhedron", "which": which}
+            return AdmissibilityVerdict(STATUS_YES, f"{name} polyhedron has integral vertices", certificate=certificate)
     # Complete, since a polyhedron never contains a line and so its tail
     # is pointed: each full-dimensional cell picks one vertex from each
     # polyhedron; its lattice points split into those with integral value

@@ -3,19 +3,18 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
 import pytest
 
 from laumut.exactlat import (
     adapted_basis,
     content,
-    determinant,
     dot,
     inverse_unimodular,
     mat_mul,
     mat_vec,
-    matrix_rank,
     primitive_vector,
     unit_vector,
     vneg,
@@ -66,6 +65,59 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# -- exact elimination oracles ------------------------------------------------
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix, in place.
+
+    Pivot p at (r, c), after pivot ``prev``, turns every other row into
+    ``(p*row - row[c]*m[r]) / prev``, exactly, since each entry stays a minor
+    of the input (Sylvester's identity). Returns ``(rank, sign)``; the pivot
+    columns then hold d*I for the last pivot d, and a full-rank square
+    matrix has determinant sign*d.
+    """
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        row = m[rank]
+        p = row[c]
+        for i, other in enumerate(m):
+            if i != rank:
+                f = other[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(other, row)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank, sign
+
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix given by its rows (int or Fraction entries)."""
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([int(x * d) for x in row])
+    return _bareiss(m)[0]
+
+
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    m = [list(row) for row in a]
+    rank, sign = _bareiss(m)
+    if rank < n:
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 def random_unimodular(rng, n):
@@ -597,6 +649,40 @@ def fraction_dehomogenize(cone):
 @pytest.fixture
 def dehomogenize_oracle():
     return fraction_dehomogenize
+
+
+def pairwise_refinement_cells(p, q):
+    """Oracle for ``polyhedra._refinement_cells``: each vertex pair's cell
+    from its own kernel pass over the vertex differences and the rays,
+    kept when its generators have full rank."""
+    rank = p.rank
+    cells = []
+    for v in p.vertices:
+        for w in q.vertices:
+            cons = set()
+            for v2 in p.vertices:
+                if v2 != v:
+                    cons.add(primitive_from_rational(vsub(v2, v)))
+            for w2 in q.vertices:
+                if w2 != w:
+                    cons.add(primitive_from_rational(vsub(w2, w)))
+            cons.update(p.rays)
+            cons.update(q.rays)
+            ray_r, ray_l = extreme_rays(sorted(cons), rank)
+            gens = ray_r + ray_l + [vneg(l) for l in ray_l]
+            if matrix_rank(gens) < rank:
+                continue
+            cells.append(
+                {
+                    "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
+                    "cell_rays": [[str(c) for c in r] for r in gens],
+                    "integral": (
+                        all(c.denominator == 1 for c in v),
+                        all(c.denominator == 1 for c in w),
+                    ),
+                }
+            )
+    return cells
 
 
 def views(p):

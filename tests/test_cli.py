@@ -155,6 +155,36 @@ def test_bad_divisor_is_a_usage_error(capsys, monkeypatch, by, message):
         assert err.startswith("usage error: " + message)
 
 
+# Python 3.10 before 3.10.7 reads numerals of any length.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text, position",
+    [("{n}*x + y + x^-1*y^-1", 0), ("x + 1/{n}*y", 6), ("x^{n} + y", 2), ("x^-{n} + y", 3), ("z{n} + z1", 0)],
+    ids=["coefficient", "denominator", "exponent", "negative_exponent", "variable_index"],
+)
+def test_a_numeral_too_long_for_int_is_a_parse_error(capsys, text, position):
+    # int() refuses more than sys.get_int_max_str_digits() digits; that
+    # ValueError used to leave the CLI as a domain failure (exit 1).
+    text = text.format(n="1" * (INT_DIGIT_LIMIT + 1))
+    with pytest.raises(laurent.ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+    code, out, err = run(capsys, "newton", "--f", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and f"position {position}" in err
+
+
+@needs_digit_limit
+def test_a_covector_entry_too_long_for_int_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "mutate", "--f", "x + y", "--u", "1," + "1" * (INT_DIGIT_LIMIT + 1), "--by", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --u")
+
+
 def test_both_f_and_file_rejected(capsys, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("x + y\n")

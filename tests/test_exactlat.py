@@ -4,10 +4,10 @@ from itertools import permutations
 
 import pytest
 
+from conftest import determinant, matrix_rank
 from laumut.exactlat import (
     adapted_basis,
     content,
-    determinant,
     dot,
     exact_int,
     floor_sum,
@@ -15,12 +15,12 @@ from laumut.exactlat import (
     lex_positive,
     mat_mul,
     mat_vec,
-    matrix_rank,
     primitive_from_rational,
     primitive_vector,
     transpose,
     xgcd,
 )
+from laumut.laurent import LaurentPolynomial, act_unimodular
 
 
 def random_unimodular(rng, n, steps=12):
@@ -104,23 +104,28 @@ def test_determinant_and_inverse_on_random_unimodular():
     ids=["ones", "det2", "zero", "rank2", "not_square"],
 )
 def test_inverse_refuses_a_matrix_that_is_not_unimodular(a):
-    # One elimination over [a | I]: a singular matrix pivots inside the
-    # identity block, and ((1, 1), (1, 1)) ends with m[0][0] = -1 there, so
-    # the whole left block must be d*I with |d| = 1.
+    # One elimination over [a | I], pivoting only in a's own columns: a
+    # singular matrix such as ((1, 1), (1, 1)) runs out of pivots there,
+    # and ((2, 0), (0, 1)) ends with the last pivot d = 2, so |d| = 1 fails.
     with pytest.raises(ValueError):
         inverse_unimodular(a)
 
 
-def test_inverse_exists_exactly_for_determinant_one():
+def test_inverse_exists_exactly_for_determinant_one(act_unimodular_oracle):
+    # act_unimodular checks its matrix with the same elimination.
     rng = random.Random(12)
     for _ in range(300):
         n = rng.randint(1, 4)
         a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        f = LaurentPolynomial.from_terms(n, {tuple(rng.randint(-2, 2) for _ in range(n)): 1 for _ in range(3)})
         if abs(determinant(a)) == 1:
             assert mat_mul(a, inverse_unimodular(a)) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert act_unimodular(f, a) == act_unimodular_oracle(f, a)
         else:
             with pytest.raises(ValueError):
                 inverse_unimodular(a)
+            with pytest.raises(ValueError, match="matrix is not unimodular"):
+                act_unimodular(f, a)
 
 
 def test_matrix_rank():

@@ -6,14 +6,13 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import dot_incidence, fraction_vertex_cycle, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
+from conftest import dot_incidence, fraction_vertex_cycle, matrix_rank, pairwise_refinement_cells, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
 from laumut import polyhedra
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     dot,
     inverse_unimodular,
     mat_vec,
-    matrix_rank,
     primitive_vector,
     transpose,
     unit_vector,
@@ -775,6 +774,14 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
     # and normals against the rays of theirs. Both are deduplicated
     # primitive vectors, so scaled copies of a normal collapse before the
     # pass. The masks must be the exact tight sets of their rays.
+    def unpack(picked, rays):
+        # Each vector comes with its tight set: bit i marks the i-th ray.
+        if picked is None:
+            return None
+        vectors, masks = picked
+        assert masks == [sum(1 << i for i, r in enumerate(rays) if not dot(v, r)) for v in vectors]
+        return vectors
+
     rng = random.Random(9100 + rank)
     kinds, shapes = set(), set()
     for _ in range(100):
@@ -784,7 +791,7 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
         dual_r, dual_l = extreme_rays(gens, rank, tight=tight)
         assert tight == [sum(1 << j for j, g in enumerate(gens) if not dot(g, d)) for d in dual_r]
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
-        got = polyhedra._irredundant(gens, tight, rank - 1 - len(dual_l))
+        got = unpack(polyhedra._irredundant(gens, tight, rank - 1 - len(dual_l)), dual_r)
         assert got == irredundant_oracle(gens, normals)
         shapes.add("line" if got is None else "pointed")
         if dual_l and got is not None:
@@ -797,7 +804,7 @@ def test_irredundant_reads_kernel_masks_like_the_dot_product_oracle(irredundant_
             continue
         if len(normals) < len({r for r in rows if any(r)}):
             shapes.add("scaled normals")
-        got = polyhedra._irredundant(normals, tight, rank - 1)
+        got = unpack(polyhedra._irredundant(normals, tight, rank - 1), ray_r)
         assert got == irredundant_oracle(normals, ray_r)
         shapes.add("flat" if got is None else "full-dimensional")
     assert kinds == {"duplicate", "equation", "zero", "lineality", "interior"}
@@ -1070,6 +1077,58 @@ def test_admissible_pair_witness_scan_skips_functionals_unbounded_on_the_tail():
     assert not verify_admissibility(p, q, forged)
 
 
+def random_refinement_pair(rng, rank, kind):
+    """Two polyhedra with rational vertices and one tail, which is empty
+    for "bounded". For "flat" both lie in hyperplanes x_last = c, so p + q
+    is flat; its tail, if any, lies in x_last = 0."""
+    tail = []
+    if kind != "bounded":
+        for _ in range(rng.randint(kind == "unbounded", 2)):
+            ray = (rng.randint(1, 2),) + tuple(rng.randint(-2, 2) for _ in range(rank - 1))
+            tail.append(ray[:-1] + (0,) if kind == "flat" else ray)
+    pair = []
+    for _ in range(2):
+        level = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        pts = []
+        for _ in range(rng.randint(1, rank + 3)):
+            pt = tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(rank))
+            pts.append(pt[:-1] + (level,) if kind == "flat" else pt)
+        pair.append(hull(pts, tail))
+    return pair
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_refinement_cells_match_the_pairwise_oracle(monkeypatch, rank):
+    # The cells are read off one hull of p + q; the oracle runs one kernel
+    # pass per vertex pair. The pairs and their order agree, and so does
+    # each cell as a cone. Where p + q is full-dimensional (its cone keeps
+    # an incidence) the ray lists agree byte for byte; where it is flat,
+    # a cell may list other generators of the same cone. The verdicts of
+    # both agree, witnesses included.
+    rng = random.Random(7400 + rank)
+    pairs = [random_refinement_pair(rng, rank, ("bounded", "unbounded", "flat")[i % 3]) for i in range(60)]
+    shapes, verdicts = set(), set()
+    for p, q in pairs + ([(REFINED_P, REFINED_Q)] if rank == 2 else []):
+        got, want = polyhedra._refinement_cells(p, q), pairwise_refinement_cells(p, q)
+        assert [(c["vertex_pair"], c["integral"]) for c in got] == [(c["vertex_pair"], c["integral"]) for c in want]
+        for mine, theirs in zip(got, want):
+            cells = [Cone.from_generators(rank, [tuple(map(int, r)) for r in c["cell_rays"]]) for c in (mine, theirs)]
+            assert cells[0] == cells[1]
+        full = minkowski_sum(p, q).cone.incidence is not None
+        if full:
+            assert got == want
+        shapes.add((bool(p.rays), full))
+        verdict = is_admissible_pair(p, q, witness_bound=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(polyhedra, "_refinement_cells", pairwise_refinement_cells)
+            old = is_admissible_pair(p, q, witness_bound=2)
+        assert (verdict.status, verdict.reason, verdict.witness) == (old.status, old.reason, old.witness)
+        assert verify_admissibility(p, q, verdict)
+        verdicts.add(verdict.status if verdict.certificate is None else verdict.certificate["kind"])
+    assert shapes == {(False, True), (True, True), (False, False), (True, False)}
+    assert verdicts >= {STATUS_NO, "lattice_polyhedron"} | ({"refinement"} if rank == 2 else set())
+
+
 def test_hull_rejects_line_spanning_rays():
     with pytest.raises(ValueError):
         hull([(Fraction(0), Fraction(0))], [(0, 1), (0, -1)])
@@ -1119,12 +1178,15 @@ OCTAHEDRON = hull(V((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0,
         # y >= 0) is the dual of a pointed cone, so the pass from its
         # normals reads both sides.
         (lambda: pytest.raises(ValueError, from_halfspaces, [((0, 1), 0)], 2), 1),
+        # The common refinement is read off one hull of p + q, not a pass
+        # per vertex pair (3 x 2 here).
+        (lambda: is_admissible_pair(REFINED_P, REFINED_Q), 1),
     ],
     ids=[
         "hull", "hull_rays", "from_halfspaces", "polar_dual", "dual_counts_rank2", "dual_counts_rank3",
         "kernel_slice", "level_slice", "from_generators",
         "from_generators_line", "from_halfspaces_equation", "cone_over", "cone_over_segment",
-        "divide_exact", "dual_cone", "from_halfspaces_line",
+        "divide_exact", "dual_cone", "from_halfspaces_line", "refinement_cells",
     ],
 )
 def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, passes):
