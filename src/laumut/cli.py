@@ -266,16 +266,28 @@ def _cmd_render(args):
 # -- argument plumbing ----------------------------------------------------------
 
 
-def _add_input_options(sub):
-    sub.add_argument("--f", dest="poly", help="polynomial text")
-    sub.add_argument("--file", help="file with one polynomial per line, # comments")
-    sub.add_argument("--pretty", action="store_true", help="add a human summary and indent the JSON")
-
-
-def _add_mutation_options(sub):
-    sub.add_argument("--divide", help="name of the divided variable")
-    sub.add_argument("--u", help="divided direction as a comma-separated covector")
-    sub.add_argument("--by", help="divisor polynomial (in the undivided variables)")
+# One row per subcommand, in help order: name, help, handler, whether it
+# takes --divide/--u/--by, and its own options as (flags, kwargs) pairs.
+_SUBCOMMANDS = (
+    ("newton", "Newton polytope of a polynomial", _cmd_newton, False, [
+        (["--svg"], dict(help="also draw the polytope to this SVG path"))]),
+    ("facets", "list the facets of the Newton polygon", _cmd_facets, False, []),
+    ("check", "check mutation and family hypotheses", _cmd_check, True, []),
+    ("mutate", "apply a mutation", _cmd_mutate, True, [
+        (["--svg"], dict(help="draw input and output polytopes to this SVG path"))]),
+    ("family", "build the flat family data for a mutation", _cmd_family, True, [
+        (["--svg"], dict(help="draw the family slices to this SVG path"))]),
+    ("verify", "verify the combinatorial consequences of a mutation", _cmd_verify, True, [
+        (["--kmax"], dict(type=int, default=6, help="dual lattice count horizon (default 6)")),
+        (["--svg"], dict(help="draw the family slices to this SVG path"))]),
+    ("graph", "explore the mutation graph of the Newton polygon", _cmd_graph, False, [
+        (["--depth"], dict(type=int, required=True, help="breadth-first depth")),
+        (["-o", "--output"], dict(help="also write the JSON graph to this path")),
+        (["--dot"], dict(help="also write a DOT rendering to this path"))]),
+    ("render", "draw polytopes or family slices as SVG", _cmd_render, True, [
+        (["--family"], dict(action="store_true", help="draw the four family slices")),
+        (["-o", "--output"], dict(required=True, help="SVG output path"))]),
+)
 
 
 @cache
@@ -289,54 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    newton = subs.add_parser("newton", help="Newton polytope of a polynomial")
-    _add_input_options(newton)
-    newton.add_argument("--svg", help="also draw the polytope to this SVG path")
-    newton.set_defaults(handler=_cmd_newton)
-
-    facets = subs.add_parser("facets", help="list the facets of the Newton polygon")
-    _add_input_options(facets)
-    facets.set_defaults(handler=_cmd_facets)
-
-    check = subs.add_parser("check", help="check mutation and family hypotheses")
-    _add_input_options(check)
-    _add_mutation_options(check)
-    check.set_defaults(handler=_cmd_check)
-
-    mutate = subs.add_parser("mutate", help="apply a mutation")
-    _add_input_options(mutate)
-    _add_mutation_options(mutate)
-    mutate.add_argument("--svg", help="draw input and output polytopes to this SVG path")
-    mutate.set_defaults(handler=_cmd_mutate)
-
-    family = subs.add_parser("family", help="build the flat family data for a mutation")
-    _add_input_options(family)
-    _add_mutation_options(family)
-    family.add_argument("--svg", help="draw the family slices to this SVG path")
-    family.set_defaults(handler=_cmd_family)
-
-    verify = subs.add_parser("verify", help="verify the combinatorial consequences of a mutation")
-    _add_input_options(verify)
-    _add_mutation_options(verify)
-    verify.add_argument("--kmax", type=int, default=6, help="dual lattice count horizon (default 6)")
-    verify.add_argument("--svg", help="draw the family slices to this SVG path")
-    verify.set_defaults(handler=_cmd_verify)
-
-    graph = subs.add_parser("graph", help="explore the mutation graph of the Newton polygon")
-    _add_input_options(graph)
-    graph.add_argument("--depth", type=int, required=True, help="breadth-first depth")
-    graph.add_argument("-o", "--output", help="also write the JSON graph to this path")
-    graph.add_argument("--dot", help="also write a DOT rendering to this path")
-    graph.set_defaults(handler=_cmd_graph)
-
-    render = subs.add_parser("render", help="draw polytopes or family slices as SVG")
-    _add_input_options(render)
-    _add_mutation_options(render)
-    render.add_argument("--family", action="store_true", help="draw the four family slices")
-    render.add_argument("-o", "--output", required=True, help="SVG output path")
-    render.set_defaults(handler=_cmd_render)
-
+    for name, summary, handler, mutation, options in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("--f", dest="poly", help="polynomial text")
+        sub.add_argument("--file", help="file with one polynomial per line, # comments")
+        sub.add_argument("--pretty", action="store_true", help="add a human summary and indent the JSON")
+        if mutation:
+            sub.add_argument("--divide", help="name of the divided variable")
+            sub.add_argument("--u", help="divided direction as a comma-separated covector")
+            sub.add_argument("--by", help="divisor polynomial (in the undivided variables)")
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(handler=handler)
     return parser
 
 

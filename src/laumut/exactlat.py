@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 IntMat = tuple[tuple[int, ...], ...]
+MAX_RANK = 1000  # the longest exponent vector read from outside; a kernel pass starts from as many unit vectors
 
 
 def dot(u: Sequence, v: Sequence):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlat import IntVec, inverse_unimodular, mat_vec
+from .exactlat import MAX_RANK, IntVec, inverse_unimodular, mat_vec
 from . import polyhedra
 
 _XYZ = ("x", "y", "z")
@@ -207,11 +207,14 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     ``n/d`` needs a nonzero denominator, and a variable may repeat within a
     term (``x^2*x^-1`` is ``x``). Ranks up to three use x, y, z; general
     rank uses z1..zn, and the two styles do not mix. The rank is the highest
-    variable index used unless ``rank`` is given. Raises
-    :class:`ParseError` with a position on malformed input, a numeral too
-    long for ``int()`` among it; a character outside the grammar anywhere
-    in the text, parentheses included, is reported before any other error.
+    variable index used unless ``rank`` is given (ValueError above
+    ``MAX_RANK``). Raises :class:`ParseError` with a position on malformed
+    input, a numeral too long for ``int()`` or a ``z<n>`` past ``MAX_RANK``
+    among it; a character outside the grammar anywhere in the text,
+    parentheses included, is reported before any other error.
     """
+    if rank is not None and rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the limit of {MAX_RANK}")
     tokens = _TOKEN.findall(text)
     for i, (_, _, _, bad) in enumerate(tokens):
         if bad:
@@ -270,6 +273,8 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
                 idx = _numeral(m[1], text, i) - 1
                 if idx < 0:
                     raise ParseError("variable indices start at z1", _token_position(text, i))
+                if idx >= MAX_RANK:
+                    raise ParseError(f"variable indices end at z{MAX_RANK}", _token_position(text, i))
                 kind = "zn"
             if style is None:
                 style = kind

@@ -40,6 +40,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlat import (
+    MAX_RANK,
     IntVec,
     QVec,
     content,
@@ -96,6 +97,8 @@ def extreme_rays(
     mask of every output ray is appended to it in the order of the sorted
     rays: bit j set iff the j-th nonzero constraint vanishes on that ray.
     """
+    if rank > MAX_RANK + 1:  # the homogenization of rank MAX_RANK, before any vector is built
+        raise ValueError(f"rank {rank} exceeds the limit of {MAX_RANK + 1}")
     if start is None:
         start = (0, [unit_vector(rank, i) for i in range(rank)], [], [])
     count, lineality, rays, masks = start

@@ -16,6 +16,7 @@ from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
 
 SCALE = 32  # pixels per lattice unit
 MARGIN = 24
+MAX_SIDE = 1000  # lattice units a side: the grid draws one line per unit
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # labels as character data
 
@@ -48,6 +49,8 @@ def _bbox(items: Sequence[tuple[str, Polyhedron]]) -> tuple[int, int, int, int]:
     xmax = math.ceil(max(xs)) + pad_pos[0]
     ymin = math.floor(min(ys)) - pad_neg[1]
     ymax = math.ceil(max(ys)) + pad_pos[1]
+    if max(xmax - xmin, ymax - ymin) > MAX_SIDE:
+        raise ValueError(f"a drawing of {xmax - xmin} by {ymax - ymin} lattice units exceeds {MAX_SIDE} a side")
     return xmin, xmax, ymin, ymax
 
 
@@ -78,19 +81,13 @@ class _Canvas:
         return _fmt(MARGIN + (self.ymax - Fraction(y)) * SCALE)
 
     def grid(self) -> None:
-        for x in range(self.xmin, self.xmax + 1):
-            heavy = x == 0
-            stroke = "#888888" if heavy else "#dddddd"
+        lines = [(x, self.ymin, x, self.ymax, x) for x in range(self.xmin, self.xmax + 1)]
+        lines += [(self.xmin, y, self.xmax, y, y) for y in range(self.ymin, self.ymax + 1)]
+        for x1, y1, x2, y2, at in lines:
+            stroke = "#888888" if at == 0 else "#dddddd"
             self.body.append(
-                f'<line x1="{self.px(x)}" y1="{self.py(self.ymin)}" '
-                f'x2="{self.px(x)}" y2="{self.py(self.ymax)}" stroke="{stroke}" stroke-width="1"/>'
-            )
-        for y in range(self.ymin, self.ymax + 1):
-            heavy = y == 0
-            stroke = "#888888" if heavy else "#dddddd"
-            self.body.append(
-                f'<line x1="{self.px(self.xmin)}" y1="{self.py(y)}" '
-                f'x2="{self.px(self.xmax)}" y2="{self.py(y)}" stroke="{stroke}" stroke-width="1"/>'
+                f'<line x1="{self.px(x1)}" y1="{self.py(y1)}" '
+                f'x2="{self.px(x2)}" y2="{self.py(y2)}" stroke="{stroke}" stroke-width="1"/>'
             )
 
     def emit(self) -> str:
@@ -104,7 +101,7 @@ class _Canvas:
 
 
 def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
-    """Draw labeled polyhedra on one shared lattice grid.
+    """Draw labeled polyhedra on one shared lattice grid, at most ``MAX_SIDE`` units a side (else ValueError).
 
     items: (label, polyhedron) pairs, all of rank 2; labels are XML-escaped. Returns the SVG text.
     """

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -183,6 +184,25 @@ def test_a_covector_entry_too_long_for_int_is_a_usage_error(capsys):
     code, out, err = run(capsys, "mutate", "--f", "x + y", "--u", "1," + "1" * (INT_DIGIT_LIMIT + 1), "--by", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: --u")
+
+
+def test_a_variable_index_past_the_rank_limit_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "newton_polytope", lambda f: pytest.fail("hulled past the rank limit"))
+    code, out, err = run(capsys, "newton", "--f", "z1 + z1001")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and "position 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("newton", "--f", "x^1001 + y + x^-1*y^-1", "--svg", "{out}"), ("render", "--f", "x^1001 + y + x^-1*y^-1", "-o", "{out}")],
+    ids=["newton", "render"],
+)
+def test_a_drawing_past_the_size_limit_is_a_domain_failure(capsys, tmp_path, argv):
+    path = tmp_path / "big.svg"
+    code, payload, _ = run_json(capsys, *[str(path) if a == "{out}" else a for a in argv])
+    assert (code, payload) == (1, {"error": "a drawing of 1004 by 4 lattice units exceeds 1000 a side"})
+    assert not path.exists()
 
 
 def test_both_f_and_file_rejected(capsys, tmp_path):
@@ -429,6 +449,75 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip().startswith("laumut ")
+
+
+def subparsers() -> dict:
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# sha256 of each format_help() at 80 columns.
+HELP_DIGESTS = {
+    "laumut": "9cd28596abebd274563755b11d81ff29e012ebe53c1aabba4c6c34ffd20d3bfb",
+    "newton": "7cb65a924d481b6465a1408343a343d1ebb7f38172b1ec5674be1d98323ff6c4",
+    "facets": "54869aafe64491c9b9f3dead65eb1f11b8b8038629fdc96df0ede9c9894718ec",
+    "check": "6ded1d0907fe0763b92bb4ffee6c35ef97a85c76efa056e1f2a7da209a7730af",
+    "mutate": "71667d9fcd3404cfd96d893e35e0a9baf8df0ba4abc0ebe251eb9c815ca5c3b7",
+    "family": "fecdf9f9ce4e7a93d4494f4891e988e272b4b26442861920dde82cdbe2336980",
+    "verify": "7af4d1d7277293b68c2d0a46ab2a03295ed933a1a99691b8399a6fb384d796fd",
+    "graph": "f34cc57d7e0f6c96bc559c25a9bad95bd3677ea62b90b268842ae5e6a3455f35",
+    "render": "e4a63da39b4939589626364766b15686e169d2cb056f6e6048831fb4f1db8ae7",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse lays out '-o, --output' help differently from 3.13 on")
+@pytest.mark.parametrize("name", list(HELP_DIGESTS))
+def test_help_text_digests_pinned(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser() if name == "laumut" else subparsers()[name]
+    assert hashlib.sha256(parser.format_help().encode()).hexdigest() == HELP_DIGESTS[name]
+
+
+# Each subcommand's actions as (option_strings, dest, default, type, required, help).
+INPUT_ACTIONS = [
+    (["-h", "--help"], "help", argparse.SUPPRESS, None, False, "show this help message and exit"),
+    (["--f"], "poly", None, None, False, "polynomial text"),
+    (["--file"], "file", None, None, False, "file with one polynomial per line, # comments"),
+    (["--pretty"], "pretty", False, None, False, "add a human summary and indent the JSON"),
+]
+MUTATION_ACTIONS = [
+    (["--divide"], "divide", None, None, False, "name of the divided variable"),
+    (["--u"], "u", None, None, False, "divided direction as a comma-separated covector"),
+    (["--by"], "by", None, None, False, "divisor polynomial (in the undivided variables)"),
+]
+FAMILY_SVG_ACTION = (["--svg"], "svg", None, None, False, "draw the family slices to this SVG path")
+SUBCOMMAND_ACTIONS = {
+    "newton": INPUT_ACTIONS + [(["--svg"], "svg", None, None, False, "also draw the polytope to this SVG path")],
+    "facets": INPUT_ACTIONS,
+    "check": INPUT_ACTIONS + MUTATION_ACTIONS,
+    "mutate": INPUT_ACTIONS + MUTATION_ACTIONS
+    + [(["--svg"], "svg", None, None, False, "draw input and output polytopes to this SVG path")],
+    "family": INPUT_ACTIONS + MUTATION_ACTIONS + [FAMILY_SVG_ACTION],
+    "verify": INPUT_ACTIONS + MUTATION_ACTIONS
+    + [(["--kmax"], "kmax", 6, int, False, "dual lattice count horizon (default 6)"), FAMILY_SVG_ACTION],
+    "graph": INPUT_ACTIONS + [
+        (["--depth"], "depth", None, int, True, "breadth-first depth"),
+        (["-o", "--output"], "output", None, None, False, "also write the JSON graph to this path"),
+        (["--dot"], "dot", None, None, False, "also write a DOT rendering to this path"),
+    ],
+    "render": INPUT_ACTIONS + MUTATION_ACTIONS + [
+        (["--family"], "family", False, None, False, "draw the four family slices"),
+        (["-o", "--output"], "output", None, None, True, "SVG output path"),
+    ],
+}
+
+
+def test_subcommands_and_their_options_pinned():
+    subs = subparsers()
+    assert list(subs) == list(SUBCOMMAND_ACTIONS)
+    for name, expected in SUBCOMMAND_ACTIONS.items():
+        actions = [(a.option_strings, a.dest, a.default, a.type, a.required, a.help) for a in subs[name]._actions]
+        assert actions == expected, name
+        assert subs[name].get_default("handler") is getattr(cli, f"_cmd_{name}")
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -74,6 +74,7 @@ def test_parse_explicit_rank_pads():
         ("x + X", "unknown variable", 4),
         ("x*z1", "cannot mix", 2),
         ("z0", "indices start at z1", 0),
+        ("z1 + z1001", "indices end at z1000", 5),
         ("", "empty polynomial", 0),
         ("1/0", "zero denominator", 2),
         ("x^^2", "integer exponent", 2),
@@ -91,6 +92,17 @@ def test_parse_errors(text, fragment, position):
         parse(text)
     assert fragment in str(info.value)
     assert info.value.position == position
+
+
+def test_parse_bounds_the_rank():
+    # The rank sizes every exponent tuple and a kernel pass squares it, so
+    # past MAX_RANK parse refuses before it builds any tuple.
+    assert parse("z1000").rank == parse("x", rank=1000).rank == 1000
+    with pytest.raises(ParseError) as info:
+        parse("z1001")
+    assert info.value.position == 0
+    with pytest.raises(ValueError, match="rank 1001 exceeds"):
+        parse("x", rank=1001)
 
 
 def test_parse_rank_exceeded_reports_position():

@@ -229,9 +229,11 @@ def forged_first_cell(**fields):
         forged_first_cell(cell_rays=[[1.5, 0]] + REFINED.certificate["cells"][0]["cell_rays"][1:]),
         AdmissibilityVerdict(STATUS_NO, "forged", witness=(1, 1, 1)),
         {"rank": -2},
+        {"rank": 1002, "rays": []},
     ],
     ids=["no_kind", "which_out_of_range", "which_a_string", "no_cells", "vertex_not_a_number",
-         "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank"],
+         "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank",
+         "cone_past_the_rank_limit"],
 )
 def test_readers_refuse_malformed_evidence(evidence):
     # Malformed evidence is refused: False from the admissibility checker, on
@@ -850,6 +852,15 @@ def test_minkowski_check_matches_the_hull(rank):
             assert is_minkowski_sum(p, q, bad) == (bad == minkowski_sum(p, q))
             rejected += bad != r
     assert rejected >= 120
+
+
+def test_extreme_rays_bounds_the_rank():
+    # A pass starts from rank unit vectors of length rank: past the
+    # homogenization of MAX_RANK it refuses before building them.
+    rays, lineality = extreme_rays([], 1001)
+    assert rays == [] and len(lineality) == 1001
+    with pytest.raises(ValueError, match="rank 1002 exceeds"):
+        extreme_rays([], 1002)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

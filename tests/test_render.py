@@ -12,6 +12,16 @@ from laumut.render import _fmt, render_svg
 F = Fraction
 
 
+@pytest.mark.parametrize("text", ["x^{e} + y + x^-1*y^-1", "x + y^{e} + x^-1*y^-1"], ids=["wide", "tall"])
+def test_a_box_longer_than_max_side_is_refused(text):
+    # The grid draws one line per lattice unit. The box runs from -2 to e + 1
+    # along the long side and from -2 to 2 along the other.
+    svg = render_svg([("edge", newton_polytope(parse(text.format(e=997))))])
+    assert svg.count("<line") == 1001 + 5
+    with pytest.raises(ValueError, match="exceeds 1000 a side"):
+        render_svg([("over", newton_polytope(parse(text.format(e=998))))])
+
+
 def test_fmt_exact():
     assert _fmt(0) == "0.000"
     assert _fmt(F(-3, 2)) == "-1.500"
