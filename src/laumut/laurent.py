@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .exactlat import MAX_RANK, IntVec, inverse_unimodular, mat_vec
 from . import polyhedra
@@ -215,105 +215,96 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     """
     if rank is not None and rank > MAX_RANK:
         raise ValueError(f"rank {rank} exceeds the limit of {MAX_RANK}")
-    tokens = _TOKEN.findall(text)
+
+    def fail(message: str, at: Optional[int] = None) -> NoReturn:
+        raise ParseError(message, _token_position(text, i if at is None else at))
+
+    tokens = _TOKEN.findall(text)  # (integer, name, operator, stray), one of them nonempty
     for i, (_, _, _, bad) in enumerate(tokens):
         if bad:
-            message = "parentheses are not part of the grammar" if bad in "()" else f"unexpected character {bad!r}"
-            raise ParseError(message, _token_position(text, i))
+            fail("parentheses are not part of the grammar" if bad in "()" else f"unexpected character {bad!r}")
+    if not tokens:
+        raise ParseError("empty polynomial", len(text))
     end = len(tokens)
-    tokens.append(("", "", "", ""))
+    tokens.append(("", "", "", ""))  # the sentinel that ends every read
     terms: list[tuple[dict[int, int], int | Fraction]] = []
     style: Optional[str] = None
     top, top_at = -1, 0  # highest variable index and the token that first used it
-    if not end:
-        raise ParseError("empty polynomial", len(text))
     i = 0
     while True:
-        num, name, op, _ = tokens[i]
         sign = 1
-        while op == "+" or op == "-":
-            if op == "-":
+        while tokens[i][2] in ("+", "-"):
+            if tokens[i][2] == "-":
                 sign = -sign
             i += 1
-            num, name, op, _ = tokens[i]
         coeff = sign
-        if num:
-            coeff *= _numeral(num, text, i)
+        expect = "expected a variable"  # the error if no variable comes next; "" ends the term
+        if tokens[i][0]:
+            coeff *= _numeral(tokens[i][0], text, i)
             i += 1
-            _, name, op, _ = tokens[i]
-            if op == "/":
+            if tokens[i][2] == "/":
                 i += 1
-                den = tokens[i][0]
+                if not tokens[i][0]:
+                    fail("expected a denominator")
+                den = _numeral(tokens[i][0], text, i)
                 if not den:
-                    raise ParseError("expected a denominator", _token_position(text, i))
-                den = _numeral(den, text, i)
-                if not den:
-                    raise ParseError("zero denominator", _token_position(text, i))
+                    fail("zero denominator")
                 coeff = Fraction(coeff, den)
                 i += 1
-                op = tokens[i][2]
-            if op == "*":
+            if tokens[i][2] == "*":
                 i += 1
-                name = tokens[i][1]
-                if not name:
-                    raise ParseError("expected a variable", _token_position(text, i))
             else:
-                name = ""
-        elif not name:
-            raise ParseError("expected a variable", _token_position(text, i))
+                expect = ""
         exps: dict[int, int] = {}
-        while name:
+        while expect:
+            name = tokens[i][1]
+            if not name:
+                fail(expect)
             idx = _XYZ_INDEX.get(name)
             if idx is not None:
                 kind = "xyz"
             else:
                 m = _ZN.fullmatch(name)
                 if not m:
-                    raise ParseError(f"unknown variable {name!r}", _token_position(text, i))
+                    fail(f"unknown variable {name!r}")
                 idx = _numeral(m[1], text, i) - 1
                 if idx < 0:
-                    raise ParseError("variable indices start at z1", _token_position(text, i))
+                    fail("variable indices start at z1")
                 if idx >= MAX_RANK:
-                    raise ParseError(f"variable indices end at z{MAX_RANK}", _token_position(text, i))
+                    fail(f"variable indices end at z{MAX_RANK}")
                 kind = "zn"
             if style is None:
                 style = kind
             elif style != kind:
-                raise ParseError("cannot mix x/y/z and z1..zn variable names", _token_position(text, i))
+                fail("cannot mix x/y/z and z1..zn variable names")
             if idx > top:
                 top, top_at = idx, i
             i += 1
-            op = tokens[i][2]
             power = 1
-            if op == "^":
+            if tokens[i][2] == "^":
                 i += 1
-                num, _, op, _ = tokens[i]
-                if op == "+" or op == "-":
+                sign = -1 if tokens[i][2] == "-" else 1
+                if tokens[i][2] in ("+", "-"):
                     i += 1
-                    num = tokens[i][0]
-                if not num:
-                    raise ParseError("expected an integer exponent", _token_position(text, i))
-                power = (-1 if op == "-" else 1) * _numeral(num, text, i)
+                if not tokens[i][0]:
+                    fail("expected an integer exponent")
+                power = sign * _numeral(tokens[i][0], text, i)
                 i += 1
-                op = tokens[i][2]
             exps[idx] = exps.get(idx, 0) + power
-            if op == "*":
+            if tokens[i][2] == "*":
                 i += 1
-                name = tokens[i][1]
-                if not name:
-                    raise ParseError("expected a variable after '*'", _token_position(text, i))
+                expect = "expected a variable after '*'"
             else:
-                name = ""
+                expect = ""
         terms.append((exps, coeff))
         if i == end:
             break
-        op = tokens[i][2]
-        if op != "+" and op != "-":
-            raise ParseError("expected '+' or '-' between terms", _token_position(text, i))
+        if tokens[i][2] not in ("+", "-"):
+            fail("expected '+' or '-' between terms")
     if rank is None:
         rank = max(top + 1, 1)
     elif top >= rank:
-        raise ParseError(f"variable index exceeds rank {rank}", _token_position(text, top_at))
+        fail(f"variable index exceeds rank {rank}", top_at)
     zeros = [0] * rank
     return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
 

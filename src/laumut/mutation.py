@@ -15,7 +15,6 @@ flat family, where g lives in the kernel coordinates.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
@@ -33,7 +32,7 @@ from .exactlat import (
     vsub,
 )
 from .laurent import LaurentPolynomial, divide_exact, parse, to_string
-from .polyhedra import Polyhedron, contains_origin_interior, lattice_cycle
+from .polyhedra import Polyhedron, contains_origin_interior, is_lattice_polyhedron, lattice_cycle
 
 
 class MutationError(ValueError):
@@ -268,11 +267,10 @@ def validate_mutable_polygon(p: Polyhedron) -> None:
         raise ValueError("mutation graphs are defined for rank 2")
     if not contains_origin_interior(p):
         raise ValueError("polygon must contain the origin in its interior")
-    for v in p.vertices:
-        if any(c.denominator != 1 for c in v):
-            raise ValueError("polygon must be a lattice polygon")
-        if content(int(c) for c in v) != 1:
-            raise ValueError("polygon vertices must be primitive")
+    if not is_lattice_polyhedron(p):
+        raise ValueError("polygon must be a lattice polygon")
+    if any(content(g[1:]) != 1 for g in p.cone.rays):  # each generator is (1, vertex) now
+        raise ValueError("polygon vertices must be primitive")
 
 
 def facet_mutation_spec(p: Polyhedron, facet_index: int) -> MutationSpec:
@@ -292,9 +290,8 @@ def facet_mutation_spec(p: Polyhedron, facet_index: int) -> MutationSpec:
 
 
 def _facet_spec(facet: FacetInfo) -> MutationSpec:
-    """The standard mutation of one facet of a validated polygon."""
-    u = facet.direction
-    divisor = LaurentPolynomial.from_terms(1, {(0,): Fraction(1), (1,): Fraction(1)})
-    w, kernel = adapted_basis(u)
-    basis = transpose(list(kernel) + [w])
-    return MutationSpec(2, u, basis, divisor)
+    """The standard mutation of one facet of a validated polygon: 1 + t
+    for t the lex-positive one of the edge's two primitive directions."""
+    u1, u2 = facet.direction
+    t = max((u2, -u1), (-u2, u1))
+    return MutationSpec.from_direction(facet.direction, LaurentPolynomial.from_terms(2, {(0, 0): 1, t: 1}))

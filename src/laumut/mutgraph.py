@@ -75,12 +75,10 @@ def canonical_form(p: Polyhedron) -> tuple[CanonicalForm, IntMat]:
 def certificate_between(
     p: Polyhedron, p_map: IntMat, q: Polyhedron, q_map: IntMat
 ) -> IntMat:
-    """Unimodular map carrying p's vertex set onto q's, given canonical
-    maps with equal forms. Verified before returning."""
+    """Unimodular map carrying the lattice polygon p's vertex set onto q's,
+    given canonical maps with equal forms. Verified before returning."""
     cert = mat_mul(inverse_unimodular(q_map), p_map)
-    src = {tuple(int(c) for c in v) for v in p.vertices}
-    dst = {tuple(int(c) for c in v) for v in q.vertices}
-    if {mat_vec(cert, v) for v in src} != dst:
+    if {mat_vec(cert, g[1:]) for g in p.cone.rays} != {g[1:] for g in q.cone.rays}:
         raise AssertionError("canonical maps do not induce a vertex bijection")
     return cert
 
@@ -236,30 +234,16 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
         for key in frontier:
             node = graph.nodes[key]
             for res in mutation_neighbors(node.representative, polygons[key]):
-                if not res.succeeded:
-                    graph.failures.append(
-                        FailureRecord(
-                            key,
-                            res.facet.index,
-                            res.facet.direction,
-                            "slice not divisible by the divisor power",
-                            res.failing_levels,
-                        )
-                    )
-                    continue
-                q = newton_polytope(res.mutated)
-                try:
-                    validate_mutable_polygon(q)
-                except ValueError as exc:
-                    graph.failures.append(
-                        FailureRecord(
-                            key,
-                            res.facet.index,
-                            res.facet.direction,
-                            f"mutated polytope not explorable: {exc}",
-                            (),
-                        )
-                    )
+                reason = "slice not divisible by the divisor power"
+                if res.succeeded:
+                    q = newton_polytope(res.mutated)
+                    try:
+                        validate_mutable_polygon(q)
+                        reason = ""
+                    except ValueError as exc:
+                        reason = f"mutated polytope not explorable: {exc}"
+                if reason:  # failing_levels is () once every level divides
+                    graph.failures.append(FailureRecord(key, res.facet.index, res.facet.direction, reason, res.failing_levels))
                     continue
                 qform, qmap = canonical_form(q)
                 tkey = qform.key()

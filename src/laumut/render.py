@@ -129,7 +129,7 @@ def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
                 canvas.body.append(
                     f'<circle cx="{canvas.px(v[0])}" cy="{canvas.py(v[1])}" r="3.5" fill="{color}"/>'
                 )
-        anchor = min(true_vertices) if true_vertices else min(tuple(v) for v in clipped.vertices)
+        anchor = min(true_vertices)
         canvas.body.append(
             f'<text x="{canvas.px(anchor[0])}" y="{canvas.py(anchor[1] + Fraction(1, 3))}" '
             f'font-family="monospace" font-size="12" fill="{color}">{label.translate(XML_TEXT)}</text>'

@@ -16,6 +16,7 @@ from laumut.exactlat import (
     mat_mul,
     mat_vec,
     primitive_vector,
+    transpose,
     unit_vector,
     vneg,
     vscale,
@@ -168,6 +169,18 @@ def random_mutable_pair(rng, rank):
             terms.append((e + (level,), c))
     adapted = LaurentPolynomial.from_terms(rank, terms)
     return act_unimodular(adapted, basis), spec
+
+
+# Reflexive polygons of the worked examples: F3, F4 (the pentagon, also as
+# dP7), the hexagon, P1xP1 and P2.
+WORKED_POLYGONS = (
+    "x^-1*y + 2*y + x*y + y^-1",
+    "x^-1 + x^-1*y + y + y^-1 + x*y^-1",
+    "x + x*y + y + x^-1 + y^-1",
+    "x + x*y + y + x^-1 + x^-1*y^-1 + y^-1",
+    "x + y + x^-1 + y^-1",
+    "x + y + x^-1*y^-1",
+)
 
 
 @cache
@@ -421,6 +434,20 @@ def per_level_power_is_mutation(f, spec):
 @pytest.fixture
 def per_level_powers():
     return per_level_power_is_mutation
+
+
+def adapted_basis_facet_spec(facet):
+    """Oracle for ``mutation._facet_spec``: the adapted basis of the edge
+    normal built and transposed here, with the divisor 1 + x written
+    directly in the one kernel coordinate."""
+    u = facet.direction
+    w, kernel = adapted_basis(u)
+    return MutationSpec(2, u, transpose(list(kernel) + [w]), LaurentPolynomial.from_terms(1, {(0,): 1, (1,): 1}))
+
+
+@pytest.fixture
+def facet_spec_oracle():
+    return adapted_basis_facet_spec
 
 
 def full_support_hull(f):

@@ -81,6 +81,10 @@ def test_parse_explicit_rank_pads():
         ("x^1.5", "unexpected character", 3),
         ("3x", "between terms", 1),
         ("x + ", "expected a variable", 4),
+        ("1/", "expected a denominator", 2),
+        ("2*", "expected a variable", 2),
+        ("x*3", "expected a variable after '*'", 2),
+        ("x^-", "expected an integer exponent", 3),
         ("x + \u0663", "unexpected character", 4),
         ("\u0661 + x", "unexpected character", 0),
         ("x^\u0662", "unexpected character", 2),

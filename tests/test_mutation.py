@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_mutable_pair, random_poly, random_unimodular, recession_cone, seeded_family_cases, views
+from conftest import WORKED_POLYGONS, random_mutable_pair, random_poly, random_unimodular, recession_cone, seeded_family_cases, views
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
     inverse_unimodular,
@@ -312,6 +312,16 @@ def test_facet_mutation_spec_top_edge():
     spec = facet_mutation_spec(p, 3)
     assert spec.direction == (0, 1)
     assert spec.divisor_in_ambient() == parse("1 + x", rank=2)
+
+
+def test_facet_mutation_spec_matches_the_adapted_basis_oracle(facet_spec_oracle):
+    rng = random.Random(2600)
+    for text in WORKED_POLYGONS:
+        for m in [((1, 0), (0, 1))] + [random_unimodular(rng, 2) for _ in range(4)]:
+            p = newton_polytope(act_unimodular(parse(text), m))
+            for facet in polygon_facets(p):
+                spec, expected = facet_mutation_spec(p, facet.index), facet_spec_oracle(facet)
+                assert spec == expected and spec.to_dict() == expected.to_dict(), (text, facet)
 
 
 def test_facet_mutation_spec_errors():

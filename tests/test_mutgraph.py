@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -142,10 +146,50 @@ def test_canonical_form_preconditions():
 
 def test_validate_mutable_polygon():
     validate_mutable_polygon(DIAMOND)
-    with pytest.raises(ValueError):
-        validate_mutable_polygon(P((0, 0), (1, 0), (0, 1)))  # origin on boundary
-    with pytest.raises(ValueError):
-        validate_mutable_polygon(P((2, 0), (-2, 2), (0, -2)))  # non-primitive vertex
+    for polygon, message in [
+        (P((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), "mutation graphs are defined for rank 2"),
+        (hull([(F(-1), F(-1))], [(1, 0), (0, 1)]), "polygon must contain the origin in its interior"),  # unbounded
+        (P((-1, 0), (1, 0)), "polygon must contain the origin in its interior"),  # segment
+        (P((0, 0), (1, 0), (0, 1)), "polygon must contain the origin in its interior"),  # origin on boundary
+        (P((1, 1), (2, 1), (1, 2)), "polygon must contain the origin in its interior"),  # origin outside
+        (P((-1, -1), (F(1, 2), 1), (1, 0)), "polygon must be a lattice polygon"),
+        (P((2, 0), (-2, 2), (0, -2)), "polygon vertices must be primitive"),
+        # Both faults at once: the lattice check comes first.
+        (P((-2, -2), (F(1, 2), 1), (1, 0)), "polygon must be a lattice polygon"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            validate_mutable_polygon(polygon)
+        assert str(info.value) == message
+
+
+REFUSED_CERTIFICATE = """
+import sys
+from laumut.mutgraph import canonical_form, certificate_between
+from laumut.polyhedra import hull
+
+square = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+diamond = hull([(1, 0), (0, 1), (-1, 0), (0, -1)])
+try:
+    certificate_between(square, canonical_form(square)[1], diamond, canonical_form(diamond)[1])
+except AssertionError as exc:
+    print("refused:", exc, sys.flags.optimize)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_certificate_between_refuses_maps_of_different_forms(flags):
+    # The square and the diamond have different forms, so no composite of
+    # their canonical maps carries one vertex set onto the other, and the
+    # refusal is a raise, not an assert that -O strips.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, *flags, "-c", REFUSED_CERTIFICATE], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"refused: canonical maps do not induce a vertex bijection {len(flags)}\n"
+    with pytest.raises(AssertionError, match="^canonical maps do not induce a vertex bijection$"):
+        certificate_between(SQUARE, canonical_form(SQUARE)[1], DIAMOND, canonical_form(DIAMOND)[1])
+    with pytest.raises(AssertionError, match="^canonical maps do not induce a vertex bijection$"):
+        certificate_between(DIAMOND, canonical_form(DIAMOND)[1], SQUARE, canonical_form(SQUARE)[1])
 
 
 def test_mutation_neighbors_enumerates_facets_once(monkeypatch):
@@ -277,6 +321,25 @@ def test_explore_depth2_byte_identical():
 def test_records_failures_during_exploration():
     g = explore_graph(parse("x^-1*y^2 + 3*y^2 + x*y^2 + y^-1"), 1)
     assert any(r.failing_levels == (2,) for r in g.failures)
+
+
+def test_records_a_mutated_polytope_it_cannot_explore(monkeypatch):
+    # Facet mutations keep Fano polygons Fano, so only a probe that refuses
+    # every polygon but the start one reaches this record.
+    start = newton_polytope(parse(FPRIME))
+    real = mutgraph.validate_mutable_polygon
+
+    def refuse_all_but_start(p):
+        if p != start:
+            raise ValueError("probe")
+        real(p)
+
+    monkeypatch.setattr(mutgraph, "validate_mutable_polygon", refuse_all_but_start)
+    g = explore_graph(parse(FPRIME), 1)
+    (key,) = g.nodes
+    assert g.edges == [] and g.merges == [] and g.frontier == []
+    assert [(r.node, r.facet_index) for r in g.failures] == [(key, i) for i in range(5)]
+    assert {(r.reason, r.failing_levels) for r in g.failures} == {("mutated polytope not explorable: probe", ())}
 
 
 def test_merge_certificates_verify():

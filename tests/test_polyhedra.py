@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import dot_incidence, fraction_vertex_cycle, matrix_rank, pairwise_refinement_cells, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
+from conftest import WORKED_POLYGONS, dot_incidence, fraction_vertex_cycle, matrix_rank, pairwise_refinement_cells, normalized_volume_2d, recession_cone, seeded_family_cases, span_rank_dim, views
 from laumut import polyhedra
 from laumut.deformation import build_family, verify_main_theorem
 from laumut.exactlat import (
@@ -539,16 +539,6 @@ def test_dual_ehrhart_counts_square():
     assert dual_ehrhart_counts(square, 4) == [5, 13, 25, 41]
 
 
-# Reflexive polygons of the worked examples: F3, F4 (the pentagon, also as
-# dP7), the hexagon, P1xP1 and P2.
-WORKED_POLYGONS = (
-    "x^-1*y + 2*y + x*y + y^-1",
-    "x^-1 + x^-1*y + y + y^-1 + x*y^-1",
-    "x + x*y + y + x^-1 + y^-1",
-    "x + x*y + y + x^-1 + x^-1*y^-1 + y^-1",
-    "x + y + x^-1 + y^-1",
-    "x + y + x^-1*y^-1",
-)
 SHEARS = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 2), (0, 1)), ((2, 3), (1, 2)))
 
 
