@@ -158,6 +158,13 @@ class MutationGraph:
     frontier: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """Nodes sorted by key, without their transforms; each edge, failure
+        and merge record as its own fields in order, with string entries in
+        its vectors and matrices."""
+
+        def row(record, **shown) -> dict:
+            return {**vars(record), **shown}
+
         return {
             "depth": self.depth,
             "nodes": [
@@ -169,35 +176,12 @@ class MutationGraph:
                 }
                 for n in sorted(self.nodes.values(), key=lambda n: n.key)
             ],
-            "edges": [
-                {
-                    "source": e.source,
-                    "target": e.target,
-                    "facet_index": e.facet_index,
-                    "direction": [str(c) for c in e.direction],
-                    "divisor": e.divisor,
-                }
-                for e in self.edges
-            ],
+            "edges": [row(e, direction=[str(c) for c in e.direction]) for e in self.edges],
             "failures": [
-                {
-                    "node": r.node,
-                    "facet_index": r.facet_index,
-                    "direction": [str(c) for c in r.direction],
-                    "reason": r.reason,
-                    "failing_levels": list(r.failing_levels),
-                }
+                row(r, direction=[str(c) for c in r.direction], failing_levels=list(r.failing_levels))
                 for r in self.failures
             ],
-            "merges": [
-                {
-                    "node": m.node,
-                    "arrived_from": m.arrived_from,
-                    "facet_index": m.facet_index,
-                    "certificate": [[str(c) for c in row] for row in m.certificate],
-                }
-                for m in self.merges
-            ],
+            "merges": [row(m, certificate=[[str(c) for c in v] for v in m.certificate]) for m in self.merges],
             "frontier": list(self.frontier),
         }
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
+from .polyhedra import Cone, Polyhedron, convex_cycle, dual_cone
 
 SCALE = 32  # pixels per lattice unit
 MARGIN = 24
@@ -31,73 +31,28 @@ def _fmt(q: Fraction | int) -> str:
 
 
 def _bbox(items: Sequence[tuple[str, Polyhedron]]) -> tuple[int, int, int, int]:
-    xs = [Fraction(0)]
-    ys = [Fraction(0)]
-    pad_pos = [1, 1]
-    pad_neg = [1, 1]
-    for _, p in items:
-        for v in p.vertices:
-            xs.append(v[0])
-            ys.append(v[1])
-        for r in p.rays:
-            for axis in (0, 1):
-                if r[axis] > 0:
-                    pad_pos[axis] = 3
-                elif r[axis] < 0:
-                    pad_neg[axis] = 3
-    xmin = math.floor(min(xs)) - pad_neg[0]
-    xmax = math.ceil(max(xs)) + pad_pos[0]
-    ymin = math.floor(min(ys)) - pad_neg[1]
-    ymax = math.ceil(max(ys)) + pad_pos[1]
+    """Box (xmin, xmax, ymin, ymax) spanning the origin and every vertex,
+    padded by 1, or by 3 on a side that some ray points to."""
+    box = []
+    for axis in (0, 1):
+        coords = [0] + [v[axis] for _, p in items for v in p.vertices]
+        signs = {(r[axis] > 0) - (r[axis] < 0) for _, p in items for r in p.rays}
+        box.append(math.floor(min(coords)) - (3 if -1 in signs else 1))
+        box.append(math.ceil(max(coords)) + (3 if 1 in signs else 1))
+    xmin, xmax, ymin, ymax = box
     if max(xmax - xmin, ymax - ymin) > MAX_SIDE:
         raise ValueError(f"a drawing of {xmax - xmin} by {ymax - ymin} lattice units exceeds {MAX_SIDE} a side")
     return xmin, xmax, ymin, ymax
 
 
 def _clip(p: Polyhedron, box: tuple[int, int, int, int]) -> Polyhedron:
+    """p cut down to the box: an unbounded p's homogenized facet normals and the
+    box's, xmin*h <= x <= xmax*h and ymin*h <= y <= ymax*h on (h, x, y), dualized."""
     if not p.rays:
         return p
     xmin, xmax, ymin, ymax = box
-    extra = [
-        ((1, 0), Fraction(xmin)),
-        ((-1, 0), Fraction(-xmax)),
-        ((0, 1), Fraction(ymin)),
-        ((0, -1), Fraction(-ymax)),
-    ]
-    return from_halfspaces(list(p.halfspaces) + extra, 2)
-
-
-class _Canvas:
-    def __init__(self, box: tuple[int, int, int, int]):
-        self.xmin, self.xmax, self.ymin, self.ymax = box
-        self.width = (self.xmax - self.xmin) * SCALE + 2 * MARGIN
-        self.height = (self.ymax - self.ymin) * SCALE + 2 * MARGIN
-        self.body: list[str] = []
-
-    def px(self, x: Fraction | int) -> str:
-        return _fmt(MARGIN + (Fraction(x) - self.xmin) * SCALE)
-
-    def py(self, y: Fraction | int) -> str:
-        return _fmt(MARGIN + (self.ymax - Fraction(y)) * SCALE)
-
-    def grid(self) -> None:
-        lines = [(x, self.ymin, x, self.ymax, x) for x in range(self.xmin, self.xmax + 1)]
-        lines += [(self.xmin, y, self.xmax, y, y) for y in range(self.ymin, self.ymax + 1)]
-        for x1, y1, x2, y2, at in lines:
-            stroke = "#888888" if at == 0 else "#dddddd"
-            self.body.append(
-                f'<line x1="{self.px(x1)}" y1="{self.py(y1)}" '
-                f'x2="{self.px(x2)}" y2="{self.py(y2)}" stroke="{stroke}" stroke-width="1"/>'
-            )
-
-    def emit(self) -> str:
-        head = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
-        )
-        return head + "\n".join(self.body) + "\n</svg>\n"
+    facets = [(-xmin, 1, 0), (xmax, -1, 0), (-ymin, 0, 1), (ymax, 0, -1)]
+    return Polyhedron(dual_cone(Cone.from_generators(3, list(p.cone.facet_normals) + facets)))
 
 
 def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
@@ -110,28 +65,48 @@ def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
     for label, p in items:
         if p.rank != 2:
             raise ValueError(f"render is rank-2 only, got rank {p.rank} for {label!r}")
-    box = _bbox(items)
-    canvas = _Canvas(box)
-    canvas.grid()
+    box = xmin, xmax, ymin, ymax = _bbox(items)
+
+    def px(x: Fraction | int) -> str:
+        return _fmt(MARGIN + (Fraction(x) - xmin) * SCALE)
+
+    def py(y: Fraction | int) -> str:
+        return _fmt(MARGIN + (ymax - Fraction(y)) * SCALE)
+
+    lines = [(x, ymin, x, ymax, x) for x in range(xmin, xmax + 1)]
+    lines += [(xmin, y, xmax, y, y) for y in range(ymin, ymax + 1)]
+    body = []
+    for x1, y1, x2, y2, at in lines:
+        stroke = "#888888" if at == 0 else "#dddddd"
+        body.append(
+            f'<line x1="{px(x1)}" y1="{py(y1)}" '
+            f'x2="{px(x2)}" y2="{py(y2)}" stroke="{stroke}" stroke-width="1"/>'
+        )
     for k, (label, p) in enumerate(items):
         color = PALETTE[k % len(PALETTE)]
         clipped = _clip(p, box)
         true_vertices = {tuple(v) for v in p.vertices}
         pts = convex_cycle(clipped.vertices)  # a segment or a point is its own sorted vertex list
         if len(pts) >= 2:
-            d = "M " + " L ".join(f"{canvas.px(v[0])},{canvas.py(v[1])}" for v in pts)
+            d = "M " + " L ".join(f"{px(v[0])},{py(v[1])}" for v in pts)
             if len(pts) > 2:
                 d += " Z"
             fill = f'fill="{color}" fill-opacity="0.08"' if len(pts) > 2 else 'fill="none"'
-            canvas.body.append(f'<path d="{d}" {fill} stroke="{color}" stroke-width="2"/>')
+            body.append(f'<path d="{d}" {fill} stroke="{color}" stroke-width="2"/>')
         for v in clipped.vertices:
             if tuple(v) in true_vertices:
-                canvas.body.append(
-                    f'<circle cx="{canvas.px(v[0])}" cy="{canvas.py(v[1])}" r="3.5" fill="{color}"/>'
-                )
+                body.append(f'<circle cx="{px(v[0])}" cy="{py(v[1])}" r="3.5" fill="{color}"/>')
         anchor = min(true_vertices)
-        canvas.body.append(
-            f'<text x="{canvas.px(anchor[0])}" y="{canvas.py(anchor[1] + Fraction(1, 3))}" '
+        body.append(
+            f'<text x="{px(anchor[0])}" y="{py(anchor[1] + Fraction(1, 3))}" '
             f'font-family="monospace" font-size="12" fill="{color}">{label.translate(XML_TEXT)}</text>'
         )
-    return canvas.emit()
+    width = (xmax - xmin) * SCALE + 2 * MARGIN
+    height = (ymax - ymin) * SCALE + 2 * MARGIN
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
+    )
+    return head + "\n".join(body) + "\n</svg>\n"

@@ -118,11 +118,12 @@ def test_parse_error_exit_two(capsys):
         (("mutate", "--f", F3, "--u", "\u0660,\u0661", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--u", "1_0,1", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--u", "0,+1", "--by", "1+x"), "--u must be"),
+        (("mutate", "--f", F3, "--by", "1+x"), "a direction is required"),
     ],
 )
 def test_usage_errors(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
-    assert code == 2
+    assert (code, out) == (2, "")
     assert fragment in err
 
 
@@ -250,29 +251,32 @@ def test_file_input_parses_only_the_first_polynomial(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("newton", "--file", "{missing}"),
-        ("newton", "--file", "{latin1}"),
-        ("newton", "--f", F3, "--svg", "{unwritable}"),
-        ("graph", "--f", F4, "--depth", "1", "-o", "{unwritable}"),
-        ("graph", "--f", F4, "--depth", "1", "--dot", "{unwritable}"),
-        ("render", "--f", F3, "-o", "{unwritable}"),
+        (("newton", "--file", "{missing}"), "cannot "),
+        (("newton", "--file", "{latin1}"), "cannot "),
+        (("newton", "--file", "{comments}"), "no polynomial found in "),
+        (("newton", "--f", F3, "--svg", "{unwritable}"), "cannot "),
+        (("graph", "--f", F4, "--depth", "1", "-o", "{unwritable}"), "cannot "),
+        (("graph", "--f", F4, "--depth", "1", "--dot", "{unwritable}"), "cannot "),
+        (("render", "--f", F3, "-o", "{unwritable}"), "cannot "),
     ],
-    ids=["missing file", "non-UTF-8 file", "newton --svg", "graph -o", "graph --dot", "render -o"],
+    ids=["missing file", "non-UTF-8 file", "comments only", "newton --svg", "graph -o", "graph --dot", "render -o"],
 )
-def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
+def test_file_errors_are_usage_errors(capsys, tmp_path, argv, message):
     paths = {
         "{missing}": tmp_path / "missing.txt",
         "{latin1}": tmp_path / "latin1.txt",
+        "{comments}": tmp_path / "comments.txt",
         "{unwritable}": tmp_path / "no-such-dir" / "out",
     }
     paths["{latin1}"].write_bytes("x + y  # caf\u00e9\n".encode("latin-1"))
+    paths["{comments}"].write_text("# a comment\n\n   # another\n")
     argv = [str(paths.get(a, a)) for a in argv]
     path = next(a for a in argv if a.startswith(str(tmp_path)))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("usage error: cannot ") and path in err
+    assert err.startswith("usage error: " + message) and path in err
 
 
 @pytest.mark.parametrize(
@@ -385,6 +389,29 @@ def test_graph_depth4_bytes_pinned(capsys, f, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "f, depth, digest",
+    [
+        (
+            "x + y + x^-1*y + x^-1*y^-1 + x*y^-1 + y^-1",  # pentagon: 9 failures, 10 merges
+            "3",
+            "c48581d7a66ca7300945c3ffe8340e95b6fe46609e0fa1af86d58445bb677af0",
+        ),
+        (
+            "x^-1*y^2 + 3*y^2 + x*y^2 + y^-1",  # facet 2 fails at level 2
+            "1",
+            "59705994ff4b15586616dd2227ab659f3fefaea01411927a87fff2dc06a2e68a",
+        ),
+    ],
+    ids=["pentagon", "failing_level_2"],
+)
+def test_graph_with_failures_bytes_pinned(capsys, f, depth, digest):
+    # The failure records, with their reasons and failing levels, are in these bytes.
+    code, out, _ = run(capsys, "graph", "--f", f, "--depth", depth)
+    assert code == 0 and json.loads(out)["failures"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 RANK3_FAMILY = ("--f", "x + y + z + x*z + x^-1*y^-1*z^-1", "--divide", "z", "--by", "1 + x")
 RANK4_FAMILY = ("--f", "z1 + z2 + z3 + z4 + z1*z4 + z1^-1*z2^-1*z3^-1*z4^-1", "--divide", "z4", "--by", "1 + z1")
 
@@ -400,8 +427,16 @@ RANK4_FAMILY = ("--f", "z1 + z2 + z3 + z4 + z1*z4 + z1^-1*z2^-1*z3^-1*z4^-1", "-
         (("verify", *RANK4_FAMILY, "--kmax", "6"), "3e1806fa0a5176046c5f3ec69480fb09876f602048f6fed48c02d9e36e7c6e52"),
         (("render", *F3_MUTATION, "--family", "-o", "out.svg"), "a9e55a2138389a8ab4cd0c1909b0192b777882902d651585fc7ebef9ada1ce52"),
         (("newton", "--f", F4, "--svg", "out.svg"), "7118b1f09d98757b6b6469105231e8b9cf9d24d74af2eec792340850bf6d8a0e"),
+        (("mutate", *F3_MUTATION, "--svg", "out.svg"), "a09d3f5e5094eb139883e88bb0133a0824396c54f6a1f442d60ad7767ba90293"),
+        (
+            ("render", "--f", F4, "--divide", "y", "--by", "1 + x", "-o", "out.svg"),
+            "a0c91803720736a64a9533e66f79687b58c6cdd3b8bbb7b0e063edc9427343c3",
+        ),
     ],
-    ids=["family2", "family3", "family4", "verify2", "verify3", "verify4", "render_family_svg", "newton_svg"],
+    ids=[
+        "family2", "family3", "family4", "verify2", "verify3", "verify4", "render_family_svg", "newton_svg",
+        "mutate_svg", "render_pair_svg",
+    ],
 )
 def test_family_verify_and_svg_bytes_pinned(capsys, monkeypatch, tmp_path, argv, digest):
     # sha256 of the README examples' stdout, or of the SVG file a drawing writes.

@@ -98,6 +98,32 @@ def test_spec_validation():
         MutationSpec.from_adapted((0, 1), ((1, 0), (0, 1)), LaurentPolynomial.zero(1))
 
 
+SPEC_1_PLUS_X = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MutationSpec.from_dict({**SPEC_1_PLUS_X.to_dict(), "rank": "3"}), "direction length does not match rank"),
+        (
+            lambda: MutationSpec.from_adapted((0, 1), ((1, 0), (0, 1), (0, 0)), parse("1 + x")),
+            "basis must be a square matrix of the full rank",
+        ),
+        (lambda: MutationSpec.from_adapted((0, 1), ((0, 1), (1, 0)), parse("1 + x")), "basis is not adapted"),
+        (
+            lambda: MutationSpec.from_adapted((0, 1), ((1, 0), (0, 1)), parse("1 + x", rank=2)),
+            "divisor must have rank one less than the ambient rank",
+        ),
+        (lambda: MutationSpec.from_direction((0, 1), parse("1 + x", rank=1)), "divisor rank does not match the direction"),
+        (lambda: is_mutation(parse("x + y + z"), SPEC_1_PLUS_X), "polynomial rank does not match the mutation spec"),
+    ],
+    ids=["dict_rank", "basis_shape", "basis_not_adapted", "divisor_rank", "direction_divisor_rank", "polynomial_rank"],
+)
+def test_spec_and_polynomial_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_spec_transports_by_the_inverse_of_its_basis(act_unimodular_oracle):
     # from_direction and inverse() hand the spec the inverse they know, and
     # replace() inverts the new basis; to_adapted must equal the checked

@@ -230,16 +230,24 @@ def forged_first_cell(**fields):
         AdmissibilityVerdict(STATUS_NO, "forged", witness=(1, 1, 1)),
         {"rank": -2},
         {"rank": 1002, "rays": []},
+        forged_first_cell(vertex_pair=(["0", "0"], REFINED.certificate["cells"][0]["vertex_pair"][1])),
+        forged_first_cell(vertex_pair=(["-1/2", "1"], ["1/2", "1"])),
+        forged_first_cell(cell_rays=REFINED.certificate["cells"][1]["cell_rays"]),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "made_up"}),
     ],
     ids=["no_kind", "which_out_of_range", "which_a_string", "no_cells", "vertex_not_a_number",
          "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank",
-         "cone_past_the_rank_limit"],
+         "cone_past_the_rank_limit", "pair_not_vertices", "pair_both_fractional", "cell_of_another_pair",
+         "unknown_kind"],
 )
 def test_readers_refuse_malformed_evidence(evidence):
     # Malformed evidence is refused: False from the admissibility checker, on
     # a pair whose genuine verdict it accepts, and ValueError from the cone
     # reader. It used to raise KeyError, IndexError, TypeError,
     # ValueError or ZeroDivisionError, or to build a cone of negative rank.
+    # Well-formed but false evidence is refused too: a pair that is not a
+    # vertex pair, a pair with no lattice vertex, a cell on which the pair
+    # does not attain both minima, and a certificate of no known kind.
     assert REFINED.certificate["kind"] == "refinement" and verify_admissibility(REFINED_P, REFINED_Q, REFINED)
     if isinstance(evidence, dict):
         with pytest.raises(ValueError):
@@ -965,6 +973,14 @@ def test_from_halfspaces_line():
         from_halfspaces([((0, 1), Fraction(0))], 2)
 
 
+def test_from_halfspaces_zero_normal():
+    # 0 >= c is empty for c > 0 and holds everywhere for c <= 0.
+    with pytest.raises(ValueError, match="empty polyhedron"):
+        from_halfspaces([((0, 0), 1)], 2)
+    square = hull(V((0, 0), (1, 0), (0, 1), (1, 1)))
+    assert from_halfspaces(list(square.halfspaces) + [((0, 0), -1)], 2) == square
+
+
 def test_polyhedron_dict_round_trip():
     p = hull(V((-1, 1), (1, 1)), [(-1, 2), (1, 2)])
     assert Polyhedron.from_dict(p.to_dict()) == p
@@ -1011,6 +1027,15 @@ def test_admissible_pair_worked_triple():
     v3 = is_admissible_pair(p, r)
     assert v3.status == STATUS_YES
     assert verify_admissibility(p, r, v3)
+
+
+def test_a_witness_serializes_as_strings():
+    half = hull([(Fraction(1, 2),)])
+    assert is_admissible_pair(half, half).to_dict() == {
+        "status": "no",
+        "reason": "functional with fractional minima 1/2 and 1/2",
+        "witness": ["1"],
+    }
 
 
 def test_admissible_pair_tailcone_mismatch():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -86,3 +87,22 @@ def test_mutation_pair_render():
     g = parse("x^-1*y + y + y^-1 + x*y^-1")
     svg = render_svg([("before", newton_polytope(f)), ("after", newton_polytope(g))])
     assert ">before</text>" in svg and ">after</text>" in svg
+
+
+@pytest.mark.parametrize(
+    "items, digest",
+    [
+        ([("q", hull([(0, 0)], [(-1, 0), (0, -1)]))], "8a40ba8e736cf7557586d9d07dd6352eb98f7ee15b0b5d58d6305133951a37c0"),
+        ([("r", hull([(1, 0)], [(1, 1)]))], "4f43d3ccf1fa879605135bafea5a7a0fd225f2c6452a0e6bb44483a5c3faa425"),
+        ([("s", hull([(0, 0), (2, 1)]))], "11966f309a018ef7aeabc938b5003f85b16c7875f04a24505142e94460760a2d"),
+        (
+            [("w", hull([(F(1, 2), 0)], [(2, 1), (-1, 3)])), ("t", hull([(-1, -1), (1, 0), (0, 1)]))],
+            "7089d8a0e0b00a47e93e426e1280e64342237d9ac274531de57f13738877caa4",
+        ),
+    ],
+    ids=["quadrant", "ray", "segment", "fractional_cone_and_triangle"],
+)
+def test_render_svg_text_pinned(items, digest):
+    # sha256 of the SVG text: unbounded items clipped at the box, a segment,
+    # and a fractional apex, each with its grid and header.
+    assert hashlib.sha256(render_svg(items).encode()).hexdigest() == digest
