@@ -723,20 +723,9 @@ def _witness_candidates(rank: int, bound: int):
     """Nonzero integer vectors with coordinates up to ``bound``, generated
     lazily: by sup norm, then descending lexicographically."""
     for s in range(1, bound + 1):
-        yield from _sup_shell(rank, s)
-
-
-def _sup_shell(rank: int, s: int):
-    """Vectors of sup norm exactly s, descending lexicographically."""
-    if rank == 0:
-        return
-    for x in range(s, -s - 1, -1):
-        if abs(x) == s:
-            rests = product(range(s, -s - 1, -1), repeat=rank - 1)
-        else:
-            rests = _sup_shell(rank - 1, s)
-        for rest in rests:
-            yield (x,) + rest
+        for v in product(range(s, -s - 1, -1), repeat=rank):
+            if s in v or -s in v:
+                yield v
 
 
 def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:

@@ -15,12 +15,23 @@ from laumut.deformation import (
     FamilyError,
     VerificationReport,
     build_family,
+    check_hypotheses,
     general_fiber_is_toric,
     verify_main_theorem,
 )
+from laumut.exactlat import dot
 from laumut.laurent import newton_polytope, parse
 from laumut.mutation import MutationSpec, apply_mutation
-from laumut.polyhedra import Cone, Polyhedron, extreme_rays, hull, is_admissible_pair, kernel_slice, verify_admissibility
+from laumut.polyhedra import (
+    Cone,
+    Polyhedron,
+    contains_origin_interior,
+    extreme_rays,
+    hull,
+    is_admissible_pair,
+    kernel_slice,
+    verify_admissibility,
+)
 
 F = Fraction
 TAIL_RAYS = [(2, -1), (2, 1)]
@@ -141,6 +152,48 @@ def test_verify_records_a_mutated_cone_it_cannot_slice(monkeypatch):
     assert status["mutation_cone_match"] == "pass" and status["tailcone_preserved"] == "fail"
     assert not report.passed
     assert report.to_dict()["checks"][3]["details"]["tail_prime_rays"] is None
+
+
+@pytest.mark.parametrize("rank, seeds", [(2, 150), (3, 150), (4, 100)])
+def test_mutation_keeps_the_origin_interior(rank, seeds):
+    # Akhtar-Coates-Galkin-Kasprzyk (arXiv:1212.1785): mutation acts on the
+    # dual side by m -> m - h(m)*u, h(m) the minimum of m on Newton(g). So
+    # min of m on supp f' is min of m - h(m)*u on supp f, and the origin
+    # stays interior; that is why verify always takes both dual counts.
+    rng = random.Random(1212 + rank)
+    pairs = 0
+    for _ in range(seeds):
+        f, spec = random_mutable_pair(rng, rank)
+        hyp = check_hypotheses(f, spec)
+        if hyp.failures:
+            continue
+        pairs += 1
+        mutated = hyp.report.mutated
+        assert contains_origin_interior(newton_polytope(spec.to_adapted(mutated)))
+        divisor = spec.divisor_in_ambient().support()
+        for _ in range(20):
+            m = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if not any(m):
+                continue
+            h = min(dot(m, e) for e in divisor)
+            moved = tuple(a - h * b for a, b in zip(m, spec.direction))
+            assert min(dot(m, e) for e in mutated.support()) == min(dot(moved, e) for e in f.support())
+    assert pairs >= 30
+
+
+def test_verify_refuses_a_mutated_polytope_without_the_origin(monkeypatch):
+    # The counts always run once the hypotheses hold; a mutated polytope
+    # that lost the origin is a fault, so the polar dual raises.
+    built = []
+
+    def shifted(f):
+        built.append(f)
+        p = newton_polytope(f)
+        return p if len(built) == 1 else hull([tuple(c + 5 for c in v) for v in p.vertices])
+
+    monkeypatch.setattr(deformation, "newton_polytope", shifted)
+    with pytest.raises(ValueError, match="polar dual needs the origin in the interior"):
+        verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
 
 
 FORGED_DELTA0 = """

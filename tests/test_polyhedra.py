@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,7 @@ from laumut.exactlat import (
     vneg,
     vscale,
 )
-from laumut.laurent import act_unimodular, divide_exact, newton_polytope, parse
+from laumut.laurent import LaurentPolynomial, act_unimodular, divide_exact, newton_polytope, parse
 from laumut.mutation import MutationSpec, polygon_facets
 from laumut.polyhedra import (
     AdmissibilityVerdict,
@@ -1227,12 +1228,41 @@ def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, p
     assert len(calls) == passes
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
 def test_witness_candidates_keep_the_sorted_order(rank):
     for bound in range(4):
         box = [c for c in product(range(-bound, bound + 1), repeat=rank) if any(c)]
         box.sort(key=lambda t: (max(abs(x) for x in t), tuple(-x for x in t)))
         assert list(_witness_candidates(rank, bound)) == box
+
+
+SQUARE = hull(V((1, 0), (0, 1), (-1, 0), (0, -1)))
+SEGMENT = hull(V((0,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dot((1, 2), (1, 2, 3)), "dimension mismatch: 2 vs 3"),
+        (lambda: LaurentPolynomial.from_terms(2, {(1,): 1}), "exponent (1,) has length 1, expected 2"),
+        (lambda: parse("x + y") * parse("x + y + z"), "rank mismatch: 2 vs 3"),
+        (lambda: act_unimodular(parse("x + y"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "matrix shape does not match rank"),
+        (lambda: extreme_rays([(1, 0)], 3), "constraint of length 2 in rank 3"),
+        (lambda: minkowski_sum(SEGMENT, SQUARE), "rank mismatch in Minkowski sum"),
+        (lambda: is_minkowski_sum(SEGMENT, SQUARE, SQUARE), "rank mismatch in Minkowski sum"),
+        (lambda: is_admissible_pair(SEGMENT, SQUARE), "rank mismatch in admissible pair test"),
+        (lambda: dual_ehrhart_counts(SQUARE, 0), "kmax must be at least 1"),
+    ],
+    ids=["dot", "from_terms", "mul", "act_unimodular", "extreme_rays", "minkowski_sum", "is_minkowski_sum", "admissible_pair", "kmax"],
+)
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_cone_compares_unequal_to_other_types_and_polynomials_repr():
+    assert (SQUARE.cone == 0) is False
+    assert repr(parse("x + 1/2*y")) == "LaurentPolynomial(2, '1/2*y + x')"
 
 
 def test_verify_admissibility_rejects_tampered_witness():
