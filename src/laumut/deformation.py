@@ -279,12 +279,12 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     cone_rays = {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}
     record("mutation_cone_match", family.sigma_inf == sigma_prime, cone_rays)
 
-    try:
-        tail_prime = kernel_slice(sigma_prime)
-    except ValueError:  # sigma' is flat or one-sided, so it cannot slice to tau
-        tail_prime = None
-    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": tail_prime and _rows(tail_prime.rays)}
-    record("tailcone_preserved", tail_prime is not None and tail_prime == family.tail, tail_rays)
+    # Mutation keeps the origin interior (arXiv:1212.1785): for m != 0, the minimum of m on Delta(f')
+    # is that of m - h(m)*u on Delta(f), h(m) the minimum of m on Newton(g), and m - h(m)*u != 0.
+    # So sigma' slices at x_last = 0 (pointed, full-dimensional, rays on both sides) and Delta(f')* exists.
+    tail_prime = kernel_slice(sigma_prime)
+    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": _rows(tail_prime.rays)}
+    record("tailcone_preserved", tail_prime == family.tail, tail_rays)
 
     # The far-fiber classification is recorded: its truth value is data, not a requirement.
     fiber = {
@@ -293,9 +293,6 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     }
     checks.append(CheckResult("fiber_class", "pass", fiber))
 
-    # Mutation keeps the origin interior (arXiv:1212.1785): for m != 0, the minimum of m on Delta(f')
-    # is that of m - h(m)*u on Delta(f), h(m) the minimum of m on Newton(g), and m - h(m)*u != 0;
-    # so the hypotheses already give Delta(f')* as well as Delta(f)*.
     counts_f = dual_ehrhart_counts(hyp.newton, kmax)
     counts_m = dual_ehrhart_counts(nf_mut, kmax)
     record("dual_lattice_counts", counts_f == counts_m, {"input": counts_f, "mutated": counts_m})

@@ -10,8 +10,8 @@ image vertex cycle. Two polygons get the same form iff some unimodular
 map carries one onto the other, and the composite of the two canonical
 maps is exactly such a map, kept as a merge certificate.
 
-Exploration is breadth-first over facet mutations, deterministic, with
-divisibility failures recorded rather than raised.
+Exploration is breadth-first and deterministic; it records divisibility
+failures and validates only the start polygon (arXiv:1212.1785).
 """
 
 from __future__ import annotations
@@ -201,43 +201,36 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
 
     Nodes merge by canonical form; the first polynomial reaching a form
     becomes its representative and later arrivals leave a verified
-    certificate. Output is deterministic for a fixed input.
+    certificate. Only Delta(f) is validated: mutations keep Fano polygons
+    Fano (arXiv:1212.1785). Output is deterministic for a fixed input.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     p0 = newton_polytope(f)
     validate_mutable_polygon(p0)
-    form0, map0 = canonical_form(p0)
     graph = MutationGraph(depth)
-    key0 = form0.key()
-    graph.nodes[key0] = GraphNode(key0, form0.vertices, f, map0, 0)
-    polygons = {key0: p0}  # Delta(representative) of every node
-    frontier = [key0]
+    polygons: dict[str, Polyhedron] = {}  # Delta(representative) of every node
+
+    def arrive(g: LaurentPolynomial, q: Polyhedron, level: int) -> tuple[str, Optional[IntMat]]:
+        form, qmap = canonical_form(q)
+        key = form.key()
+        if key in graph.nodes:
+            return key, certificate_between(q, qmap, polygons[key], graph.nodes[key].transform)
+        graph.nodes[key] = GraphNode(key, form.vertices, g, qmap, level)
+        polygons[key] = q
+        return key, None
+
+    arrive(f, p0, 0)
     for level in range(depth):
-        discovered: list[str] = []
-        for key in frontier:
+        for key in [k for k, n in graph.nodes.items() if n.depth == level]:
             node = graph.nodes[key]
             for res in mutation_neighbors(node.representative, polygons[key]):
-                reason = "slice not divisible by the divisor power"
-                if res.succeeded:
-                    q = newton_polytope(res.mutated)
-                    try:
-                        validate_mutable_polygon(q)
-                        reason = ""
-                    except ValueError as exc:
-                        reason = f"mutated polytope not explorable: {exc}"
-                if reason:  # failing_levels is () once every level divides
+                if not res.succeeded:
+                    reason = "slice not divisible by the divisor power"
                     graph.failures.append(FailureRecord(key, res.facet.index, res.facet.direction, reason, res.failing_levels))
                     continue
-                qform, qmap = canonical_form(q)
-                tkey = qform.key()
-                if tkey not in graph.nodes:
-                    graph.nodes[tkey] = GraphNode(tkey, qform.vertices, res.mutated, qmap, level + 1)
-                    polygons[tkey] = q
-                    discovered.append(tkey)
-                else:
-                    known = graph.nodes[tkey]
-                    cert = certificate_between(q, qmap, polygons[tkey], known.transform)
+                tkey, cert = arrive(res.mutated, newton_polytope(res.mutated), level + 1)
+                if cert is not None:
                     graph.merges.append(MergeRecord(tkey, key, res.facet.index, cert))
                 graph.edges.append(
                     GraphEdge(
@@ -248,6 +241,5 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
                         to_string(res.spec.divisor_in_ambient()),
                     )
                 )
-        frontier = discovered
-    graph.frontier = frontier
+    graph.frontier = [k for k, n in graph.nodes.items() if n.depth == depth]
     return graph

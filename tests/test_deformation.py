@@ -136,9 +136,10 @@ def test_family_tails_match_the_one_pass_oracle(kernel_slice_oracle):
         assert astuple(kernel_slice(sigma)) == astuple(kernel_slice_oracle(sigma))
 
 
-def test_verify_records_a_mutated_cone_it_cannot_slice(monkeypatch):
-    # kernel_slice needs the incidence of a pointed full-dimensional cone.
-    # A sigma' without one fails tailcone_preserved instead of raising.
+def test_verify_raises_on_a_mutated_cone_it_cannot_slice(monkeypatch):
+    # Mutation keeps the origin interior, so sigma' is pointed and
+    # full-dimensional and always slices; a sigma' without the incidence
+    # of such a cone is a fault, and kernel_slice raises.
     built = []
 
     def stripped(f):
@@ -147,11 +148,8 @@ def test_verify_records_a_mutated_cone_it_cannot_slice(monkeypatch):
         return Polyhedron(cone if len(built) == 1 else Cone(cone.rank, cone.rays, cone.facet_normals))
 
     monkeypatch.setattr(deformation, "newton_polytope", stripped)
-    report = verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
-    status = {c.name: c.status for c in report.checks}
-    assert status["mutation_cone_match"] == "pass" and status["tailcone_preserved"] == "fail"
-    assert not report.passed
-    assert report.to_dict()["checks"][3]["details"]["tail_prime_rays"] is None
+    with pytest.raises(ValueError, match="kernel slice needs a pointed full-dimensional cone"):
+        verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
 
 
 @pytest.mark.parametrize("rank, seeds", [(2, 150), (3, 150), (4, 100)])
@@ -181,19 +179,31 @@ def test_mutation_keeps_the_origin_interior(rank, seeds):
     assert pairs >= 30
 
 
-def test_verify_refuses_a_mutated_polytope_without_the_origin(monkeypatch):
-    # The counts always run once the hypotheses hold; a mutated polytope
-    # that lost the origin is a fault, so the polar dual raises.
+def _verify_with_the_mutated_polytope_moved(monkeypatch, shift):
     built = []
 
     def shifted(f):
         built.append(f)
         p = newton_polytope(f)
-        return p if len(built) == 1 else hull([tuple(c + 5 for c in v) for v in p.vertices])
+        return p if len(built) == 1 else hull([shift(v) for v in p.vertices])
 
     monkeypatch.setattr(deformation, "newton_polytope", shifted)
+    verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
+
+
+def test_verify_refuses_a_mutated_polytope_without_the_origin(monkeypatch):
+    # The counts always run once the hypotheses hold; a mutated polytope
+    # that lost the origin is a fault, so the polar dual raises. Moved along
+    # the first coordinate only, it still straddles x_last = 0 and slices.
     with pytest.raises(ValueError, match="polar dual needs the origin in the interior"):
-        verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec())
+        _verify_with_the_mutated_polytope_moved(monkeypatch, lambda v: (v[0] + 5,) + v[1:])
+
+
+def test_verify_refuses_a_mutated_polytope_above_the_level_zero_slice(monkeypatch):
+    # Moved along every coordinate, it lies above x_last = 0, so sigma' has
+    # no ray below it and kernel_slice raises before the counts.
+    with pytest.raises(ValueError, match="kernel slice needs a pointed full-dimensional cone"):
+        _verify_with_the_mutated_polytope_moved(monkeypatch, lambda v: tuple(c + 5 for c in v))
 
 
 FORGED_DELTA0 = """

@@ -133,7 +133,7 @@ def test_to_string_round_trip(to_string_oracle):
         if trial >= 50:
             f = LaurentPolynomial.from_terms(rank, [(e, random_coefficient(rng)) for e in f.support()])
         text = to_string(f)
-        assert text == to_string_oracle(f)
+        assert text == to_string_oracle(f) == str(f)
         assert parse(text, rank=rank) == f
     assert to_string(parse("-3/2*x + 12345678901234567890*y - 7/100")) == "-7/100 + 12345678901234567890*y - 3/2*x"
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fraction_vertex_cycle, normalized_volume_2d, random_unimodular, span_rank_dim
+from conftest import WORKED_POLYGONS, fraction_vertex_cycle, normalized_volume_2d, random_unimodular, span_rank_dim
 from laumut import laurent, mutation, mutgraph, polyhedra
 from laumut.exactlat import mat_vec
 from laumut.laurent import newton_polytope, parse
@@ -323,9 +323,10 @@ def test_records_failures_during_exploration():
     assert any(r.failing_levels == (2,) for r in g.failures)
 
 
-def test_records_a_mutated_polytope_it_cannot_explore(monkeypatch):
-    # Facet mutations keep Fano polygons Fano, so only a probe that refuses
-    # every polygon but the start one reaches this record.
+def test_explore_validates_each_expanded_polygon_not_each_arrival(monkeypatch):
+    # Facet mutations keep Fano polygons Fano, so the graph validates only
+    # the start polygon itself; mutation_neighbors validates each polygon it
+    # expands, so a probe refusing all but the start one raises at depth 2.
     start = newton_polytope(parse(FPRIME))
     real = mutgraph.validate_mutable_polygon
 
@@ -336,10 +337,96 @@ def test_records_a_mutated_polytope_it_cannot_explore(monkeypatch):
 
     monkeypatch.setattr(mutgraph, "validate_mutable_polygon", refuse_all_but_start)
     g = explore_graph(parse(FPRIME), 1)
-    (key,) = g.nodes
-    assert g.edges == [] and g.merges == [] and g.frontier == []
-    assert [(r.node, r.facet_index) for r in g.failures] == [(key, i) for i in range(5)]
-    assert {(r.reason, r.failing_levels) for r in g.failures} == {("mutated polytope not explorable: probe", ())}
+    assert len(g.edges) == 5 and g.failures == []
+    with pytest.raises(ValueError, match="^probe$") as raised:
+        explore_graph(parse(FPRIME), 2)
+    assert [e.name for e in raised.traceback][-3:] == ["explore_graph", "mutation_neighbors", "refuse_all_but_start"]
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _monotone_chain(points):
+    """Counter-clockwise vertices of the hull of int points, none collinear."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def _is_fano(verts):
+    """Primitive vertices and the origin strictly inside (verts counter-clockwise)."""
+    edges = zip(verts, verts[1:] + verts[:1])
+    primitive = all(math.gcd(*v) == 1 for v in verts)
+    return len(verts) >= 3 and primitive and all(_cross(a, b, (0, 0)) > 0 for a, b in edges)
+
+
+def _edge_mutations(verts):
+    """Each edge's combinatorial mutation (Akhtar-Coates-Galkin-Kasprzyk,
+    arXiv:1212.1785), None where it is undefined. The edge's outward normal
+    u gives the levels and t is its lex-positive primitive direction; level
+    k > 0 loses k*t from its lattice slice, level -k gains k*t."""
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    inside = [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if all(_cross(a, b, (x, y)) >= 0 for a, b in edges)
+    ]
+    out = []
+    for (ax, ay), (bx, by) in edges:
+        g = math.gcd(bx - ax, by - ay)
+        t = ((bx - ax) // g, (by - ay) // g)
+        u = (t[1], -t[0])
+        t = max(t, (-t[0], -t[1]))
+        slices = {}
+        for p in inside:
+            slices.setdefault(u[0] * p[0] + u[1] * p[1], []).append(p)
+        ends = []
+        for k, pts in slices.items():
+            lo, hi = min(pts), max(pts)  # the slice runs along t, which is lex-positive
+            if k > len(pts) - 1:
+                ends = None
+                break
+            ends += [lo, (hi[0] - k * t[0], hi[1] - k * t[1])]
+        out.append(ends and _monotone_chain(ends))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_facet_mutations_keep_fano_polygons_fano(seed):
+    # A literature oracle sharing no code with mutation or polyhedra: random
+    # Fano polygons, hulls of primitive int points in [-3, 3]^2, and every
+    # defined combinatorial edge mutation of each is again Fano.
+    rng = random.Random(1212 + seed)
+    primitive = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    fano = defined = 0
+    for _ in range(4000):
+        verts = _monotone_chain(rng.sample(primitive, rng.randint(3, 8)))
+        if not _is_fano(verts):
+            continue
+        fano += 1
+        for mutated in _edge_mutations(verts):
+            if mutated is not None:
+                defined += 1
+                assert _is_fano(mutated), (verts, mutated)
+    assert fano > 2500 and defined > 4000
+
+
+@pytest.mark.parametrize("text", WORKED_POLYGONS)
+def test_every_graph_node_polygon_is_mutable(text):
+    # explore_graph validates only the start polygon and relies on this.
+    for node in explore_graph(parse(text), 3).nodes.values():
+        validate_mutable_polygon(newton_polytope(node.representative))
 
 
 def test_merge_certificates_verify():
