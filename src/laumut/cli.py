@@ -225,10 +225,10 @@ def _cmd_verify(args):
         _attach_svg(args, payload, lambda: _family_items(report.family))
     elif args.svg is not None:
         payload["svg"] = None  # the hypotheses failed: there is no family to draw
-    summary = [f"passed: {report.passed}"] + [
+    summary = [f"passed: {payload['passed']}"] + [
         f"  {c.name}: {c.status}" for c in report.checks
     ]
-    return payload, (0 if report.passed else 1), summary
+    return payload, (0 if payload["passed"] else 1), summary
 
 
 def _cmd_graph(args):
@@ -255,7 +255,7 @@ def _cmd_render(args):
         items = _family_items(fd)
     else:
         items = [("Delta(f)", newton_polytope(f))]
-        if args.by is not None:
+        if any(a is not None for a in (args.divide, args.u, args.by)):  # a direction needs its divisor, as in mutate
             g = _mutated_or_fail(f, _mutation_spec(f, args), {})
             items.append(("Delta(mutated)", newton_polytope(g)))
     _write_file(args.output, render_svg(items))

@@ -196,10 +196,6 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
 # -- theorem verification ------------------------------------------------------
 
 
-def _rows(vectors) -> list[list[str]]:
-    return [[str(c) for c in v] for v in vectors]
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -212,10 +208,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
     checks: tuple[CheckResult, ...]
     data: dict
     family: Optional[FamilyData] = field(default=None, compare=False, repr=False)  # not serialized
+
+    @property
+    def passed(self) -> bool:
+        return all(c.status == "pass" for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -226,11 +225,16 @@ class VerificationReport:
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(
-            bool(d["passed"]),
-            tuple(CheckResult(c["name"], c["status"], c["details"]) for c in d["checks"]),
-            d["data"],
-        )
+        """Read a report back; a ``passed`` that its checks contradict is refused."""
+        checks = tuple(CheckResult(c["name"], c["status"], c["details"]) for c in d["checks"])
+        report = VerificationReport(checks, d["data"])
+        if d["passed"] is not report.passed:
+            raise ValueError(f"the report says passed is {d['passed']!r}, but its checks say {report.passed}")
+        return report
+
+
+# The consequences verify_main_theorem checks once the hypotheses hold, in report order.
+_CONSEQUENCES = ("family", "mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts")
 
 
 def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6) -> VerificationReport:
@@ -244,57 +248,39 @@ def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6)
     counts of the polar duals' dilates. The report keeps the family it
     built, for drawing.
     """
-    checks: list[CheckResult] = []
-    data: dict = {"polynomial": to_string(f), "spec": spec.to_dict()}
-
-    def record(name: str, ok: bool, details: dict) -> None:
-        checks.append(CheckResult(name, "pass" if ok else "fail", details))
-
     hyp = check_hypotheses(f, spec)
-    record("hypotheses", not hyp.failures, {**hyp.details, "failures": hyp.failures})
+    hypotheses = CheckResult("hypotheses", "fail" if hyp.failures else "pass", {**hyp.details, "failures": hyp.failures})
     if hyp.failures:
-        for name in ("family", "mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts"):
-            checks.append(CheckResult(name, "skipped", {"reason": "hypotheses failed"}))
-        return VerificationReport(False, tuple(checks), data)
+        skipped = (CheckResult(name, "skipped", {"reason": "hypotheses failed"}) for name in _CONSEQUENCES)
+        return VerificationReport((hypotheses, *skipped), {"polynomial": to_string(f), "spec": spec.to_dict()})
 
     mutated_adapted = spec.to_adapted(hyp.report.mutated)
     family = _family(f, spec, hyp, mutated_adapted)
-    fam_details = {
-        "delta0": family.delta0.to_dict(),
-        "delta_inf": family.delta_inf.to_dict(),
-        "delta00": family.delta00.to_dict(),
-        "delta01": family.delta01.to_dict(),
-        "tail": family.tail.to_dict(),
-        "admissibility": [v.to_dict() for v in family.admissibility],
-    }
-    checks.append(CheckResult("family", "pass", fam_details))
-
+    fam = family.to_dict()
     nf_mut = newton_polytope(mutated_adapted)
-    sigma_prime = nf_mut.cone
-    data["mutated"] = to_string(hyp.report.mutated)
-    data["sigma_rays"] = _rows(family.sigma.rays)
-    data["sigma_infinity_rays"] = _rows(family.sigma_inf.rays)
-    data["sigma_infinity_rays_grading_last"] = _rows(r[1:] + (r[0],) for r in family.sigma_inf.rays)
-    data["sigma_prime_rays"] = _rows(sigma_prime.rays)
-    cone_rays = {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}
-    record("mutation_cone_match", family.sigma_inf == sigma_prime, cone_rays)
+    data = {
+        "polynomial": fam["polynomial"],
+        "spec": fam["spec"],
+        "mutated": to_string(hyp.report.mutated),
+        "sigma_rays": fam["sigma"]["rays"],
+        "sigma_infinity_rays": fam["sigma_infinity"]["rays"],
+        "sigma_infinity_rays_grading_last": [r[1:] + r[:1] for r in fam["sigma_infinity"]["rays"]],
+        "sigma_prime_rays": nf_mut.cone.to_dict()["rays"],
+    }
 
     # Mutation keeps the origin interior (arXiv:1212.1785): for m != 0, the minimum of m on Delta(f')
     # is that of m - h(m)*u on Delta(f), h(m) the minimum of m on Newton(g), and m - h(m)*u != 0.
     # So sigma' slices at x_last = 0 (pointed, full-dimensional, rays on both sides) and Delta(f')* exists.
-    tail_prime = kernel_slice(sigma_prime)
-    tail_rays = {"tail_rays": _rows(family.tail.rays), "tail_prime_rays": _rows(tail_prime.rays)}
-    record("tailcone_preserved", tail_prime == family.tail, tail_rays)
-
-    # The far-fiber classification is recorded: its truth value is data, not a requirement.
-    fiber = {
-        "general_fiber_is_toric": general_fiber_is_toric(family.delta_inf),
-        "delta_inf_vertices": _rows(family.delta_inf.vertices),
-    }
-    checks.append(CheckResult("fiber_class", "pass", fiber))
-
+    tail_prime = kernel_slice(nf_mut.cone)
     counts_f = dual_ehrhart_counts(hyp.newton, kmax)
     counts_m = dual_ehrhart_counts(nf_mut, kmax)
-    record("dual_lattice_counts", counts_f == counts_m, {"input": counts_f, "mutated": counts_m})
-    passed = all(c.status == "pass" for c in checks)
-    return VerificationReport(passed, tuple(checks), data, family)
+    outcomes = (
+        (True, {key: fam[key] for key in ("delta0", "delta_inf", "delta00", "delta01", "tail", "admissibility")}),
+        (family.sigma_inf == nf_mut.cone, {key: data[key] for key in ("sigma_infinity_rays", "sigma_prime_rays")}),
+        (tail_prime == family.tail, {"tail_rays": fam["tail"]["rays"], "tail_prime_rays": tail_prime.to_dict()["rays"]}),
+        # The far-fiber classification is recorded: its truth value is data, not a requirement.
+        (True, {"general_fiber_is_toric": fam["general_fiber_is_toric"], "delta_inf_vertices": fam["delta_inf"]["vertices"]}),
+        (counts_f == counts_m, {"input": counts_f, "mutated": counts_m}),
+    )
+    checks = [CheckResult(name, "pass" if ok else "fail", details) for name, (ok, details) in zip(_CONSEQUENCES, outcomes)]
+    return VerificationReport((hypotheses, *checks), data, family)

@@ -207,14 +207,14 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     ``n/d`` needs a nonzero denominator, and a variable may repeat within a
     term (``x^2*x^-1`` is ``x``). Ranks up to three use x, y, z; general
     rank uses z1..zn, and the two styles do not mix. The rank is the highest
-    variable index used unless ``rank`` is given (ValueError above
-    ``MAX_RANK``). Raises :class:`ParseError` with a position on malformed
-    input, a numeral too long for ``int()`` or a ``z<n>`` past ``MAX_RANK``
-    among it; a character outside the grammar anywhere in the text,
-    parentheses included, is reported before any other error.
+    variable index used unless ``rank`` is given (ValueError below 0 or
+    above ``MAX_RANK``). Raises :class:`ParseError` with a position on
+    malformed input, a numeral too long for ``int()`` or a ``z<n>`` past
+    ``MAX_RANK`` among it; a character outside the grammar anywhere in the
+    text, parentheses included, is reported before any other error.
     """
-    if rank is not None and rank > MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the limit of {MAX_RANK}")
+    if rank is not None and not 0 <= rank <= MAX_RANK:
+        raise ValueError(f"rank {rank} is negative" if rank < 0 else f"rank {rank} exceeds the limit of {MAX_RANK}")
 
     def fail(message: str, at: Optional[int] = None) -> NoReturn:
         raise ParseError(message, _token_position(text, i if at is None else at))

@@ -830,6 +830,8 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
         witness = witness if witness is None else read(witness)
         kind = cert and cert["kind"]
         if kind == "lattice_polyhedron":
+            if type(cert["which"]) is not int or cert["which"] not in (0, 1):  # -1 and True index (p, q) too
+                raise ValueError("which names p or q as 0 or 1")
             lattice = (p, q)[cert["which"]]
         elif kind == "refinement":
             cells = []

@@ -119,12 +119,17 @@ def test_parse_error_exit_two(capsys):
         (("mutate", "--f", F3, "--u", "1_0,1", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--u", "0,+1", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--by", "1+x"), "a direction is required"),
+        # render without --family draws the mutated polytope only with its divisor, as mutate does.
+        (("render", "--f", F4, "--divide", "y", "-o", "r.svg"), "usage error: a divisor is required (--by)"),
+        (("render", "--f", F4, "--u", "0,1", "-o", "r.svg"), "usage error: a divisor is required (--by)"),
     ],
 )
-def test_usage_errors(capsys, argv, fragment):
+def test_usage_errors(capsys, monkeypatch, tmp_path, argv, fragment):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert fragment in err
+    assert not any(tmp_path.iterdir())  # no file written
 
 
 @pytest.mark.parametrize("u", ["2,0", "0,0", "-3,6"])
@@ -445,6 +450,25 @@ def test_family_verify_and_svg_bytes_pinned(capsys, monkeypatch, tmp_path, argv,
     assert code == 0
     data = (tmp_path / "out.svg").read_bytes() if "out.svg" in argv else out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, digest",
+    [
+        (
+            ("verify", "--f", "x + y", "--divide", "y", "--by", "1 + x"),
+            1,
+            "acafc4d59db8fffc7babe233f42972138f77be9668c7cd6a288fc45de9f5ed3b",
+        ),
+        (("verify", *F3_MUTATION, "--pretty"), 0, "931cbeab84a15ebb66ffc36e1af0f34dd0fc3b380a7fc3d87cfb863932f8099d"),
+    ],
+    ids=["skipped", "pretty"],
+)
+def test_verify_report_bytes_pinned(capsys, argv, expected_code, digest):
+    # The report with every consequence skipped after failed hypotheses, and the --pretty summary.
+    code, out, _ = run(capsys, *argv)
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_graph_depth_determinism(capsys):

@@ -362,6 +362,18 @@ def test_report_json_round_trip():
     assert again.data == rep.data
 
 
+def test_report_from_dict_refuses_a_passed_its_checks_contradict():
+    # passed is read off the checks, so a report cannot claim a pass its checks deny, nor the reverse.
+    failed = {"passed": False, "checks": [{"name": "hypotheses", "status": "fail", "details": {}}], "data": {}}
+    assert VerificationReport.from_dict(failed).passed is False
+    with pytest.raises(ValueError, match="passed"):
+        VerificationReport.from_dict({**failed, "passed": True})
+    honest = verify_main_theorem(parse("x^-1*y + 2*y + x*y + y^-1"), worked_spec()).to_dict()
+    assert VerificationReport.from_dict(honest).passed is True
+    with pytest.raises(ValueError, match="passed"):
+        VerificationReport.from_dict({**honest, "passed": False})
+
+
 def test_family_dict_shape():
     fam = worked_family()
     d = fam.to_dict()

@@ -109,6 +109,14 @@ def test_parse_bounds_the_rank():
         parse("x", rank=1001)
 
 
+@pytest.mark.parametrize("text", ["1", "x", "(x"])
+def test_parse_refuses_a_negative_rank_before_it_scans(text):
+    # A constant used to fail as "variable index exceeds rank -1 (at position 0)".
+    with pytest.raises(ValueError, match=r"^rank -1 is negative$") as info:
+        parse(text, rank=-1)
+    assert not isinstance(info.value, ParseError)
+
+
 def test_parse_rank_exceeded_reports_position():
     with pytest.raises(ParseError) as info:
         parse("x*y", rank=1)

@@ -378,6 +378,13 @@ def test_spec_from_dict_refuses_non_integral_entries():
         MutationSpec.from_dict({**data, "basis": basis})
 
 
+def test_spec_from_dict_refuses_rank_zero():
+    # The divisor has rank one less than the spec: rank 0 asks parse for rank -1, which it refuses before scanning.
+    data = MutationSpec.from_direction((0, 1), parse("1 + x", rank=2)).to_dict()
+    with pytest.raises(ValueError, match="rank -1 is negative"):
+        MutationSpec.from_dict({**data, "rank": 0})
+
+
 def test_spec_constructors_refuse_non_integers_instead_of_truncating():
     # int() would build the mutation along (0, 1) from (1/2, 1) and read a rank of 2.9 as 2.
     g = parse("1 + x", rank=2)

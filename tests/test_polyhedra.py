@@ -235,11 +235,13 @@ def forged_first_cell(**fields):
         forged_first_cell(vertex_pair=(["-1/2", "1"], ["1/2", "1"])),
         forged_first_cell(cell_rays=REFINED.certificate["cells"][1]["cell_rays"]),
         AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "made_up"}),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": -1}),
+        AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": True}),
     ],
     ids=["no_kind", "which_out_of_range", "which_a_string", "no_cells", "vertex_not_a_number",
          "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank",
          "cone_past_the_rank_limit", "pair_not_vertices", "pair_both_fractional", "cell_of_another_pair",
-         "unknown_kind"],
+         "unknown_kind", "which_negative", "which_a_bool"],
 )
 def test_readers_refuse_malformed_evidence(evidence):
     # Malformed evidence is refused: False from the admissibility checker, on
@@ -249,12 +251,19 @@ def test_readers_refuse_malformed_evidence(evidence):
     # Well-formed but false evidence is refused too: a pair that is not a
     # vertex pair, a pair with no lattice vertex, a cell on which the pair
     # does not attain both minima, and a certificate of no known kind.
+    # A lattice certificate is read on a pair whose second polytope is a
+    # lattice one, so only its index "which" can be at fault: -1 and True
+    # index the pair as 1 does, but "which" names p or q as 0 or 1.
     assert REFINED.certificate["kind"] == "refinement" and verify_admissibility(REFINED_P, REFINED_Q, REFINED)
+    lattice_pair = (REFINED_P, hull(V((-1, 1), (1, 1))))
+    genuine = AdmissibilityVerdict(STATUS_YES, "lattice", certificate={"kind": "lattice_polyhedron", "which": 1})
+    assert verify_admissibility(*lattice_pair, genuine)
     if isinstance(evidence, dict):
         with pytest.raises(ValueError):
             Cone.from_dict(evidence)
     else:
-        assert verify_admissibility(REFINED_P, REFINED_Q, evidence) is False
+        lattice = evidence.certificate and evidence.certificate.get("kind") == "lattice_polyhedron"
+        assert verify_admissibility(*(lattice_pair if lattice else (REFINED_P, REFINED_Q)), evidence) is False
 
 
 def test_cone_from_dict_refuses_non_integral_rays():
