@@ -225,8 +225,15 @@ class VerificationReport:
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        """Read a report back; a ``passed`` that its checks contradict is refused."""
+        """Read a report back, refusing (ValueError) what ``verify`` never emits: checks other than
+        the hypotheses and ``_CONSEQUENCES`` in order, the five other than passed or failed after
+        passed hypotheses or skipped after failed ones, and a ``passed`` the checks contradict."""
         checks = tuple(CheckResult(c["name"], c["status"], c["details"]) for c in d["checks"])
+        names, statuses = [c.name for c in checks], [c.status for c in checks]
+        if names != ["hypotheses", *_CONSEQUENCES]:
+            raise ValueError(f"the report checks {names}, not hypotheses then {', '.join(_CONSEQUENCES)}")
+        if not set(statuses[1:]) <= {"pass": {"pass", "fail"}, "fail": {"skipped"}}.get(statuses[0], set()):
+            raise ValueError(f"the report's statuses {statuses} are neither a pass then passes or fails nor a fail then skips")
         report = VerificationReport(checks, d["data"])
         if d["passed"] is not report.passed:
             raise ValueError(f"the report says passed is {d['passed']!r}, but its checks say {report.passed}")

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -53,11 +52,11 @@ from .exactlat import (
     unit_vector,
     vadd,
     vneg,
+    vscale,
+    vsub,
 )
 
 Halfspace = tuple[IntVec, Fraction]
-
-DEFAULT_WITNESS_BOUND = 10
 
 
 # -- double description kernel ----------------------------------------------
@@ -690,19 +689,17 @@ def convex_cycle(points: Sequence[Sequence]) -> list:
 
 STATUS_YES = "yes"
 STATUS_NO = "no"
-STATUS_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     """Outcome of the integral-minimum test for a pair of polyhedra.
 
-    ``status`` is one of "yes", "no", "unknown". A "no" caused by a
-    genuine counterexample functional carries it in ``witness``; a "no"
-    from unequal tailcones needs none. "yes" carries a machine-checkable
-    ``certificate``: either one polyhedron is a lattice polyhedron, or a
-    list of full-dimensional common-refinement cells of the two normal
-    fans, each with a vertex pair of which at least one is integral.
+    ``status`` is "yes" or "no". A "no" carries a counterexample
+    functional in ``witness``, unless the tailcones differ. "yes" carries a
+    machine-checkable ``certificate``: either one polyhedron is a lattice
+    polyhedron, or a list of full-dimensional common-refinement cells of the
+    two normal fans, each with a vertex pair of which at least one is integral.
     """
 
     status: str
@@ -719,17 +716,13 @@ class AdmissibilityVerdict:
         return out
 
 
-def _witness_candidates(rank: int, bound: int):
-    """Nonzero integer vectors with coordinates up to ``bound``, generated
-    lazily: by sup norm, then descending lexicographically."""
-    for s in range(1, bound + 1):
-        for v in product(range(s, -s - 1, -1), repeat=rank):
-            if s in v or -s in v:
-                yield v
+def _integral(v: QVec) -> bool:
+    return all(c.denominator == 1 for c in v)
 
 
-def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
-    """Full-dimensional cells of the common refinement of both normal fans.
+def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[tuple[QVec, QVec, list[IntVec]]]:
+    """Full-dimensional cells of the common refinement of both normal fans,
+    each as its vertex pair (v, w) and the normals that span it.
 
     Cell(v, w) = {u : u is minimized at v on p and at w on q}, intersected
     with the dual of the tailcone. The cells cover that dual cone. They are
@@ -743,29 +736,44 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[dict]:
         for w in q.vertices:
             x = vadd(v, w)
             if x in corners:
-                cells.append(
-                    {
-                        "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
-                        "cell_rays": [[str(c) for c in n] for n, offset in r.halfspaces if dot(n, x) == offset],
-                        "integral": (
-                            all(c.denominator == 1 for c in v),
-                            all(c.denominator == 1 for c in w),
-                        ),
-                    }
-                )
+                cells.append((v, w, [n for n, offset in r.halfspaces if dot(n, x) == offset]))
     return cells
 
 
-def is_admissible_pair(
-    p: Polyhedron, q: Polyhedron, witness_bound: int = DEFAULT_WITNESS_BOUND
-) -> AdmissibilityVerdict:
+def _cell_witness(p: Polyhedron, q: Polyhedron, v: QVec, w: QVec, normals: list[IntVec]) -> IntVec:
+    """A functional minimized at v on p and at w on q with both minima
+    fractional, in a cell whose vertices v and w are both fractional.
+
+    The walk starts at a unit vector x fractional on v, a unit vector y
+    fractional on w, or x + y, whichever is fractional on both, and adds the
+    primitive sum s of the spanning normals until it stops. s is interior to
+    the full-dimensional cell, so it is positive on each nonzero d of those
+    cutting the cell out by <u, d> >= 0 (the differences to v and w of the
+    other vertices, and the tail rays): the walk stays in the cell from step
+    max(0, ceil(-<start, d> / <s, d>)) on, and jumps there. Both values then
+    change by integers over every D steps with D*<s, v> and D*<s, w>
+    integral, so the walk stops. A zero sum makes the cell the whole space.
+    """
+    x = unit_vector(p.rank, next(i for i, c in enumerate(v) if c.denominator != 1))
+    y = unit_vector(p.rank, next(i for i, c in enumerate(w) if c.denominator != 1))
+    u = next(s for s in (x, y, vadd(x, y)) if dot(s, v).denominator != 1 and dot(s, w).denominator != 1)
+    total = [sum(c) for c in zip(*normals)]
+    step = primitive_vector(total) if any(total) else total
+    bounds = [vsub(z, v) for z in p.vertices] + [vsub(z, w) for z in q.vertices] + list(p.rays)
+    rates = [(dot(u, d), dot(step, d)) for d in bounds]
+    u = vadd(u, vscale(max([0] + [-(a // b) for a, b in rates if b]), step))
+    while dot(u, v).denominator == 1 or dot(u, w).denominator == 1:
+        u = vadd(u, step)
+    return u
+
+
+def is_admissible_pair(p: Polyhedron, q: Polyhedron) -> AdmissibilityVerdict:
     """Decide whether every integral functional bounded below on both
     polyhedra attains an integral minimum on at least one of them.
 
-    Tri-state: "yes" with a certificate, "no" with a witness (or with
-    unequal tailcones), or "unknown" when neither a certificate applies
-    nor the bounded witness scan finds a counterexample. The scan bound
-    defaults to 10 and can be raised with the keyword argument.
+    "yes" with a certificate, or "no": with no witness if the tailcones
+    differ, else with the least (sup norm, then tuple order) of the
+    witnesses :func:`_cell_witness` builds in the cells with no integral vertex.
     """
     if p.rank != q.rank:
         raise ValueError("rank mismatch in admissible pair test")
@@ -775,44 +783,29 @@ def is_admissible_pair(
         if is_lattice_polyhedron(lattice):
             certificate = {"kind": "lattice_polyhedron", "which": which}
             return AdmissibilityVerdict(STATUS_YES, f"{name} polyhedron has integral vertices", certificate=certificate)
-    # Complete, since a polyhedron never contains a line and so its tail
-    # is pointed: each full-dimensional cell picks one vertex from each
-    # polyhedron; its lattice points split into those with integral value
-    # at v and those with integral value at w, and a full-rank monoid is
-    # not covered by two proper subgroups, so some u in the cell has both
-    # values fractional unless v or w is integral. Conversely integrality
-    # of v or w settles all u in the cell at once.
+    # Complete, since a polyhedron never contains a line and so its tail is
+    # pointed: each full-dimensional cell picks one vertex from each, and an
+    # integral v or w settles all u in the cell at once.
     cells = _refinement_cells(p, q)
-    bad = [c for c in cells if not (c["integral"][0] or c["integral"][1])]
-    if not bad:
-        return AdmissibilityVerdict(
-            STATUS_YES,
-            "normal-fan refinement certificate: every full-dimensional cell "
-            "has an integral minimizing vertex",
-            certificate={"kind": "refinement", "cells": cells},
-        )
-    for u in _witness_candidates(p.rank, witness_bound):
-        mp = p.support_minimum(u)
-        if mp is None:
-            continue  # unbounded below on the shared tail
-        mq = q.support_minimum(u)
-        if mp.denominator != 1 and mq.denominator != 1:
-            return AdmissibilityVerdict(
-                STATUS_NO,
-                f"functional with fractional minima {mp} and {mq}",
-                witness=u,
-            )
-    # A clean refinement already returned "yes"; a bad cell means a
-    # witness exists, and the scan will see it once the bound is large
-    # enough. Report honestly rather than guess.
-    return AdmissibilityVerdict(
-        STATUS_UNKNOWN,
-        f"no certificate applies and no witness found with coordinates up to {witness_bound}",
-    )
+    witnesses = [_cell_witness(p, q, v, w, normals) for v, w, normals in cells if not (_integral(v) or _integral(w))]
+    if witnesses:
+        u = min(witnesses, key=lambda u: (max(map(abs, u)), u))
+        reason = f"functional with fractional minima {p.support_minimum(u)} and {q.support_minimum(u)}"
+        return AdmissibilityVerdict(STATUS_NO, reason, witness=u)
+    records = [
+        {"vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
+         "cell_rays": [[str(c) for c in n] for n in normals],
+         "integral": (_integral(v), _integral(w))}
+        for v, w, normals in cells
+    ]
+    reason = "normal-fan refinement certificate: every full-dimensional cell has an integral minimizing vertex"
+    return AdmissibilityVerdict(STATUS_YES, reason, certificate={"kind": "refinement", "cells": records})
 
 
 def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVerdict) -> bool:
-    """Independently re-check a verdict's evidence. Returns True if it holds.
+    """Independently re-check a verdict's evidence. Returns True if it holds,
+    and False for any verdict it cannot re-derive, a status other than
+    "yes" or "no" included.
 
     Evidence that cannot be read (a missing key, or a value of the wrong
     type or length) is refused, not raised on; only its reading is
@@ -852,8 +845,7 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
         if kind == "refinement":
             listed = set()
             for v, w, rays in cells:
-                integral = all(c.denominator == 1 for c in v) or all(c.denominator == 1 for c in w)
-                if not integral or v not in p.vertices or w not in q.vertices:
+                if not (_integral(v) or _integral(w)) or v not in p.vertices or w not in q.vertices:
                     return False
                 if any(p.support_minimum(r) != dot(r, v) or q.support_minimum(r) != dot(r, w) for r in rays):
                     return False
@@ -865,5 +857,4 @@ def verify_admissibility(p: Polyhedron, q: Polyhedron, verdict: AdmissibilityVer
             return all(
                 (v, w) in listed for v in p.vertices for w in q.vertices if vadd(v, w) in corners
             )
-        return False
-    return verdict.status == STATUS_UNKNOWN
+    return False

@@ -679,9 +679,9 @@ def dehomogenize_oracle():
 
 
 def pairwise_refinement_cells(p, q):
-    """Oracle for ``polyhedra._refinement_cells``: each vertex pair's cell
-    from its own kernel pass over the vertex differences and the rays,
-    kept when its generators have full rank."""
+    """Oracle for ``polyhedra._refinement_cells``: each vertex pair (v, w)
+    with the generators of its cell from its own kernel pass over the
+    vertex differences and the rays, kept when they have full rank."""
     rank = p.rank
     cells = []
     for v in p.vertices:
@@ -697,18 +697,8 @@ def pairwise_refinement_cells(p, q):
             cons.update(q.rays)
             ray_r, ray_l = extreme_rays(sorted(cons), rank)
             gens = ray_r + ray_l + [vneg(l) for l in ray_l]
-            if matrix_rank(gens) < rank:
-                continue
-            cells.append(
-                {
-                    "vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
-                    "cell_rays": [[str(c) for c in r] for r in gens],
-                    "integral": (
-                        all(c.denominator == 1 for c in v),
-                        all(c.denominator == 1 for c in w),
-                    ),
-                }
-            )
+            if matrix_rank(gens) >= rank:
+                cells.append((v, w, gens))
     return cells
 
 

@@ -318,6 +318,22 @@ def test_verify_worked_example(capsys):
     assert rays == {(-1, 1, 1), (0, 1, 1), (0, -1, 1), (1, -1, 1)}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--f", "x + y + z + x*z + x^-1*y^-1*z^-1", "--divide", "z", "--by", "1 + x", "--kmax", "6"),
+        ("--f", "z1 + z2 + z3 + z4 + z1*z4 + z1^-1*z2^-1*z3^-1*z4^-1", "--divide", "z4", "--by", "1 + z1", "--kmax", "6"),
+        F3_MUTATION + ("--kmax", "2000"),
+        ("--f", "x + y", "--divide", "y", "--by", "1 + x"),
+    ],
+    ids=["rank3", "rank4", "kmax2000", "failed_hypotheses"],
+)
+def test_readme_verify_payloads_read_back(capsys, argv):
+    code, payload, _ = run_json(capsys, "verify", *argv)
+    rep = VerificationReport.from_dict(payload)
+    assert (code, rep.to_dict()) == (0 if rep.passed else 1, {k: payload[k] for k in ("passed", "checks", "data")})
+
+
 def test_verify_failure_exit_one(capsys):
     code, payload, _ = run_json(capsys, "verify", "--f", "x + y", "--divide", "y", "--by", "1 + x")
     assert code == 1

@@ -364,7 +364,7 @@ def test_report_json_round_trip():
 
 def test_report_from_dict_refuses_a_passed_its_checks_contradict():
     # passed is read off the checks, so a report cannot claim a pass its checks deny, nor the reverse.
-    failed = {"passed": False, "checks": [{"name": "hypotheses", "status": "fail", "details": {}}], "data": {}}
+    failed = verify_main_theorem(parse("x + y"), worked_spec()).to_dict()
     assert VerificationReport.from_dict(failed).passed is False
     with pytest.raises(ValueError, match="passed"):
         VerificationReport.from_dict({**failed, "passed": True})
@@ -372,6 +372,36 @@ def test_report_from_dict_refuses_a_passed_its_checks_contradict():
     assert VerificationReport.from_dict(honest).passed is True
     with pytest.raises(ValueError, match="passed"):
         VerificationReport.from_dict({**honest, "passed": False})
+
+
+def forged_report(edit, f="x^-1*y + 2*y + x*y + y^-1"):
+    """A verify payload with its checks edited and ``passed`` read off them, as the reader reads it."""
+    checks = edit(verify_main_theorem(parse(f), worked_spec()).to_dict()["checks"])
+    return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks, "data": {}}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        forged_report(lambda c: []),
+        forged_report(lambda c: c[:1]),
+        forged_report(lambda c: [c[0], {**c[1], "name": "families"}] + c[2:]),
+        forged_report(lambda c: [c[0], c[2], c[1]] + c[3:]),
+        forged_report(lambda c: c[:-1]),
+        forged_report(lambda c: [{**c[0], "status": "ok"}] + c[1:]),
+        forged_report(lambda c: c[:-1] + [{**c[-1], "status": "ok"}]),
+        forged_report(lambda c: c[:-1] + [{**c[-1], "status": "skipped"}]),
+        forged_report(lambda c: c[:1], "x + y"),
+        forged_report(lambda c: c[:1] + [{**x, "status": "pass"} for x in c[1:]], "x + y"),
+    ],
+    ids=["empty", "hypotheses_only", "renamed", "reordered", "one_short", "hypotheses_ok", "counts_ok",
+         "skipped_after_passed_hypotheses", "failed_hypotheses_only", "passed_after_failed_hypotheses"],
+)
+def test_report_from_dict_refuses_what_verify_never_emits(report):
+    # verify emits the hypotheses and five consequences, in order: the five
+    # pass or fail after passed hypotheses, and are skipped after failed ones.
+    with pytest.raises(ValueError, match="the report"):
+        VerificationReport.from_dict(report)
 
 
 def test_family_dict_shape():

@@ -1,8 +1,8 @@
+import hashlib
 import random
 import re
 from dataclasses import astuple
 from fractions import Fraction
-from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -28,9 +28,7 @@ from laumut.polyhedra import (
     Cone,
     Polyhedron,
     STATUS_NO,
-    STATUS_UNKNOWN,
     STATUS_YES,
-    _witness_candidates,
     cone_over,
     contains_origin_interior,
     dual_cone,
@@ -1075,39 +1073,40 @@ def test_admissible_pair_refinement_certificate():
     )
 
 
-def test_admissible_pair_unknown_when_witnesses_exceed_bound():
+def test_admissible_pair_thin_cell_is_no_in_every_padded_rank():
     # The two fractional vertices sit on a shallow chain whose inner normal
-    # cones only contain functionals with a coordinate beyond 10, so the
-    # default scan sees integral minima everywhere and cannot decide.
+    # cones only contain functionals with a coordinate beyond 10, so a scan
+    # of the box up to 10 finds no witness (and runs about 500 s in rank 5).
+    # The walk builds one in the cell, with the pair padded by zero
+    # coordinates up to rank 6.
     F = Fraction
-    p = hull(
-        [
-            (F(0), F(0)),
-            (F(11, 2), F(-1, 2)),
-            (F(35, 2), F(-3, 2)),
-            (F(24), F(-2)),
-            (F(12), F(6)),
-        ]
-    )
-    q = hull([(F(1, 2), F(1, 2))])
+    chain = [(F(0), F(0)), (F(11, 2), F(-1, 2)), (F(35, 2), F(-3, 2)), (F(24), F(-2)), (F(12), F(6))]
+    for rank in range(2, 7):
+        pad = (F(0),) * (rank - 2)
+        p, q = hull([x + pad for x in chain]), hull([(F(1, 2), F(1, 2)) + pad])
+        v = is_admissible_pair(p, q)
+        assert (v.status, v.witness) == (STATUS_NO, (25, 276) + (0,) * (rank - 2))
+        assert v.reason == "functional with fractional minima -1/2 and 301/2"
+        assert verify_admissibility(p, q, v)
+
+
+def test_admissible_pair_needs_the_x_plus_y_start():
+    # e1 is integral on (0, 1/2) and e2 on (1/2, 0): only e1 + e2 is fractional on both.
+    p, q = hull([(Fraction(1, 2), Fraction(0))]), hull([(Fraction(0), Fraction(1, 2))])
     v = is_admissible_pair(p, q)
-    assert v.status == STATUS_UNKNOWN
+    assert (v.status, v.witness) == (STATUS_NO, (1, 1))
     assert verify_admissibility(p, q, v)
-    # raising the bound reaches the steep cone and settles the question
-    settled = is_admissible_pair(p, q, witness_bound=12)
-    assert settled.status == STATUS_NO and settled.witness == (1, 12)
-    assert verify_admissibility(p, q, settled)
 
 
 def test_admissible_pair_witness_scan_skips_functionals_unbounded_on_the_tail():
-    # Both polyhedra recede along (-1, 0), so the scan passes over (1, 1),
-    # (1, 0) and (1, -1), which are unbounded below on that ray, and finds
-    # the first functional bounded on both with two fractional minima.
+    # Both polyhedra recede along (-1, 0), so (1, 1), (1, 0) and (1, -1) are
+    # unbounded below on that ray; the start e1 is one of them, and the walk
+    # leaves it for a functional bounded on the tail with two fractional minima.
     F = Fraction
     p = hull([(F(1, 2), F(1, 2))], [(-1, 0)])
     q = hull([(F(1, 3), F(1, 3))], [(-1, 0)])
     v = is_admissible_pair(p, q)
-    assert v.status == STATUS_NO and v.witness == (0, 1)
+    assert v.status == STATUS_NO and dot(v.witness, (-1, 0)) >= 0
     assert verify_admissibility(p, q, v)
     forged = AdmissibilityVerdict(STATUS_NO, "forged", witness=(1, 1))
     assert not verify_admissibility(p, q, forged)
@@ -1138,31 +1137,78 @@ def test_refinement_cells_match_the_pairwise_oracle(monkeypatch, rank):
     # The cells are read off one hull of p + q; the oracle runs one kernel
     # pass per vertex pair. The pairs and their order agree, and so does
     # each cell as a cone. Where p + q is full-dimensional (its cone keeps
-    # an incidence) the ray lists agree byte for byte; where it is flat,
-    # a cell may list other generators of the same cone. The verdicts of
-    # both agree, witnesses included.
+    # an incidence) the normal lists agree; where it is flat, a cell may be
+    # spanned by other generators of the same cone, which give the walk
+    # another step. The verdicts of both agree, and so do their witnesses
+    # where p + q is full-dimensional.
     rng = random.Random(7400 + rank)
     pairs = [random_refinement_pair(rng, rank, ("bounded", "unbounded", "flat")[i % 3]) for i in range(60)]
     shapes, verdicts = set(), set()
     for p, q in pairs + ([(REFINED_P, REFINED_Q)] if rank == 2 else []):
         got, want = polyhedra._refinement_cells(p, q), pairwise_refinement_cells(p, q)
-        assert [(c["vertex_pair"], c["integral"]) for c in got] == [(c["vertex_pair"], c["integral"]) for c in want]
+        assert [(v, w) for v, w, _ in got] == [(v, w) for v, w, _ in want]
         for mine, theirs in zip(got, want):
-            cells = [Cone.from_generators(rank, [tuple(map(int, r)) for r in c["cell_rays"]]) for c in (mine, theirs)]
-            assert cells[0] == cells[1]
+            assert Cone.from_generators(rank, mine[2]) == Cone.from_generators(rank, theirs[2])
         full = minkowski_sum(p, q).cone.incidence is not None
         if full:
             assert got == want
         shapes.add((bool(p.rays), full))
-        verdict = is_admissible_pair(p, q, witness_bound=2)
+        verdict = is_admissible_pair(p, q)
         with monkeypatch.context() as patch:
             patch.setattr(polyhedra, "_refinement_cells", pairwise_refinement_cells)
-            old = is_admissible_pair(p, q, witness_bound=2)
-        assert (verdict.status, verdict.reason, verdict.witness) == (old.status, old.reason, old.witness)
+            old = is_admissible_pair(p, q)
+        assert verdict.status == old.status
+        if full:
+            assert (verdict.reason, verdict.witness) == (old.reason, old.witness)
         assert verify_admissibility(p, q, verdict)
         verdicts.add(verdict.status if verdict.certificate is None else verdict.certificate["kind"])
     assert shapes == {(False, True), (True, True), (False, False), (True, False)}
     assert verdicts >= {STATUS_NO, "lattice_polyhedron"} | ({"refinement"} if rank == 2 else set())
+
+
+# sha256 prefixes of the "y"/"n" status strings that an independent decision,
+# a scan of the functionals with coordinates up to 10, gives on each rank's
+# corpus below (81, 132, 142 and 146 "no" out of 150).
+SCAN_STATUSES = {2: "7de906ad4305c55e", 3: "7eb31b0a5e00fcee", 4: "304b1db78179374a", 5: "aff2522d0c77a25d"}
+# The largest coordinate of the witnesses the walks from their starts reach on
+# each corpus, and sha256 prefixes of the repr of the list of those witnesses.
+WALK_MAX = {2: 125, 3: 3534, 4: 13168, 5: 957857}
+WALK_WITNESSES = {2: "6ee9a5c31316e644", 3: "80f46ef6d7f650d8", 4: "b5dfd2d231a49eaa", 5: "c097cf2a8c34bc0b"}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_admissible_pair_decides_the_seeded_corpus(rank):
+    # Every verdict re-checks: a "yes" lists every refinement cell with an
+    # integral vertex, and a "no" witness has fractional minima on both, so
+    # it lies in the cell of its two minimizers, neither of them integral.
+    # The statuses are the scan's, and the witnesses those of the walk.
+    rng = random.Random(99 + rank)
+    statuses, witnesses = "", []
+    for i in range(150):
+        p, q = random_refinement_pair(rng, rank, ("bounded", "unbounded", "flat")[i % 3])
+        verdict = is_admissible_pair(p, q)
+        assert verify_admissibility(p, q, verdict)
+        statuses += verdict.status[0]
+        if verdict.status == STATUS_NO:
+            witnesses.append(verdict.witness)
+    assert hashlib.sha256(statuses.encode()).hexdigest()[:16] == SCAN_STATUSES[rank]
+    assert max(max(map(abs, u)) for u in witnesses) == WALK_MAX[rank]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == WALK_WITNESSES[rank]
+
+
+def test_verify_admissibility_refuses_an_unknown_verdict():
+    # No verdict but "yes" and "no" is re-derivable, so "unknown" is refused
+    # on every pair, among them a lattice pair and a pair with unequal tails.
+    unknown = AdmissibilityVerdict("unknown", "forged")
+    pairs = [
+        (hull(V((0, 0), (1, 0))), hull(V((0, 1)))),
+        (hull(V((0, 0)), [(1, 0)]), hull(V((0, 0)), [(0, 1)])),
+        (REFINED_P, REFINED_Q),
+        (hull([(Fraction(1, 2), Fraction(1, 2))]), hull([(Fraction(1, 3), Fraction(1, 3))])),
+    ]
+    for p, q in pairs:
+        assert verify_admissibility(p, q, is_admissible_pair(p, q))
+        assert verify_admissibility(p, q, unknown) is False
 
 
 def test_hull_rejects_line_spanning_rays():
@@ -1235,14 +1281,6 @@ def test_conversions_run_one_kernel_pass_per_dualization(monkeypatch, convert, p
     monkeypatch.setattr(polyhedra, "extreme_rays", counted)
     convert()
     assert len(calls) == passes
-
-
-@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
-def test_witness_candidates_keep_the_sorted_order(rank):
-    for bound in range(4):
-        box = [c for c in product(range(-bound, bound + 1), repeat=rank) if any(c)]
-        box.sort(key=lambda t: (max(abs(x) for x in t), tuple(-x for x in t)))
-        assert list(_witness_candidates(rank, bound)) == box
 
 
 SQUARE = hull(V((1, 0), (0, 1), (-1, 0), (0, -1)))
