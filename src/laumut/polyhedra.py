@@ -5,21 +5,18 @@ Every conversion runs through one double description kernel
 homogeneous form of cdd (points at height 1, rays at height 0 in a new
 first coordinate), canonicalized as a cone from generators; a cone given
 by normals is the dual of the cone they span, read with its two sides
-swapped. A conversion runs one kernel pass to the other side and then
-reads the irredundant members of its own input off their incidences with
-that side's output. The kernel pass hands those incidences over as the
-tight-constraint bitmasks it already keeps, so no dot product is taken
-again; only a cone with a line takes a second pass, and a pointed
-full-dimensional cone keeps them. No pass runs for the cone over a
-polytope, which is the polytope's own; for a dual cone, which swaps the
-two sides; for a polar dual, the dual of the polytope's cone; or for a
-slice of a pointed full-dimensional cone at a level of its last
-coordinate, which is read off the cone's incidence (at level 0 through
-one insertion step of the kernel). A pass can also continue the
-description of a pointed full-dimensional cone and insert only new
-generators. All arithmetic is exact (ints and
-Fractions), every public object is immutable, and generator/facet lists
-are sorted, so all output is deterministic.
+swapped. A conversion runs one kernel pass to the other side and reads
+the irredundant members of its own input off the tight-constraint
+bitmasks the pass keeps, with no dot product taken again; only a cone
+with a line takes a second pass, and a pointed full-dimensional cone
+keeps the masks. No pass runs for the cone over a polytope, which is the
+polytope's own; for a dual cone, which swaps the two sides; for a polar
+dual, the dual of the polytope's cone; or for a slice of a pointed
+full-dimensional cone at a level of its last coordinate, which is read
+off the cone's incidence (at level 0 through one insertion step of the
+kernel). A pass can also continue a pointed full-dimensional cone's
+description with new generators. Arithmetic is exact (ints and Fractions),
+objects are immutable and lists sorted, so all output is deterministic.
 
 Conventions: a halfspace is a pair ``(normal, offset)`` meaning
 ``<normal, x> >= offset`` with a primitive integer normal and a rational
@@ -90,11 +87,13 @@ def extreme_rays(
     rays, masks)``, the state after ``count`` earlier nonzero constraints,
     with irredundant rays and exact masks; ``constraints`` take the next bits.
 
-    Rays are primitive integer vectors; output is independent of input
-    order only up to representatives, so callers sort constraints first
-    when canonical output matters. If a list is passed as ``tight``, the
-    mask of every output ray is appended to it in the order of the sorted
-    rays: bit j set iff the j-th nonzero constraint vanishes on that ray.
+    Rays are primitive integer vectors. Only mask bits follow the input order
+    (:meth:`Cone.from_generators` inserts farthest-first): each lineality
+    vector is positive on one free coordinate, whose column depends on earlier
+    ones, and zero on the rest, and each ray is zero on all. If a list is
+    passed as ``tight``, the mask of every output ray is appended to it in the
+    order of the sorted rays: bit j set iff the j-th nonzero constraint
+    vanishes on that ray.
     """
     if rank > MAX_RANK + 1:  # the homogenization of rank MAX_RANK, before any vector is built
         raise ValueError(f"rank {rank} exceeds the limit of {MAX_RANK + 1}")
@@ -205,11 +204,13 @@ class Cone:
         """The cone spanned by ``generators``, and by the rays of ``start``
         if given, canonically presented.
 
-        One kernel pass turns the generators into facet normals. A pointed
-        cone's rays are then the generators that :func:`_irredundant` keeps,
-        read off the masks of that pass, which a full-dimensional one keeps
-        as its incidence; only a cone with a line runs a second pass,
-        normals to rays, for its lineality basis.
+        One kernel pass turns the generators into facet normals, inserting
+        them farthest-first (by squared norm, then tuple order) so that later
+        ones cut few rays; no field depends on that order (see
+        :func:`extreme_rays`). A pointed cone's rays are then the generators
+        that :func:`_irredundant` keeps, read off the masks of that pass,
+        which a full-dimensional one keeps as its incidence; only a cone with
+        a line runs a second pass, normals to rays, for its lineality basis.
 
         With ``start``, a pointed full-dimensional cone with its incidence,
         the pass starts from its facet normals, with the transposed incidence
@@ -226,13 +227,12 @@ class Cone:
             first = [lift + r for r in start.rays]
             masks = _transpose(start.incidence, len(start.facet_normals))
             description = (len(first), [unit_vector(rank, 0)] if lift else [], [lift + n for n in start.facet_normals], masks)
-        new = sorted({primitive_vector(tuple(g)) for g in generators if any(g)}.difference(first))
+        new = sorted({primitive_vector(tuple(g)) for g in generators if any(g)}.difference(first), key=lambda g: (-sum(map(mul, g, g)), g))
         tight: list[int] = []
         dual_r, dual_l = extreme_rays(new, rank, tight=tight, start=description)
-        gens = first + new
         normals = sorted(dual_r + dual_l + [vneg(l) for l in dual_l])
         # A ray's tight normals span a hyperplane; the +/- lineality ones span len(dual_l) dimensions.
-        picked = _irredundant(gens, tight, rank - 1 - len(dual_l))
+        picked = _irredundant(first + new, tight, rank - 1 - len(dual_l))
         if picked is not None:
             # With no lineality the normals are the pass's rays, in the order of its masks.
             pairs = sorted(zip(*picked))
@@ -730,13 +730,13 @@ def _refinement_cells(p: Polyhedron, q: Polyhedron) -> list[tuple[QVec, QVec, li
     at its vertices v + w, spanned by the normals of its halfspaces tight there.
     """
     r = minkowski_sum(p, q)
-    corners = set(r.vertices)
+    corners = {x: primitive_from_rational((1,) + x) for x in r.vertices}
     cells = []
     for v in p.vertices:
         for w in q.vertices:
             x = vadd(v, w)
             if x in corners:
-                cells.append((v, w, [n for n, offset in r.halfspaces if dot(n, x) == offset]))
+                cells.append((v, w, sorted(primitive_vector(n[1:]) for n in r.cone.facet_normals if sum(map(mul, n, corners[x])) == 0)))
     return cells
 
 

@@ -890,6 +890,93 @@ def test_extreme_rays_are_extreme(rank):
             assert matrix_rank(tight) == rank - len(lineality) - 1
 
 
+def kernel_conversion_records(rank, shapes):
+    """The stored fields of seeded conversions in ``rank``: hulls of point
+    sets of every codimension, cones with lineality of every dimension,
+    passes continuing a cone of this rank or one less, and
+    ``from_halfspaces`` inputs (an error's message where one is refused).
+    ``shapes`` collects the codimensions and lineality dimensions seen."""
+    rng = random.Random(3300 + rank)
+
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(rank))
+
+    records = []
+    for dim in range(rank + 1):
+        for _ in range(4):
+            base, span = vec(), [vec() for _ in range(dim)]
+            pts = []
+            for _ in range(rank + 4):
+                pt = base
+                for s in span:
+                    pt = vadd(pt, vscale(Fraction(rng.randint(-4, 4), rng.choice([1, 2])), s))
+                pts.append(pt)
+            p = hull(pts)
+            shapes.add(("codimension", rank - span_rank_dim(p)))
+            records.append((p.vertices, p.halfspaces, p.cone.facet_normals, p.cone.rays))
+    for dim in range(rank + 1):
+        for _ in range(4):
+            lines = [vec() for _ in range(dim)]
+            gens = lines + [vneg(v) for v in lines] + [vec() for _ in range(rng.randint(0, rank + 3))]
+            if rng.random() < 0.3:
+                gens = [g[:-1] + (0,) for g in gens]
+            cone = Cone.from_generators(rank, gens)
+            shapes.add(("lineality", sum(vneg(r) in cone.rays for r in cone.rays) // 2))
+            records.append((cone.rays, cone.facet_normals, cone.incidence))
+    for lift in ((), (0,)):
+        for _ in range(4):
+            start = Cone.from_generators(rank - len(lift), [vec()[len(lift):] for _ in range(rank + 3)])
+            if start.incidence is not None:
+                cone = Cone.from_generators(rank, [vec() for _ in range(rng.randint(1, rank + 3))], start)
+                shapes.add(("continued", len(lift)))
+                records.append((cone.rays, cone.facet_normals, cone.incidence))
+    for i in range(16):
+        box = [(vscale(s, unit_vector(rank, j)), Fraction(-5)) for j in range(rank) for s in (1, -1)] if i % 2 else []
+        halfspaces = box + [(vec(), Fraction(rng.randint(-6, 6), rng.choice([1, 2]))) for _ in range(rng.randint(1, rank + 4))]
+        try:
+            p = from_halfspaces(halfspaces, rank)
+        except ValueError as error:
+            records.append(str(error))
+        else:
+            records.append((p.vertices, p.rays, p.halfspaces))
+    return records
+
+
+# sha256 of the repr of the records of ranks 2 to 6, as the kernel gave them
+# when it inserted generators in tuple order.
+KERNEL_CONVERSIONS_SHA256 = "151cc19e764778993abb1ef4642407c447e65abe8297a1e8b51892992c8e3f8b"
+
+
+def test_conversions_do_not_depend_on_insertion_order():
+    # A pass's lineality basis is the one with a free coordinate each, and
+    # its rays vanish on those coordinates, so no insertion order shows.
+    shapes, records = set(), []
+    for rank in range(2, 7):
+        records.append(kernel_conversion_records(rank, shapes))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == KERNEL_CONVERSIONS_SHA256
+    assert {("codimension", d) for d in range(7)} | {("lineality", d) for d in range(7)} <= shapes
+    assert {("continued", 0), ("continued", 1)} <= shapes
+
+
+def test_farthest_first_insertion_creates_few_rays(monkeypatch):
+    # Outer points span most of the cone early, so later ones cut few of
+    # its rays: in tuple order this hull's pass creates 857 rays.
+    rng = random.Random(2012)
+    points = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(30)]
+    step, created = polyhedra._dd_step, 0
+
+    def counting(rays, masks, vals, bit, need):
+        nonlocal created
+        survivors = step(rays, masks, vals, bit, need)
+        created += len(survivors) - sum(val >= 0 for val in vals)
+        return survivors
+
+    monkeypatch.setattr(polyhedra, "_dd_step", counting)
+    p = hull(points)
+    assert (len(p.vertices), len(p.halfspaces)) == (29, 271)
+    assert created <= 600
+
+
 # -- polygon walks -----------------------------------------------------------------
 
 
