@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import index
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
@@ -167,28 +168,32 @@ def to_string(f: LaurentPolynomial) -> str:
     return " ".join(parts)
 
 
-# One token per match, its text in exactly one group: an integer, a name, an
-# operator, or any other non-space character (parentheses included), which
-# is an error. ASCII only, so no other script's digits or letters pass.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))", re.ASCII)
+# One token per match, its text in group 1: a coefficient such as 2/3
+# (numerator in group 2, denominator 3), a factor such as *x^-2 (star 4,
+# name 5, exponent sign 6 and digits 7), an operator that no coefficient or
+# factor absorbed (8), or any other non-space character (9), parentheses
+# included, which is an error. Whitespace may stand inside a coefficient or
+# factor wherever the grammar allows it between tokens. ASCII only, so no
+# other script's digits or letters pass.
+_TOKEN = re.compile(r"\s*((\d+)(?:\s*/\s*(\d+))?|(\*\s*)?([A-Za-z]\w*)(?:\s*\^\s*([-+]?)\s*(\d+))?|([-+*/^])|(\S))", re.ASCII)
 _ZN = re.compile(r"z(\d+)", re.ASCII)
-_XYZ_INDEX = {name: i for i, name in enumerate(_XYZ)}
+_XYZ_NAMES = {name: (i, "xyz") for i, name in enumerate(_XYZ)}  # name -> (index, style)
 
 
-def _token_position(text: str, index: int) -> int:
-    """Start of the index-th token of text, or len(text) past the last one."""
+def _token_position(text: str, index: int, group: int = 1) -> int:
+    """Start of that group of the index-th token of text, or len(text) past the last token."""
     for k, m in enumerate(_TOKEN.finditer(text)):
         if k == index:
-            return m.start(m.lastindex)
+            return m.start(group)
     return len(text)
 
 
-def _numeral(digits: str, text: str, index: int) -> int:
-    """``int(digits)`` for the index-th token of text, or ParseError there."""
+def _numeral(digits: str, text: str, index: int, group: int) -> int:
+    """``int(digits)`` for that group of the index-th token, or ParseError there."""
     try:
         return int(digits)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(f"a numeral of {len(digits)} digits is too long", _token_position(text, index)) from None
+        raise ParseError(f"a numeral of {len(digits)} digits is too long", _token_position(text, index, group)) from None
 
 
 def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
@@ -216,95 +221,85 @@ def parse(text: str, rank: Optional[int] = None) -> LaurentPolynomial:
     if rank is not None and not 0 <= rank <= MAX_RANK:
         raise ValueError(f"rank {rank} is negative" if rank < 0 else f"rank {rank} exceeds the limit of {MAX_RANK}")
 
-    def fail(message: str, at: Optional[int] = None) -> NoReturn:
-        raise ParseError(message, _token_position(text, i if at is None else at))
+    def fail(message: str, at: Optional[int] = None, group: int = 1) -> NoReturn:
+        raise ParseError(message, _token_position(text, i if at is None else at, group))
 
-    tokens = _TOKEN.findall(text)  # (integer, name, operator, stray), one of them nonempty
-    for i, (_, _, _, bad) in enumerate(tokens):
-        if bad:
+    tokens = _TOKEN.findall(text)  # (text, numerator, denominator, star, name, sign, exponent, operator, stray)
+    for i, token in enumerate(tokens):
+        if bad := token[8]:
             fail("parentheses are not part of the grammar" if bad in "()" else f"unexpected character {bad!r}")
     if not tokens:
         raise ParseError("empty polynomial", len(text))
     end = len(tokens)
-    tokens.append(("", "", "", ""))  # the sentinel that ends every read
+    tokens.append(("",) * 9)  # the sentinel that ends every read
     terms: list[tuple[dict[int, int], int | Fraction]] = []
+    names = dict(_XYZ_NAMES)  # each name's (index, style), read once
     style: Optional[str] = None
     top, top_at = -1, 0  # highest variable index and the token that first used it
     i = 0
     while True:
         sign = 1
-        while tokens[i][2] in ("+", "-"):
-            if tokens[i][2] == "-":
+        while tokens[i][7] in ("+", "-"):
+            if tokens[i][7] == "-":
                 sign = -sign
             i += 1
+        _, num, den, star, name, _, _, _, _ = tokens[i]
         coeff = sign
-        expect = "expected a variable"  # the error if no variable comes next; "" ends the term
-        if tokens[i][0]:
-            coeff *= _numeral(tokens[i][0], text, i)
+        if num:
+            coeff *= _numeral(num, text, i, 2)
+            if den:
+                if not (d := _numeral(den, text, i, 3)):
+                    fail("zero denominator", i, 3)
+                coeff = Fraction(coeff, d)
             i += 1
-            if tokens[i][2] == "/":
-                i += 1
-                if not tokens[i][0]:
-                    fail("expected a denominator")
-                den = _numeral(tokens[i][0], text, i)
-                if not den:
-                    fail("zero denominator")
-                coeff = Fraction(coeff, den)
-                i += 1
-            if tokens[i][2] == "*":
-                i += 1
-            else:
-                expect = ""
+            if tokens[i][7] == "/" and not den:  # a '/' that found no digits after it
+                fail("expected a denominator", i + 1)
+            if tokens[i][7] == "*":
+                fail("expected a variable", i + 1)
+            name = tokens[i][3] and tokens[i][4]  # only a factor after '*' goes on with the term
+        elif star or not name:
+            fail("expected a variable")
         exps: dict[int, int] = {}
-        while expect:
-            name = tokens[i][1]
-            if not name:
-                fail(expect)
-            idx = _XYZ_INDEX.get(name)
-            if idx is not None:
-                kind = "xyz"
-            else:
+        while name:
+            if name not in names:
                 m = _ZN.fullmatch(name)
                 if not m:
-                    fail(f"unknown variable {name!r}")
-                idx = _numeral(m[1], text, i) - 1
+                    fail(f"unknown variable {name!r}", i, 5)
+                idx = _numeral(m[1], text, i, 5) - 1
                 if idx < 0:
-                    fail("variable indices start at z1")
+                    fail("variable indices start at z1", i, 5)
                 if idx >= MAX_RANK:
-                    fail(f"variable indices end at z{MAX_RANK}")
-                kind = "zn"
+                    fail(f"variable indices end at z{MAX_RANK}", i, 5)
+                names[name] = idx, "zn"
+            idx, kind = names[name]
             if style is None:
                 style = kind
             elif style != kind:
-                fail("cannot mix x/y/z and z1..zn variable names")
+                fail("cannot mix x/y/z and z1..zn variable names", i, 5)
             if idx > top:
                 top, top_at = idx, i
-            i += 1
+            _, _, _, _, _, sign, digits, _, _ = tokens[i]
             power = 1
-            if tokens[i][2] == "^":
-                i += 1
-                sign = -1 if tokens[i][2] == "-" else 1
-                if tokens[i][2] in ("+", "-"):
-                    i += 1
-                if not tokens[i][0]:
-                    fail("expected an integer exponent")
-                power = sign * _numeral(tokens[i][0], text, i)
-                i += 1
+            if digits:
+                power = -_numeral(digits, text, i, 7) if sign == "-" else _numeral(digits, text, i, 7)
             exps[idx] = exps.get(idx, 0) + power
-            if tokens[i][2] == "*":
-                i += 1
-                expect = "expected a variable after '*'"
-            else:
-                expect = ""
+            i += 1
+            _, _, _, star, name, _, _, op, _ = tokens[i]
+            if op == "^" and not digits:
+                fail("expected an integer exponent", i + 2 if tokens[i + 1][7] in ("+", "-") else i + 1)
+            if op == "*":
+                fail("expected a variable after '*'", i + 1)
+            if not star:
+                name = ""
         terms.append((exps, coeff))
         if i == end:
             break
-        if tokens[i][2] not in ("+", "-"):
+        if tokens[i][7] not in ("+", "-"):
             fail("expected '+' or '-' between terms")
     if rank is None:
         rank = max(top + 1, 1)
     elif top >= rank:
-        fail(f"variable index exceeds rank {rank}", top_at)
+        fail(f"variable index exceeds rank {rank}", top_at, 5)
     zeros = [0] * rank
     return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
 
@@ -341,6 +336,14 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[Laurent
     the peel visits exactly the exponents of q. A candidate outside that
     finite box therefore proves non-divisibility, and the peel, whose
     candidates increase strictly, always stops. No hull is needed.
+
+    The peel runs on integers. It divides A = l*a, l the lcm of a's
+    denominators, by the primitive integer polynomial B = b/content(b).
+    By Gauss's lemma the product of two primitive polynomials is primitive
+    (times a monomial, for Laurent ones), so if A = Q*B with Q rational,
+    then Q = content(Q)*Q' with Q' primitive, content(Q) = content(A) is
+    an integer, and Q is integral. So a peeled coefficient that is not an
+    integer proves non-divisibility, and q = Q/(l*content(b)) at the end.
     """
     a._check(b)
     if b.is_zero():
@@ -352,23 +355,31 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> Optional[Laurent
         q = {tuple(x - y for x, y in zip(e, eb)): c / cb for e, c in a.terms}
         return LaurentPolynomial.from_terms(a.rank, q)
     box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(zip(*a.support()), zip(*b.support()))]
-    remainder = dict(a.terms)
-    quotient: dict[IntVec, Fraction] = {}
+    la = lcm(*(c.denominator for _, c in a.terms))
+    lb = lcm(*(c.denominator for _, c in b.terms))
+    g = gcd(*(c.numerator for _, c in b.terms))  # content(b) = g/lb, as each c is in lowest terms
+    primitive = [(e, c.numerator * (lb // c.denominator) // g) for e, c in b.terms]
+    cb = primitive[0][1]  # b.terms[0] is min(b.terms)
+    remainder = {e: c.numerator * (la // c.denominator) for e, c in a.terms}
+    quotient: dict[IntVec, int] = {}
     while remainder:
         er = min(remainder)
         eq = tuple(x - y for x, y in zip(er, eb))
         if not all(lo <= x <= hi for x, (lo, hi) in zip(eq, box)):
             return None
-        cq = remainder[er] / cb
+        cq, rest = divmod(remainder[er], cb)
+        if rest:
+            return None
         quotient[eq] = cq
-        for e, c in b.terms:
+        for e, c in primitive:
             key = tuple(x + y for x, y in zip(e, eq))
-            val = remainder.get(key, Fraction(0)) - cq * c
+            val = remainder.get(key, 0) - cq * c
             if val:
                 remainder[key] = val
             else:
                 remainder.pop(key, None)
-    return LaurentPolynomial.from_terms(a.rank, quotient)
+    scale = Fraction(lb, la * g)  # 1/(l*content(b))
+    return LaurentPolynomial(a.rank, tuple((e, c * scale) for e, c in quotient.items()))  # peeled in increasing order
 
 
 def act_unimodular(f: LaurentPolynomial, matrix: Sequence[Sequence[int]]) -> LaurentPolynomial:

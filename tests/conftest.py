@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 import pytest
 
 from laumut.exactlat import (
+    MAX_RANK,
     adapted_basis,
     content,
     dot,
@@ -25,12 +26,8 @@ from laumut.exactlat import (
 )
 from laumut.exactlat import primitive_from_rational
 from laumut.laurent import (
-    _TOKEN,
-    _XYZ_INDEX,
-    _ZN,
     LaurentPolynomial,
     ParseError,
-    _token_position,
     act_unimodular,
     divide_exact,
     newton_polytope,
@@ -636,6 +633,45 @@ def hull_bound_divide():
     return newton_hull_divide_exact
 
 
+def fraction_peel_divide_exact(a, b):
+    """Oracle for ``divide_exact``: the same box-bounded peel, over Fraction
+    coefficients, with no scaling to integers. A candidate exponent outside
+    the box min_i(a) - min_i(b) <= e_i <= max_i(a) - max_i(b) proves
+    non-divisibility."""
+    a._check(b)
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return a
+    eb, cb = min(b.terms)
+    if b.is_monomial():
+        q = {tuple(x - y for x, y in zip(e, eb)): c / cb for e, c in a.terms}
+        return LaurentPolynomial.from_terms(a.rank, q)
+    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(zip(*a.support()), zip(*b.support()))]
+    remainder = dict(a.terms)
+    quotient = {}
+    while remainder:
+        er = min(remainder)
+        eq = tuple(x - y for x, y in zip(er, eb))
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(eq, box)):
+            return None
+        cq = remainder[er] / cb
+        quotient[eq] = cq
+        for e, c in b.terms:
+            key = tuple(x + y for x, y in zip(e, eq))
+            val = remainder.get(key, Fraction(0)) - cq * c
+            if val:
+                remainder[key] = val
+            else:
+                remainder.pop(key, None)
+    return LaurentPolynomial.from_terms(a.rank, quotient)
+
+
+@pytest.fixture
+def divide_exact_oracle():
+    return fraction_peel_divide_exact
+
+
 def kernel_cone_over(p):
     """Oracle for ``cone_over``: the vertices lifted to height 1 in a new
     first coordinate, canonicalized by the double description kernel,
@@ -942,12 +978,27 @@ class _TokenError(Exception):
     """A parse failure: its message and the index of the token it is at."""
 
 
+# The rescanning oracle's own tokenizer, one token per integer, name,
+# operator or stray character, so it shares no regex with ``parse``.
+_RESCAN_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))", re.ASCII)
+_RESCAN_ZN = re.compile(r"z(\d+)", re.ASCII)
+_RESCAN_XYZ_INDEX = {"x": 0, "y": 1, "z": 2}
+
+
+def _rescan_token_position(text: str, index: int) -> int:
+    """Start of the index-th ``_RESCAN_TOKEN`` of text, or len(text) past the last one."""
+    for k, m in enumerate(_RESCAN_TOKEN.finditer(text)):
+        if k == index:
+            return m.start(m.lastindex)
+    return len(text)
+
+
 def rescan_parse(text, rank=None):
     """Oracle for ``parse``'s error paths: the same token walk, with every
     failure raised as a token index and turned into a ParseError at one
     place, which rescans the tokens and reports the first character
     outside the grammar instead, if there is one."""
-    tokens = _TOKEN.findall(text)
+    tokens = _RESCAN_TOKEN.findall(text)
     end = len(tokens)
     tokens.append(("", "", "", ""))
     terms: list[tuple[dict[int, int], int | Fraction]] = []
@@ -992,16 +1043,18 @@ def rescan_parse(text, rank=None):
                 raise _TokenError("expected a variable", i)
             exps: dict[int, int] = {}
             while name:
-                idx = _XYZ_INDEX.get(name)
+                idx = _RESCAN_XYZ_INDEX.get(name)
                 if idx is not None:
                     kind = "xyz"
                 else:
-                    m = _ZN.fullmatch(name)
+                    m = _RESCAN_ZN.fullmatch(name)
                     if not m:
                         raise _TokenError(f"unknown variable {name!r}", i)
                     idx = int(m[1]) - 1
                     if idx < 0:
                         raise _TokenError("variable indices start at z1", i)
+                    if idx >= MAX_RANK:
+                        raise _TokenError(f"variable indices end at z{MAX_RANK}", i)
                     kind = "zn"
                 if style is None:
                     style = kind
@@ -1051,7 +1104,7 @@ def rescan_parse(text, rank=None):
                     message = "parentheses are not part of the grammar"
                 i = k
                 break
-        raise ParseError(message, _token_position(text, i)) from None
+        raise ParseError(message, _rescan_token_position(text, i)) from None
     zeros = [0] * rank
     return LaurentPolynomial.from_terms(rank, [(tuple(map(exps.get, range(rank), zeros)), c) for exps, c in terms])
 

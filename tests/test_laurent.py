@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -256,6 +257,8 @@ def test_parse_matches_the_rescanning_parser(rescan_parse_oracle):
     # the first failure into a rescan of the tokens for one.
     rng = random.Random(2200)
     pieces = "x y z z1 z3 z0 w 1 0 12 / ^ - + * + - x ( ) . # \xa0 \u0663".split(" ") + [" ", "\t"]
+    # Fragments that start, end or split a coefficient or factor token.
+    pieces += ["^-", "^ +", " ^ ", "*x", "2/3", "/0", "x^2", "z3^-4", "z10", "007"]
     seen = set()
     for _ in range(4000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
@@ -266,7 +269,24 @@ def test_parse_matches_the_rescanning_parser(rescan_parse_oracle):
     assert seen >= {
         "accepted", "parentheses are not part of the grammar", "unexpected character", "expected a variable",
         "expected '+' or '-' between terms", "variable index exceeds rank 1", "empty polynomial",
+        "expected a variable after", "expected an integer exponent", "expected a denominator", "zero denominator",
     }, seen
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000, reason="int() reads 5,000 digits here"
+)
+@pytest.mark.parametrize(
+    "template, position", [("x^N + y", 2), ("1/N*x", 2), ("2 * x ^ - N", 10), ("z1 + zN", 5)],
+    ids=["exponent", "denominator", "spaced_exponent", "variable_index"],
+)
+def test_a_long_numeral_inside_a_token_is_reported_where_it_starts(template, position):
+    # The exponent, the denominator and the z index share a token with the
+    # variable or numerator before them; the error points at the numeral.
+    with pytest.raises(ParseError) as info:
+        parse(template.replace("N", "1" * 5000))
+    assert str(info.value) == f"a numeral of 5000 digits is too long (at position {position})"
+    assert info.value.position == position
 
 
 def test_newton_polytope_vertices():
@@ -322,6 +342,42 @@ def test_divide_exact_matches_the_newton_hull_bound(hull_bound_divide, rank):
         assert got == (q if i % 2 == 0 else None)
         refused += got is None
     assert refused == 80
+
+
+# Divisors whose smallest term has a coefficient other than +-1 and whose
+# content is not 1, so the integer peel must first make them primitive;
+# the last in each rank is a monomial.
+_NON_PRIMITIVE_DIVISORS = {
+    1: ["2 + 4*x", "6 - 4*x^-1 + 10*x^2", "3/2*x^-2"],
+    2: ["3*z1 - 6*z2", "1/2*z1^3*z2^-1 + z2", "-4*x*y^2"],
+    3: ["2/3*x + 4/3*y^-1 - 2*z", "6*x^-1 + 9*x*y*z^2", "5/7*x^-1*z"],
+    4: ["4*z1^-1 + 6*z2*z4 - 2*z3^2", "1/3*z1 + 2/9*z4^-2", "-2/5*z2^3*z3^-1"],
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_divide_exact_matches_the_fraction_peel(divide_exact_oracle, rank):
+    # Each exact product q*b comes with a copy that has one term added or
+    # changed, which no non-monomial b divides: b would divide a unit.
+    rng = random.Random(3400 + rank)
+    divisors = [parse(text, rank) for text in _NON_PRIMITIVE_DIVISORS[rank]]
+    refused = 0
+    for i in range(120):
+        b = divisors[i % len(divisors)]
+        q = LaurentPolynomial.from_terms(rank, {
+            tuple(rng.randint(-2, 2) for _ in range(rank)): Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([1, 2, 3, 4]))
+            for _ in range(rng.randint(1, 4))
+        })
+        a = q * b
+        assert divide_exact(a, b) == divide_exact_oracle(a, b) == q
+        e = tuple(rng.randint(-3, 3) for _ in range(rank))
+        perturbed = a + LaurentPolynomial.monomial(rank, e, Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3])))
+        got = divide_exact(perturbed, b)
+        assert got == divide_exact_oracle(perturbed, b)
+        assert (got is None) == (not b.is_monomial())
+        refused += got is None
+    assert refused == 80
+    assert divide_exact(parse("1 + x"), parse("2 + 2*x")) == LaurentPolynomial.constant(1, Fraction(1, 2))
 
 
 def test_act_unimodular_exponent_map():
