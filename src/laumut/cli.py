@@ -353,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainFailure as exc:
         _emit(exc.payload, args.pretty, [f"failed: {exc.payload.get('error', '')}"])
         return 1
-    except ValueError as exc:  # MutationError and FamilyError among them
+    except ValueError as exc:  # a library precondition, such as a polygon the command cannot take
         _emit({"error": str(exc)}, args.pretty, [f"failed: {exc}"])
         return 1
     _emit(payload, args.pretty, summary)

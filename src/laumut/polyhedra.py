@@ -79,9 +79,9 @@ def extreme_rays(
     nonzero constraint as tight, a new ray gets its parents' common mask
     plus the new bit, and a pair with fewer than ``rank - len(lineality) - 2``
     common bits is dropped unscanned. An insertion costs one dot product
-    per ray, plus, once the lineality basis is empty and some ray is cut
-    off, one mask test per (pair, ray) in :func:`_dd_step`, which
-    :func:`kernel_slice` runs on a cone's incidence.
+    per ray; once the lineality basis is used up, it is one :func:`_dd_step`
+    (which :func:`kernel_slice` runs too), plus a mask test per (pair, ray)
+    if some ray is cut off.
 
     A pass can continue a finished one: ``start`` is ``(count, lineality,
     rays, masks)``, the state after ``count`` earlier nonzero constraints,
@@ -118,11 +118,9 @@ def extreme_rays(
             lineality = [_combination(v0, l, lv, l0) if lv else l for l, lv in zip(lineality, lvals)]
             rays = [_combination(v0, r, val, l0) if val else r for r, val in zip(rays, vals)] + [l0]
             masks = [m | bit for m in masks] + [bit - 1]
-        elif min(vals, default=0) < 0:
+        else:
             survivors = _dd_step(rays, masks, vals, bit, rank - len(lineality) - 2)
             rays, masks = list(survivors), list(survivors.values())
-        else:
-            masks = [m | bit if val == 0 else m for m, val in zip(masks, vals)]
         bit <<= 1
     incidence = dict(zip(rays, masks))  # a mask is its ray's exact tight set
     rays = sorted(incidence)
@@ -143,9 +141,9 @@ def _dd_step(rays: Sequence[IntVec], masks: Sequence[int], vals: Sequence[int], 
     ``rays``, whose ``masks`` are their tight sets: the rays where it is
     nonnegative and the combination at 0 of each adjacent pair of opposite
     signs, with masks, where the rays at 0 and the new ones gain ``bit``.
-    Adjacency is the mask test of :func:`extreme_rays`, exact as long as
-    the rays are irredundant; pairs with fewer than ``need`` common bits
-    are not scanned.
+    A constraint that cuts no ray keeps every ray, in order. Adjacency is
+    the mask test of :func:`extreme_rays`, exact as long as the rays are
+    irredundant; pairs with fewer than ``need`` common bits are not scanned.
     """
     survivors: dict[IntVec, int] = {}
     pos, neg = [], []

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polyhedra import Cone, Polyhedron, convex_cycle, dual_cone
+from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
 
 SCALE = 32  # pixels per lattice unit
 MARGIN = 24
@@ -46,13 +46,12 @@ def _bbox(items: Sequence[tuple[str, Polyhedron]]) -> tuple[int, int, int, int]:
 
 
 def _clip(p: Polyhedron, box: tuple[int, int, int, int]) -> Polyhedron:
-    """p cut down to the box: an unbounded p's homogenized facet normals and the
-    box's, xmin*h <= x <= xmax*h and ymin*h <= y <= ymax*h on (h, x, y), dualized."""
+    """p cut down to the box: an unbounded p's halfspaces and the box's four, one
+    kernel pass. A bounded p lies inside the box already and is its own clip."""
     if not p.rays:
         return p
     xmin, xmax, ymin, ymax = box
-    facets = [(-xmin, 1, 0), (xmax, -1, 0), (-ymin, 0, 1), (ymax, 0, -1)]
-    return Polyhedron(dual_cone(Cone.from_generators(3, list(p.cone.facet_normals) + facets)))
+    return from_halfspaces([*p.halfspaces, ((1, 0), xmin), ((-1, 0), -xmax), ((0, 1), ymin), ((0, -1), -ymax)], 2)
 
 
 def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:

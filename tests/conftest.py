@@ -672,6 +672,22 @@ def divide_exact_oracle():
     return fraction_peel_divide_exact
 
 
+def homogenized_clip(p, box):
+    """Oracle for ``render._clip``: an unbounded p's homogenized facet
+    normals beside the box's, xmin*h <= x <= xmax*h and ymin*h <= y <= ymax*h
+    on (h, x, y), spanned as a cone and dualized."""
+    if not p.rays:
+        return p
+    xmin, xmax, ymin, ymax = box
+    facets = [(-xmin, 1, 0), (xmax, -1, 0), (-ymin, 0, 1), (ymax, 0, -1)]
+    return Polyhedron(dual_cone(Cone.from_generators(3, list(p.cone.facet_normals) + facets)))
+
+
+@pytest.fixture
+def clip_oracle():
+    return homogenized_clip
+
+
 def kernel_cone_over(p):
     """Oracle for ``cone_over``: the vertices lifted to height 1 in a new
     first coordinate, canonicalized by the double description kernel,

@@ -377,6 +377,9 @@ def test_divide_exact_matches_the_fraction_peel(divide_exact_oracle, rank):
         assert (got is None) == (not b.is_monomial())
         refused += got is None
     assert refused == 80
+    zero = LaurentPolynomial.zero(rank)
+    for b in divisors:  # monomial and not: the peel of an empty remainder is the zero quotient
+        assert divide_exact(zero, b) == divide_exact_oracle(zero, b) == zero
     assert divide_exact(parse("1 + x"), parse("2 + 2*x")) == LaurentPolynomial.constant(1, Fraction(1, 2))
 
 

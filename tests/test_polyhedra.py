@@ -663,7 +663,12 @@ def test_extreme_rays_match_recomputed_tight_sets(recompute_dd, rank):
     kinds = set()
     for _ in range(80):
         cons = random_constraints(rng, rank, kinds)
-        assert extreme_rays(cons, rank) == recompute_dd(cons, rank)
+        tight = []
+        rays, lineality = extreme_rays(cons, rank, tight=tight)
+        assert (rays, lineality) == recompute_dd(cons, rank)
+        # The masks the pass carried are the tight sets, recomputed by dot products.
+        nonzero = [a for a in cons if any(a)]
+        assert tight == [sum(1 << j for j, a in enumerate(nonzero) if not dot(a, r)) for r in rays]
     assert kinds == {"duplicate", "equation", "zero", "lineality"}
 
 

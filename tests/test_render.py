@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -8,7 +9,7 @@ from laumut.deformation import build_family
 from laumut.laurent import newton_polytope, parse
 from laumut.mutation import MutationSpec
 from laumut.polyhedra import hull
-from laumut.render import _fmt, render_svg
+from laumut.render import _bbox, _clip, _fmt, render_svg
 
 F = Fraction
 
@@ -58,6 +59,28 @@ def test_unbounded_clipped_without_marking_cut_vertices():
     # only the true vertex at the origin gets a dot
     assert svg.count("<circle") == 1
     assert "<path" in svg
+
+
+def test_clip_matches_the_homogenized_clip(clip_oracle):
+    # Seeded unbounded polyhedra: wedges and half-lines opening into every
+    # quadrant, from one apex (often fractional) or a few points.
+    rng = random.Random(35)
+    kinds = set()
+    for i in range(80):
+        sx, sy = ((1, 1), (-1, 1), (-1, -1), (1, -1))[i % 4]
+        rays = []
+        while len(rays) < 1 + i // 4 % 2:
+            a, b = rng.randint(0, 3), rng.randint(0, 3)
+            if a or b:
+                rays.append((sx * a, sy * b))
+        points = [(F(rng.randint(-6, 6), rng.randint(1, 3)), F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        p = hull(points, rays)
+        kinds.add((sx, sy, len(p.rays), any(c.denominator > 1 for v in p.vertices for c in v)))
+        box = _bbox([("p", p)])
+        got, want = _clip(p, box), clip_oracle(p, box)
+        assert (got.cone.rays, got.cone.facet_normals) == (want.cone.rays, want.cone.facet_normals)
+        assert got.rays == ()
+    assert len(kinds) == 16  # each quadrant: half-lines and wedges, with and without a fractional vertex
 
 
 def test_family_render_has_four_labels():
