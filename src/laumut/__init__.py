@@ -10,6 +10,7 @@ mutation graphs of polygons (:mod:`laumut.mutgraph`), SVG diagrams
 """
 
 from ._version import __version__
+from .exactlat import DomainError
 from .laurent import (
     LaurentPolynomial,
     ParseError,

@@ -7,7 +7,9 @@ form ``--u "0,1"``, plus ``--by`` for the divisor). Output is JSON on
 stdout; ``--pretty`` prepends a short human summary and indents.
 
 Exit codes: 0 success, 1 domain failure (reported as structured JSON on
-stdout), 2 usage or parse errors (message on stderr).
+stdout), 2 usage or parse errors (message on stderr). Exit 1 comes only
+from a failed verdict or a :class:`~laumut.exactlat.DomainError`; any
+other exception is a bug, and leaves a traceback with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import sys
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .deformation import FamilyData, FamilyError, build_family, check_hypotheses, verify_main_theorem
-from .exactlat import content, dot, unit_vector
+from .deformation import FamilyData, build_family, check_hypotheses, verify_main_theorem
+from .exactlat import DomainError, content, dot, unit_vector
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -39,14 +41,6 @@ class UsageError(ValueError):
     pass
 
 
-class DomainFailure(Exception):
-    """Carries the structured failure payload for exit code 1."""
-
-    def __init__(self, payload: dict):
-        super().__init__(payload.get("error", "domain failure"))
-        self.payload = payload
-
-
 def _read_file_polynomial(path: str) -> LaurentPolynomial:
     """The first polynomial of a file, past blank lines and ``#`` comments; a parse error names its line."""
     try:
@@ -63,6 +57,7 @@ def _read_file_polynomial(path: str) -> LaurentPolynomial:
                 return parse(body)
             except ParseError as exc:
                 exc.args = (f"line {number} of {path}: {exc}",)
+                exc.payload["error"] = exc.args[0]
                 raise
     raise UsageError(f"no polynomial found in {path}")
 
@@ -121,21 +116,8 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
 def _mutated_or_fail(f: LaurentPolynomial, spec: MutationSpec, context: dict) -> LaurentPolynomial:
     ok, report = is_mutation(f, spec)
     if not ok:
-        raise DomainFailure(
-            {
-                "error": "not a mutation: some positive-level slice is not divisible",
-                **context,
-                "report": report.to_dict(),
-            }
-        )
+        raise DomainError("not a mutation: some positive-level slice is not divisible", **context, report=report.to_dict())
     return report.mutated
-
-
-def _family_or_fail(f: LaurentPolynomial, spec: MutationSpec):
-    try:
-        return build_family(f, spec)
-    except FamilyError as exc:
-        raise DomainFailure({"error": str(exc), "failures": exc.failures})
 
 
 def _family_items(fd: FamilyData) -> list:
@@ -204,7 +186,7 @@ def _cmd_mutate(args):
 def _cmd_family(args):
     f = _load_polynomial(args, args.svg)
     spec = _mutation_spec(f, args)
-    fd = _family_or_fail(f, spec)
+    fd = build_family(f, spec)
     payload = fd.to_dict()
     _attach_svg(args, payload, lambda: _family_items(fd))
     summary = [
@@ -251,7 +233,7 @@ def _cmd_graph(args):
 def _cmd_render(args):
     f = _load_polynomial(args, args.output)
     if args.family:
-        fd = _family_or_fail(f, _mutation_spec(f, args))
+        fd = build_family(f, _mutation_spec(f, args))
         items = _family_items(fd)
     else:
         items = [("Delta(f)", newton_polytope(f))]
@@ -325,13 +307,15 @@ def _emit(payload: dict, pretty: bool, summary: list[str]) -> None:
         print(json.dumps(payload))
 
 
-def _join_covector(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--u -1,0`` as ``--u=-1,0``: argparse reads a lone value
-    that starts with a minus sign and is not a plain number as an option."""
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--u -1,0`` as ``--u=-1,0``, and likewise a ``--f`` or ``--by``
+    value that starts with a minus sign then a digit or x, y or z: argparse
+    reads a lone value that starts with a minus sign and is not a plain
+    number as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--u" and re.match(r"-\d", arg):
-            out[-1] = "--u=" + arg
+        if out and out[-1] in ("--f", "--by", "--u") and re.match(r"-[0-9xyz]", arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -339,7 +323,7 @@ def _join_covector(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(_join_covector(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -350,11 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainFailure as exc:
-        _emit(exc.payload, args.pretty, [f"failed: {exc.payload.get('error', '')}"])
-        return 1
-    except ValueError as exc:  # a library precondition, such as a polygon the command cannot take
-        _emit({"error": str(exc)}, args.pretty, [f"failed: {exc}"])
+    except DomainError as exc:
+        _emit(exc.payload, args.pretty, [f"failed: {exc}"])
         return 1
     _emit(payload, args.pretty, summary)
     return code

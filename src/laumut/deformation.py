@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlat import IntVec, unit_vector
+from .exactlat import DomainError, IntVec, unit_vector
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -50,15 +50,15 @@ from .polyhedra import (
 )
 
 
-class FamilyError(ValueError):
+class FamilyError(DomainError):
     """A hypothesis needed for the family construction fails.
 
     ``failures`` lists short machine-readable reasons.
     """
 
     def __init__(self, message: str, failures: Optional[list] = None):
-        super().__init__(message)
         self.failures = failures or []
+        super().__init__(message, failures=self.failures)
 
 
 def general_fiber_is_toric(delta_inf: Polyhedron) -> bool:

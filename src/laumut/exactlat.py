@@ -19,6 +19,16 @@ IntMat = tuple[tuple[int, ...], ...]
 MAX_RANK = 1000  # the longest exponent vector read from outside; a kernel pass starts from as many unit vectors
 
 
+class DomainError(ValueError):
+    """The input is outside the construction's domain: a failed hypothesis,
+    not a misused call. ``str()`` is the message and ``payload`` is
+    ``{"error": message, **fields}``, the JSON that the CLI exits 1 with."""
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.payload = {"error": message, **fields}
+
+
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")

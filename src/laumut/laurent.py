@@ -17,17 +17,17 @@ from math import gcd, lcm
 from operator import index
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
-from .exactlat import MAX_RANK, IntVec, inverse_unimodular, mat_vec
+from .exactlat import MAX_RANK, DomainError, IntVec, inverse_unimodular, mat_vec
 from . import polyhedra
 
 _XYZ = ("x", "y", "z")
 
 
-class ParseError(ValueError):
+class ParseError(DomainError):
     """Malformed polynomial text; ``position`` is a 0-based index into it."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(f"{message} (at position {position})", position=position)
         self.position = position
 
 
@@ -319,7 +319,7 @@ def newton_polytope(f: LaurentPolynomial) -> polyhedra.Polyhedron:
     incidence of that pass.
     """
     if f.is_zero():
-        raise ValueError("the zero polynomial has no Newton polytope")
+        raise DomainError("the zero polynomial has no Newton polytope")
     support = f.support()  # sorted, as every polynomial's terms are
     if f.rank == 2:
         support = polyhedra.convex_cycle(support)

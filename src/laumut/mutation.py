@@ -19,6 +19,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .exactlat import (
+    DomainError,
     IntMat,
     IntVec,
     adapted_basis,
@@ -35,11 +36,11 @@ from .laurent import LaurentPolynomial, divide_exact, parse, to_string
 from .polyhedra import Polyhedron, contains_origin_interior, is_lattice_polyhedron, lattice_cycle
 
 
-class MutationError(ValueError):
+class MutationError(DomainError):
     """A slice at a positive level is not divisible; ``level`` says which."""
 
     def __init__(self, level: int):
-        super().__init__(f"slice at level {level} is not divisible by the divisor power")
+        super().__init__(f"slice at level {level} is not divisible by the divisor power", level=level)
         self.level = level
 
 
@@ -182,13 +183,14 @@ class MutationCheck:
 def is_mutation(f: LaurentPolynomial, spec: MutationSpec) -> tuple[bool, MutationCheck]:
     """Divide every positive level of f once by its divisor power.
 
-    Never raises on a clean domain failure: the report carries the
-    failing levels, and the mutated polynomial when there are none.
+    A level that does not divide raises nothing: the report carries the
+    failing levels, and the mutated polynomial when there are none. The
+    zero polynomial raises DomainError.
     """
     if f.rank != spec.rank:
         raise ValueError("polynomial rank does not match the mutation spec")
     if f.is_zero():
-        raise ValueError("cannot mutate the zero polynomial")
+        raise DomainError("cannot mutate the zero polynomial")
     # Each level is an ordered run of f's sorted terms, so it is already
     # a polynomial in canonical form.
     u = spec.direction
@@ -260,17 +262,17 @@ def polygon_facets(p: Polyhedron) -> list[FacetInfo]:
 
 
 def validate_mutable_polygon(p: Polyhedron) -> None:
-    """Raise unless p is a lattice polygon with primitive vertices and
-    the origin in its interior (the setting where every facet carries a
-    standard mutation attempt)."""
+    """Raise DomainError unless p is a lattice polygon with primitive
+    vertices and the origin in its interior (the setting where every facet
+    carries a standard mutation attempt)."""
     if p.rank != 2:
-        raise ValueError("mutation graphs are defined for rank 2")
+        raise DomainError("mutation graphs are defined for rank 2")
     if not contains_origin_interior(p):
-        raise ValueError("polygon must contain the origin in its interior")
+        raise DomainError("polygon must contain the origin in its interior")
     if not is_lattice_polyhedron(p):
-        raise ValueError("polygon must be a lattice polygon")
+        raise DomainError("polygon must be a lattice polygon")
     if any(content(g[1:]) != 1 for g in p.cone.rays):  # each generator is (1, vertex) now
-        raise ValueError("polygon vertices must be primitive")
+        raise DomainError("polygon vertices must be primitive")
 
 
 def facet_mutation_spec(p: Polyhedron, facet_index: int) -> MutationSpec:

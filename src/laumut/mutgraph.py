@@ -100,7 +100,8 @@ def mutation_neighbors(f: LaurentPolynomial, p: Optional[Polyhedron] = None) -> 
 
     ``p`` is Delta(f) when the caller already has it; it is hulled from
     f otherwise. Divisibility failures are outcomes, not errors;
-    polygon-level precondition violations (origin, primitivity) do raise.
+    polygon-level precondition violations (origin, primitivity) raise
+    DomainError.
     """
     if p is None:
         p = newton_polytope(f)

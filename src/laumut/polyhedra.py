@@ -37,6 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlat import (
     MAX_RANK,
+    DomainError,
     IntVec,
     QVec,
     content,
@@ -641,18 +642,18 @@ def lattice_cycle(p: Polyhedron) -> list[IntVec]:
     lexicographically smallest one.
 
     A lattice polygon is a bounded, full-dimensional rank-2 polyhedron
-    with integral vertices; anything else raises ValueError. Its cone's
+    with integral vertices; anything else raises DomainError. Its cone's
     generators then all have height 1 and come sorted, so
     :func:`convex_cycle` orders them with the height dropped.
     """
     if p.rank != 2:
-        raise ValueError(f"a lattice polygon has rank 2, not {p.rank}")
+        raise DomainError(f"a lattice polygon has rank 2, not {p.rank}")
     if p.rays:
-        raise ValueError("a lattice polygon is bounded")
+        raise DomainError("a lattice polygon is bounded")
     if not is_lattice_polyhedron(p):
-        raise ValueError("a lattice polygon has integral vertices")
+        raise DomainError("a lattice polygon has integral vertices")
     if len(p.cone.rays) < 3:
-        raise ValueError("a lattice polygon is full-dimensional")
+        raise DomainError("a lattice polygon is full-dimensional")
     return convex_cycle([g[1:] for g in p.cone.rays])
 
 

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .exactlat import DomainError
 from .polyhedra import Polyhedron, convex_cycle, from_halfspaces
 
 SCALE = 32  # pixels per lattice unit
@@ -41,7 +42,7 @@ def _bbox(items: Sequence[tuple[str, Polyhedron]]) -> tuple[int, int, int, int]:
         box.append(math.ceil(max(coords)) + (3 if 1 in signs else 1))
     xmin, xmax, ymin, ymax = box
     if max(xmax - xmin, ymax - ymin) > MAX_SIDE:
-        raise ValueError(f"a drawing of {xmax - xmin} by {ymax - ymin} lattice units exceeds {MAX_SIDE} a side")
+        raise DomainError(f"a drawing of {xmax - xmin} by {ymax - ymin} lattice units exceeds {MAX_SIDE} a side")
     return xmin, xmax, ymin, ymax
 
 
@@ -55,7 +56,7 @@ def _clip(p: Polyhedron, box: tuple[int, int, int, int]) -> Polyhedron:
 
 
 def render_svg(items: Sequence[tuple[str, Polyhedron]]) -> str:
-    """Draw labeled polyhedra on one shared lattice grid, at most ``MAX_SIDE`` units a side (else ValueError).
+    """Draw labeled polyhedra on one shared lattice grid, at most ``MAX_SIDE`` units a side (else DomainError).
 
     items: (label, polyhedron) pairs, all of rank 2; labels are XML-escaped. Returns the SVG text.
     """

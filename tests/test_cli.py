@@ -8,8 +8,11 @@ import pytest
 from laumut import cli, exactlat, laurent, polyhedra
 from laumut.cli import main
 from laumut.deformation import VerificationReport
-from laumut.laurent import parse
-from laumut.mutation import MutationSpec
+from laumut.exactlat import DomainError
+from laumut.laurent import newton_polytope, parse
+from laumut.mutation import MutationSpec, is_mutation, polygon_facets
+from laumut.mutgraph import explore_graph
+from laumut.render import render_svg
 
 F3 = "x^-1*y + 2*y + x*y + y^-1"
 F4 = "x^-1 + x^-1*y + y + y^-1 + x*y^-1"
@@ -86,6 +89,30 @@ def test_mutate_negative_covector_space_separated(capsys):
     spaced = run(capsys, *argv, "--u", "-1,0")
     assert joined[0] == 0
     assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("newton", "--f", "-x+y+x^-1*y^-1"),
+        ("newton", "--f", "-z1+z2+z1^-1*z2^-1"),
+        ("facets", "--f", "-2*x+y+x^-1*y^-1"),
+        ("mutate", *F3_MUTATION[:-1], "-1-x"),
+        ("mutate", "--f", "-x^-1*y-2*y-x*y+y^-1", "--u", "-0,1", "--by", "-1-x"),
+    ],
+    ids=["f_variable", "f_indexed_variable", "f_digit", "by", "f_u_and_by"],
+)
+def test_a_value_with_a_leading_minus_may_follow_its_option(capsys, argv):
+    # argparse reads "-x+y" or "-1-x" after --f or --by as an unknown option.
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--f", "--u", "--by"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    expected = run(capsys, *joined)
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
 
 
 def test_mutate_not_divisible_is_domain_failure(capsys):
@@ -209,6 +236,9 @@ def test_a_drawing_past_the_size_limit_is_a_domain_failure(capsys, tmp_path, arg
     code, payload, _ = run_json(capsys, *[str(path) if a == "{out}" else a for a in argv])
     assert (code, payload) == (1, {"error": "a drawing of 1004 by 4 lattice units exceeds 1000 a side"})
     assert not path.exists()
+    with pytest.raises(DomainError) as info:
+        render_svg([("Delta(f)", newton_polytope(parse(argv[2])))])
+    assert info.value.payload == payload
 
 
 def test_both_f_and_file_rejected(capsys, tmp_path):
@@ -298,6 +328,42 @@ def test_file_errors_are_usage_errors(capsys, tmp_path, argv, message):
 def test_polygon_precondition_failures(capsys, argv, error):
     # The graph texts are also the reasons recorded for failed graph edges.
     assert run(capsys, *argv) == (1, json.dumps({"error": error}) + "\n", "")
+    f = parse(argv[-1])
+    with pytest.raises(DomainError) as info:
+        explore_graph(f, 1) if argv[0] == "graph" else polygon_facets(newton_polytope(f))
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("newton", "--f", "0"), "the zero polynomial has no Newton polytope"),
+        (("facets", "--f", "x - x"), "the zero polynomial has no Newton polytope"),
+        (("graph", "--depth", "1", "--f", "0"), "the zero polynomial has no Newton polytope"),
+        (("check", "--f", "x - x", "--divide", "x", "--by", "1"), "cannot mutate the zero polynomial"),
+        (("mutate", "--f", "x - x", "--divide", "x", "--by", "1"), "cannot mutate the zero polynomial"),
+    ],
+    ids=["newton", "facets", "graph", "check", "mutate"],
+)
+def test_the_zero_polynomial_is_a_domain_failure(capsys, argv, error):
+    assert run(capsys, *argv) == (1, json.dumps({"error": error}) + "\n", "")
+    zero = parse("x - x")
+    spec = MutationSpec.from_direction((1,), parse("1", rank=1))
+    with pytest.raises(DomainError, match=error):
+        is_mutation(zero, spec) if argv[0] in ("check", "mutate") else newton_polytope(zero)
+
+
+def test_an_internal_value_error_propagates_with_nothing_on_stdout(capsys, monkeypatch):
+    # Exit 1 is a verdict on the input; a ValueError that is not a
+    # DomainError is a bug, and must not print as one.
+    def broken(f, spec):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "is_mutation", broken)
+    with pytest.raises(ValueError, match="an internal fault") as info:
+        main(["mutate", *F3_MUTATION])
+    assert type(info.value) is ValueError
+    assert capsys.readouterr().out == ""
 
 
 def test_pretty_prints_summary_then_json(capsys):
