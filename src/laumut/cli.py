@@ -51,7 +51,7 @@ def _read_file_polynomial(path: str) -> LaurentPolynomial:
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {path}: not UTF-8 text")
     for number, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
+        body = line.split("#", 1)[0].rstrip()
         if body:
             try:
                 return parse(body)

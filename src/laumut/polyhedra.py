@@ -698,7 +698,7 @@ class AdmissibilityVerdict:
     functional in ``witness``, unless the tailcones differ. "yes" carries a
     machine-checkable ``certificate``: either one polyhedron is a lattice
     polyhedron, or a list of full-dimensional common-refinement cells of the
-    two normal fans, each with a vertex pair of which at least one is integral.
+    two normal fans, each as its ``vertex_pair`` (one integral) and ``cell_rays``.
     """
 
     status: str
@@ -793,8 +793,7 @@ def is_admissible_pair(p: Polyhedron, q: Polyhedron) -> AdmissibilityVerdict:
         return AdmissibilityVerdict(STATUS_NO, reason, witness=u)
     records = [
         {"vertex_pair": ([str(c) for c in v], [str(c) for c in w]),
-         "cell_rays": [[str(c) for c in n] for n in normals],
-         "integral": (_integral(v), _integral(w))}
+         "cell_rays": [[str(c) for c in n] for n in normals]}
         for v, w, normals in cells
     ]
     reason = "normal-fan refinement certificate: every full-dimensional cell has an integral minimizing vertex"

@@ -433,6 +433,35 @@ def per_level_powers():
     return per_level_power_is_mutation
 
 
+def classical_periods(f, kmax):
+    """Oracle for mutation on every coefficient: the classical period
+    pi_f(k), the constant term of f^k, for k = 0..kmax. It is invariant
+    under mutation (Akhtar-Coates-Galkin-Kasprzyk, arXiv:1212.1785).
+
+    Its own dict product builds f^j once for each j <= ceil(kmax/2); then
+    pi(k) pairs the coefficients of opposite exponents in f^a and f^(k-a),
+    a = ceil(k/2). No __mul__, __pow__ or divide_exact."""
+    base = [(e, c.numerator if c.denominator == 1 else c) for e, c in f.terms]
+    powers = [{(0,) * f.rank: 1}]
+    for _ in range((kmax + 1) // 2):
+        product = {}
+        for e, c in powers[-1].items():
+            for d, b in base:
+                x = tuple(i + j for i, j in zip(e, d))
+                product[x] = product.get(x, 0) + c * b
+        powers.append({e: c for e, c in product.items() if c})
+    periods = []
+    for k in range(kmax + 1):
+        low = powers[k // 2]
+        periods.append(sum(c * low.get(tuple(-i for i in e), 0) for e, c in powers[(k + 1) // 2].items()))
+    return tuple(periods)
+
+
+@pytest.fixture
+def period_oracle():
+    return classical_periods
+
+
 def adapted_basis_facet_spec(facet):
     """Oracle for ``mutation._facet_spec``: the adapted basis of the edge
     normal built and transposed here, with the divisor 1 + x written

@@ -285,6 +285,17 @@ def test_file_input_parses_only_the_first_polynomial(capsys, tmp_path):
     assert err == f"parse error: line 3 of {path}: expected '+' or '-' between terms (at position 1)\n"
 
 
+@pytest.mark.parametrize("line, position", [("   x + (y", 7), ("\t\t x^2 + (y  # note", 9)])
+def test_file_parse_error_counts_columns_from_the_start_of_the_line(capsys, tmp_path, line, position):
+    # Positions are 0-based columns of the line, indentation included, as
+    # leading blanks count in --f.
+    path = tmp_path / "polys.txt"
+    path.write_text(f"# comment\n{line}\n")
+    code, out, err = run(capsys, "newton", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 2 of {path}: parentheses are not part of the grammar (at position {position})\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

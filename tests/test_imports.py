@@ -1,11 +1,16 @@
-"""Every module uses each name it imports.
+"""Every module uses each name it imports, and a layer loads only the
+layers below it.
 
 Deleting code tends to leave its imports behind; this scan catches them.
-``laumut/__init__.py`` is skipped, since its imports are the package's
-public re-exports.
+``laumut/__init__.py`` is skipped: its two imports, ``__version__`` and
+``DomainError``, are the package's documented names, bound there for
+others to read, so nothing in it reads them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,20 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "from laumut.polyhedra import STATUS_YES, hull\nimport random\n\nhull([(0,)])\n"
     assert unused_imports(source) == ["STATUS_YES (line 1)", "random (line 2)"]
+
+
+def loaded_after(statement: str) -> set[str]:
+    """The laumut modules a fresh interpreter holds after ``statement``."""
+    probe = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'laumut'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    return set(run.stdout.split())
+
+
+def test_a_layer_loads_only_the_layers_below_it():
+    assert loaded_after("import laumut") == {"laumut", "laumut._version", "laumut.exactlat"}
+    above = {"laumut.mutation", "laumut.deformation", "laumut.mutgraph", "laumut.render", "laumut.cli"}
+    for layer in ("polyhedra", "laurent"):
+        assert not loaded_after(f"import laumut.{layer}") & above, layer
+    # The CLI imports every layer itself.
+    assert loaded_after("import laumut.cli") >= above

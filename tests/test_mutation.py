@@ -140,6 +140,21 @@ def test_spec_transports_by_the_inverse_of_its_basis(act_unimodular_oracle):
         spec.to_adapted(parse("x + y", rank=rank - 1))
 
 
+@pytest.mark.parametrize("rank, kmax", [(2, 6), (3, 6), (4, 4)])
+def test_mutation_keeps_the_classical_periods(period_oracle, rank, kmax):
+    # The period reads every coefficient, where the polytope invariants read
+    # only the support. Of the 20 pairs, 17, 7 and 1 in ranks 2, 3 and 4
+    # have a nonzero period past pi(0) = 1.
+    rng = random.Random(170 + rank)
+    nonzero = 0
+    for _ in range(20):
+        f, spec = random_mutable_pair(rng, rank)
+        periods = period_oracle(f, kmax)
+        assert period_oracle(apply_mutation(f, spec), kmax) == periods
+        nonzero += any(periods[1:])
+    assert nonzero > 0
+
+
 def test_is_mutation_failure_level():
     f = parse("x^-1*y + 2*y + x*y + y^-1")
     spec = MutationSpec.from_direction((0, 1), parse("1 + x^2", rank=2))

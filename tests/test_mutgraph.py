@@ -457,6 +457,16 @@ def test_dual_counts_constant_across_graph():
     assert len(vols) > 1
 
 
+def test_classical_periods_constant_across_graph(period_oracle):
+    # Unlike the dual counts, the period reads every coefficient of every
+    # node's representative; 100 terms bound the cost of f^4.
+    g = explore_graph(parse(FPRIME), 3)
+    assert len(g.nodes) == 14
+    assert max(len(n.representative.terms) for n in g.nodes.values()) <= 100
+    periods = {period_oracle(n.representative, 8) for n in g.nodes.values()}
+    assert periods == {(1, 0, 4, 6, 36, 120, 490, 2100, 8260)}
+
+
 def test_graph_dict_and_dot_shape():
     g = explore_graph(parse(FPRIME), 1)
     d = g.to_dict()

@@ -1273,9 +1273,11 @@ def test_admissible_pair_decides_the_seeded_corpus(rank):
     # Every verdict re-checks: a "yes" lists every refinement cell with an
     # integral vertex, and a "no" witness has fractional minima on both, so
     # it lies in the cell of its two minimizers, neither of them integral.
-    # The statuses are the scan's, and the witnesses those of the walk.
+    # The statuses are the scan's, and the witnesses those of the walk. A
+    # refinement cell holds only the fields the checker reads (6 and 2 such
+    # verdicts in ranks 2 and 3, none above).
     rng = random.Random(99 + rank)
-    statuses, witnesses = "", []
+    statuses, witnesses, cells = "", [], []
     for i in range(150):
         p, q = random_refinement_pair(rng, rank, ("bounded", "unbounded", "flat")[i % 3])
         verdict = is_admissible_pair(p, q)
@@ -1283,6 +1285,10 @@ def test_admissible_pair_decides_the_seeded_corpus(rank):
         statuses += verdict.status[0]
         if verdict.status == STATUS_NO:
             witnesses.append(verdict.witness)
+        elif verdict.certificate["kind"] == "refinement":
+            cells += verdict.certificate["cells"]
+    assert (len(cells) > 0) == (rank <= 3)
+    assert all(cell.keys() == {"vertex_pair", "cell_rays"} for cell in cells)
     assert hashlib.sha256(statuses.encode()).hexdigest()[:16] == SCAN_STATUSES[rank]
     assert max(max(map(abs, u)) for u in witnesses) == WALK_MAX[rank]
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == WALK_WITNESSES[rank]
