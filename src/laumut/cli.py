@@ -44,7 +44,7 @@ class UsageError(ValueError):
 def _read_file_polynomial(path: str) -> LaurentPolynomial:
     """The first polynomial of a file, past blank lines and ``#`` comments; a parse error names its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: skip a leading byte-order mark
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
@@ -113,13 +113,6 @@ def _mutation_spec(f: LaurentPolynomial, args) -> MutationSpec:
     return MutationSpec.from_direction(direction, divisor)
 
 
-def _mutated_or_fail(f: LaurentPolynomial, spec: MutationSpec, context: dict) -> LaurentPolynomial:
-    ok, report = is_mutation(f, spec)
-    if not ok:
-        raise DomainError("not a mutation: some positive-level slice is not divisible", **context, report=report.to_dict())
-    return report.mutated
-
-
 def _family_items(fd: FamilyData) -> list:
     """The four family slices to draw, labelled."""
     return [("Delta_0", fd.delta0), ("Delta_inf", fd.delta_inf), ("Delta_0^0", fd.delta00), ("Delta_0^1", fd.delta01)]
@@ -176,7 +169,10 @@ def _cmd_mutate(args):
     f = _load_polynomial(args, args.svg)
     spec = _mutation_spec(f, args)
     context = {"polynomial": to_string(f), "spec": spec.to_dict()}
-    g = _mutated_or_fail(f, spec, context)
+    ok, report = is_mutation(f, spec)
+    if not ok:
+        raise DomainError("not a mutation: some positive-level slice is not divisible", **context, report=report.to_dict())
+    g = report.mutated
     mutated = to_string(g)
     payload = {**context, "mutated": mutated, "support": [[str(c) for c in e] for e in g.support()]}
     _attach_svg(args, payload, lambda: [("Delta(f)", newton_polytope(f)), ("Delta(mutated)", newton_polytope(g))])
@@ -230,21 +226,6 @@ def _cmd_graph(args):
     return payload, 0, summary
 
 
-def _cmd_render(args):
-    f = _load_polynomial(args, args.output)
-    if args.family:
-        fd = build_family(f, _mutation_spec(f, args))
-        items = _family_items(fd)
-    else:
-        items = [("Delta(f)", newton_polytope(f))]
-        if any(a is not None for a in (args.divide, args.u, args.by)):  # a direction needs its divisor, as in mutate
-            g = _mutated_or_fail(f, _mutation_spec(f, args), {})
-            items.append(("Delta(mutated)", newton_polytope(g)))
-    _write_file(args.output, render_svg(items))
-    payload = {"path": args.output, "labels": [label for label, _ in items]}
-    return payload, 0, [f"wrote {args.output}"]
-
-
 # -- argument plumbing ----------------------------------------------------------
 
 
@@ -266,9 +247,6 @@ _SUBCOMMANDS = (
         (["--depth"], dict(type=int, required=True, help="breadth-first depth")),
         (["-o", "--output"], dict(help="also write the JSON graph to this path")),
         (["--dot"], dict(help="also write a DOT rendering to this path"))]),
-    ("render", "draw polytopes or family slices as SVG", _cmd_render, True, [
-        (["--family"], dict(action="store_true", help="draw the four family slices")),
-        (["-o", "--output"], dict(required=True, help="SVG output path"))]),
 )
 
 

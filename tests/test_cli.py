@@ -7,7 +7,7 @@ import pytest
 
 from laumut import cli, exactlat, laurent, polyhedra
 from laumut.cli import main
-from laumut.deformation import VerificationReport
+from laumut.deformation import VerificationReport, build_family
 from laumut.exactlat import DomainError
 from laumut.laurent import newton_polytope, parse
 from laumut.mutation import MutationSpec, is_mutation, polygon_facets
@@ -146,9 +146,9 @@ def test_parse_error_exit_two(capsys):
         (("mutate", "--f", F3, "--u", "1_0,1", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--u", "0,+1", "--by", "1+x"), "--u must be"),
         (("mutate", "--f", F3, "--by", "1+x"), "a direction is required"),
-        # render without --family draws the mutated polytope only with its divisor, as mutate does.
-        (("render", "--f", F4, "--divide", "y", "-o", "r.svg"), "usage error: a divisor is required (--by)"),
-        (("render", "--f", F4, "--u", "0,1", "-o", "r.svg"), "usage error: a divisor is required (--by)"),
+        # A direction without its divisor is refused before anything is drawn.
+        (("mutate", "--f", F4, "--divide", "y", "--svg", "r.svg"), "usage error: a divisor is required (--by)"),
+        (("mutate", "--f", F4, "--u", "0,1", "--svg", "r.svg"), "usage error: a divisor is required (--by)"),
     ],
 )
 def test_usage_errors(capsys, monkeypatch, tmp_path, argv, fragment):
@@ -228,8 +228,11 @@ def test_a_variable_index_past_the_rank_limit_is_a_parse_error(capsys, monkeypat
 
 @pytest.mark.parametrize(
     "argv",
-    [("newton", "--f", "x^1001 + y + x^-1*y^-1", "--svg", "{out}"), ("render", "--f", "x^1001 + y + x^-1*y^-1", "-o", "{out}")],
-    ids=["newton", "render"],
+    [
+        ("newton", "--f", "x^1001 + y + x^-1*y^-1", "--svg", "{out}"),
+        ("mutate", "--f", "x^1001 + y + x^-1*y^-1", "--divide", "y", "--by", "1", "--svg", "{out}"),
+    ],
+    ids=["newton", "mutate"],
 )
 def test_a_drawing_past_the_size_limit_is_a_domain_failure(capsys, tmp_path, argv):
     path = tmp_path / "big.svg"
@@ -296,6 +299,23 @@ def test_file_parse_error_counts_columns_from_the_start_of_the_line(capsys, tmp_
     assert err == f"parse error: line 2 of {path}: parentheses are not part of the grammar (at position {position})\n"
 
 
+def test_file_input_skips_a_byte_order_mark(capsys, tmp_path):
+    # UTF-8 with a leading mark (as Notepad saves it) reads as without it,
+    # before a comment line too, and with CRLF line ends; positions still
+    # count from the first character of the line.
+    path = tmp_path / "bom.txt"
+    path.write_text("x + y + x^-1*y^-1\n")
+    expected = run(capsys, "newton", "--file", str(path))
+    assert expected[0] == 0
+    for text in ("x + y + x^-1*y^-1\n", "# comment\r\nx + y + x^-1*y^-1\r\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run(capsys, "newton", "--file", str(path)) == expected
+    path.write_bytes(b"\xef\xbb\xbf(x + y\r\n")
+    code, out, err = run(capsys, "newton", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 1 of {path}: parentheses are not part of the grammar (at position 0)\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -305,9 +325,9 @@ def test_file_parse_error_counts_columns_from_the_start_of_the_line(capsys, tmp_
         (("newton", "--f", F3, "--svg", "{unwritable}"), "cannot "),
         (("graph", "--f", F4, "--depth", "1", "-o", "{unwritable}"), "cannot "),
         (("graph", "--f", F4, "--depth", "1", "--dot", "{unwritable}"), "cannot "),
-        (("render", "--f", F3, "-o", "{unwritable}"), "cannot "),
+        (("mutate", *F3_MUTATION, "--svg", "{unwritable}"), "cannot "),
     ],
-    ids=["missing file", "non-UTF-8 file", "comments only", "newton --svg", "graph -o", "graph --dot", "render -o"],
+    ids=["missing file", "non-UTF-8 file", "comments only", "newton --svg", "graph -o", "graph --dot", "mutate --svg"],
 )
 def test_file_errors_are_usage_errors(capsys, tmp_path, argv, message):
     paths = {
@@ -523,11 +543,11 @@ RANK4_FAMILY = ("--f", "z1 + z2 + z3 + z4 + z1*z4 + z1^-1*z2^-1*z3^-1*z4^-1", "-
         (("verify", *F3_MUTATION), "d9c9022c4198dff618936414cfa03c139bb82c8d6a55a06eacfaff460568c151"),
         (("verify", *RANK3_FAMILY, "--kmax", "6"), "1ce500ace46350b5490308852f9fef674cee5ec81110ec1fb4756086b22afec0"),
         (("verify", *RANK4_FAMILY, "--kmax", "6"), "3e1806fa0a5176046c5f3ec69480fb09876f602048f6fed48c02d9e36e7c6e52"),
-        (("render", *F3_MUTATION, "--family", "-o", "out.svg"), "a9e55a2138389a8ab4cd0c1909b0192b777882902d651585fc7ebef9ada1ce52"),
+        (("family", *F3_MUTATION, "--svg", "out.svg"), "a9e55a2138389a8ab4cd0c1909b0192b777882902d651585fc7ebef9ada1ce52"),
         (("newton", "--f", F4, "--svg", "out.svg"), "7118b1f09d98757b6b6469105231e8b9cf9d24d74af2eec792340850bf6d8a0e"),
         (("mutate", *F3_MUTATION, "--svg", "out.svg"), "a09d3f5e5094eb139883e88bb0133a0824396c54f6a1f442d60ad7767ba90293"),
         (
-            ("render", "--f", F4, "--divide", "y", "--by", "1 + x", "-o", "out.svg"),
+            ("mutate", "--f", F4, "--divide", "y", "--by", "1 + x", "--svg", "out.svg"),
             "a0c91803720736a64a9533e66f79687b58c6cdd3b8bbb7b0e063edc9427343c3",
         ),
     ],
@@ -571,30 +591,13 @@ def test_graph_depth_determinism(capsys):
     assert out1 == out2
 
 
-def test_render_requires_output(capsys):
-    code, _, err = run(capsys, "render", "--f", F3)
-    assert code == 2
-    assert "-o" in err or "output" in err
-
-
-def test_render_family(capsys, tmp_path):
-    out = tmp_path / "fam.svg"
-    code, payload, _ = run_json(
-        capsys, "render", "--f", F3, "--divide", "y", "--by", "1 + x", "--family", "-o", str(out)
-    )
-    assert code == 0
-    text = out.read_text()
-    for label in ("Delta_0", "Delta_inf", "Delta_0^0", "Delta_0^1"):
-        assert label in text
-
-
-def test_render_mutation_pair(capsys, tmp_path):
-    out = tmp_path / "pair.svg"
-    code, payload, _ = run_json(
-        capsys, "render", "--f", F3, "--divide", "y", "--by", "1 + x", "-o", str(out)
-    )
-    assert code == 0
-    assert out.exists()
+def test_render_is_not_a_subcommand(capsys, monkeypatch, tmp_path):
+    # --svg on newton, mutate, family and verify is the one drawing path.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "render", *F3_MUTATION, "--family", "-o", "r.svg")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'render'" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_version(capsys):
@@ -609,7 +612,7 @@ def subparsers() -> dict:
 
 # sha256 of each format_help() at 80 columns.
 HELP_DIGESTS = {
-    "laumut": "9cd28596abebd274563755b11d81ff29e012ebe53c1aabba4c6c34ffd20d3bfb",
+    "laumut": "af862b4bc388317654b44f691de1ad4f243a5d439434e1352d1423f7e7b3f729",
     "newton": "7cb65a924d481b6465a1408343a343d1ebb7f38172b1ec5674be1d98323ff6c4",
     "facets": "54869aafe64491c9b9f3dead65eb1f11b8b8038629fdc96df0ede9c9894718ec",
     "check": "6ded1d0907fe0763b92bb4ffee6c35ef97a85c76efa056e1f2a7da209a7730af",
@@ -617,7 +620,6 @@ HELP_DIGESTS = {
     "family": "fecdf9f9ce4e7a93d4494f4891e988e272b4b26442861920dde82cdbe2336980",
     "verify": "7af4d1d7277293b68c2d0a46ab2a03295ed933a1a99691b8399a6fb384d796fd",
     "graph": "f34cc57d7e0f6c96bc559c25a9bad95bd3677ea62b90b268842ae5e6a3455f35",
-    "render": "e4a63da39b4939589626364766b15686e169d2cb056f6e6048831fb4f1db8ae7",
 }
 
 
@@ -656,10 +658,6 @@ SUBCOMMAND_ACTIONS = {
         (["-o", "--output"], "output", None, None, False, "also write the JSON graph to this path"),
         (["--dot"], "dot", None, None, False, "also write a DOT rendering to this path"),
     ],
-    "render": INPUT_ACTIONS + MUTATION_ACTIONS + [
-        (["--family"], "family", False, None, False, "draw the four family slices"),
-        (["-o", "--output"], "output", None, None, True, "SVG output path"),
-    ],
 }
 
 
@@ -696,7 +694,7 @@ def count_calls(monkeypatch, fn) -> list:
         (("family", *F3_MUTATION), 1),
         (("verify", *F3_MUTATION), 1),
         (("verify", *F3_MUTATION, "--svg", "v.svg"), 1),
-        (("render", *F3_MUTATION, "-o", "r.svg"), 1),
+        (("mutate", *F3_MUTATION, "--svg", "m.svg"), 1),
         (("graph", "--f", F4, "--depth", "2"), 15),
     ],
 )
@@ -740,20 +738,22 @@ def test_verify_svg_builds_no_extra_newton_polytopes(capsys, monkeypatch, tmp_pa
 
 def test_verify_svg_draws_the_family_it_built(capsys, monkeypatch, tmp_path):
     # The drawing takes the slices the family construction made: no hull
-    # runs again, and the file is the one render --family writes.
+    # runs again, and the file is the one family --svg writes.
     calls = count_calls(monkeypatch, polyhedra.hull)
     assert run(capsys, "verify", *F3_MUTATION)[0] == 0
     plain = len(calls)
     assert run(capsys, "verify", *F3_MUTATION, "--svg", str(tmp_path / "v.svg"))[0] == 0
     assert len(calls) == 2 * plain
-    assert run(capsys, "render", *F3_MUTATION, "--family", "-o", str(tmp_path / "r.svg"))[0] == 0
-    assert (tmp_path / "v.svg").read_bytes() == (tmp_path / "r.svg").read_bytes()
+    assert run(capsys, "family", *F3_MUTATION, "--svg", str(tmp_path / "f.svg"))[0] == 0
+    assert (tmp_path / "v.svg").read_bytes() == (tmp_path / "f.svg").read_bytes()
 
 
 def test_family_svg_is_the_render_family_file(capsys, tmp_path):
+    # The file is render_svg's drawing of the four slices, in order, and nothing more.
     assert run(capsys, "family", *F3_MUTATION, "--svg", str(tmp_path / "f.svg"))[0] == 0
-    assert run(capsys, "render", *F3_MUTATION, "--family", "-o", str(tmp_path / "r.svg"))[0] == 0
-    assert (tmp_path / "f.svg").read_bytes() == (tmp_path / "r.svg").read_bytes()
+    fd = build_family(parse(F3), MutationSpec.from_direction((0, 1), parse("1 + x", rank=2)))
+    slices = [("Delta_0", fd.delta0), ("Delta_inf", fd.delta_inf), ("Delta_0^0", fd.delta00), ("Delta_0^1", fd.delta01)]
+    assert (tmp_path / "f.svg").read_text() == render_svg(slices)
 
 
 @pytest.mark.parametrize(
@@ -782,10 +782,8 @@ RANK3_MUTATION = ("--f", "x + y + z + x*z + x^-1*y^-1*z^-1", "--divide", "z", "-
         ("mutate", *RANK3_MUTATION, "--svg", "{out}"),
         ("family", *RANK3_MUTATION, "--svg", "{out}"),
         ("verify", *RANK3_MUTATION, "--svg", "{out}"),
-        ("render", *RANK3_MUTATION, "-o", "{out}"),
-        ("render", *RANK3_MUTATION, "--family", "-o", "{out}"),
     ],
-    ids=["newton", "newton_rank1", "mutate", "family", "verify", "render", "render_family"],
+    ids=["newton", "newton_rank1", "mutate", "family", "verify"],
 )
 def test_svg_of_a_polynomial_not_of_rank_2_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     # Refused once the polynomial is read, before any work and any file.
@@ -844,7 +842,7 @@ def test_verify_hulls_each_support_once(capsys, monkeypatch):
         ("family", *F3_MUTATION),
         ("verify", *F3_MUTATION),
         ("verify", *F3_MUTATION, "--svg", "v.svg"),
-        ("render", *F3_MUTATION, "-o", "r.svg"),
+        ("mutate", *F3_MUTATION, "--svg", "m.svg"),
     ],
 )
 def test_one_basis_inversion_per_spec(capsys, monkeypatch, tmp_path, argv):

@@ -155,6 +155,30 @@ def test_mutation_keeps_the_classical_periods(period_oracle, rank, kmax):
     assert nonzero > 0
 
 
+@pytest.mark.parametrize(
+    "f, direction, divisor, periods",
+    [
+        ("x^-1*y + 2*y + x*y + y^-1", (0, 1), "1 + x", (1, 0, 4, 0, 36, 0, 400, 0, 4900)),
+        ("x + y + z + x*z + x^-1*y^-1*z^-1", (0, 0, 1), "1 + x", (1, 0, 0, 6, 24, 0, 90, 1260, 2520)),
+        (
+            "z1 + z2 + z3 + z4 + z1*z4 + z1^-1*z2^-1*z3^-1*z4^-1",
+            (0, 0, 0, 1),
+            "1 + z1",
+            (1, 0, 0, 0, 24, 120, 0, 0, 2520),
+        ),
+        ("x^-1 + x^-1*y + y + y^-1 + x*y^-1", (0, 1), "1 + x", (1, 0, 4, 6, 36, 120, 490, 2100, 8260)),
+    ],
+    ids=["F3", "rank3", "rank4", "F4"],
+)
+def test_readme_mutations_keep_their_pinned_classical_periods(period_oracle, f, direction, divisor, periods):
+    # The README's mutation examples, with the origin inside: in rank 4
+    # too, the period reads coefficients past pi(0) = 1.
+    f = parse(f)
+    spec = MutationSpec.from_direction(direction, parse(divisor, rank=f.rank))
+    assert period_oracle(f, 8) == periods
+    assert period_oracle(apply_mutation(f, spec), 8) == periods
+
+
 def test_is_mutation_failure_level():
     f = parse("x^-1*y + 2*y + x*y + y^-1")
     spec = MutationSpec.from_direction((0, 1), parse("1 + x^2", rank=2))
