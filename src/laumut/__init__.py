@@ -7,11 +7,12 @@ The package is organized bottom-up: integer/rational linear algebra
 family construction and its verification (:mod:`laumut.deformation`),
 mutation graphs of polygons (:mod:`laumut.mutgraph`), SVG diagrams
 (:mod:`laumut.render`), and a CLI (:mod:`laumut.cli`). Import each name
-from its module: the package binds only ``__version__`` and
-``DomainError``, so importing one layer loads only the layers below it.
-Nothing here reads those two names; they are re-exported, which is why
-the tests' unused-import scan skips this file.
+from its module: the package binds only ``__version__`` (which
+``pyproject.toml`` and the CLI read) and ``DomainError``, so importing one
+layer loads only the layers below it. ``DomainError`` is re-exported, not
+read here, which is why the tests' unused-import scan skips this file.
 """
 
-from ._version import __version__
 from .exactlat import DomainError
+
+__version__ = "0.1.0"

@@ -21,7 +21,8 @@ import sys
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .deformation import FamilyData, build_family, check_hypotheses, verify_main_theorem
+from . import __version__
+from .deformation import DEFAULT_KMAX, FamilyData, build_family, check_hypotheses, verify_main_theorem
 from .exactlat import DomainError, content, dot, unit_vector
 from .laurent import (
     LaurentPolynomial,
@@ -34,7 +35,6 @@ from .laurent import (
 from .mutation import MutationSpec, is_mutation, polygon_facets
 from .mutgraph import explore_graph
 from .render import render_svg
-from ._version import __version__
 
 
 class UsageError(ValueError):
@@ -57,7 +57,6 @@ def _read_file_polynomial(path: str) -> LaurentPolynomial:
                 return parse(body)
             except ParseError as exc:
                 exc.args = (f"line {number} of {path}: {exc}",)
-                exc.payload["error"] = exc.args[0]
                 raise
     raise UsageError(f"no polynomial found in {path}")
 
@@ -241,7 +240,7 @@ _SUBCOMMANDS = (
     ("family", "build the flat family data for a mutation", _cmd_family, True, [
         (["--svg"], dict(help="draw the family slices to this SVG path"))]),
     ("verify", "verify the combinatorial consequences of a mutation", _cmd_verify, True, [
-        (["--kmax"], dict(type=int, default=6, help="dual lattice count horizon (default 6)")),
+        (["--kmax"], dict(type=int, default=DEFAULT_KMAX, help="dual lattice count horizon (default %(default)s)")),
         (["--svg"], dict(help="draw the family slices to this SVG path"))]),
     ("graph", "explore the mutation graph of the Newton polygon", _cmd_graph, False, [
         (["--depth"], dict(type=int, required=True, help="breadth-first depth")),

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlat import DomainError, IntVec, unit_vector
+from .exactlat import DomainError
 from .laurent import LaurentPolynomial, newton_polytope, to_string
 from .mutation import MutationCheck, MutationSpec, is_mutation
 from .polyhedra import (
@@ -74,8 +74,6 @@ class FamilyData:
     f: LaurentPolynomial
     spec: MutationSpec
     sigma: Cone  # over Delta(f) in the adapted frame, grading first
-    direction: IntVec  # divided-coordinate functional on the family space
-    grading: IntVec
     tail: Cone
     delta0: Polyhedron
     delta_inf: Polyhedron
@@ -85,12 +83,13 @@ class FamilyData:
     sigma_inf: Cone
 
     def to_dict(self) -> dict:
+        zeros = ["0"] * self.spec.rank  # the frame is fixed: grading first, divided coordinate last
         return {
             "polynomial": to_string(self.f),
             "spec": self.spec.to_dict(),
             "sigma": self.sigma.to_dict(),
-            "direction": [str(c) for c in self.direction],
-            "grading": [str(c) for c in self.grading],
+            "direction": zeros + ["1"],
+            "grading": ["1"] + zeros,
             "tail": self.tail.to_dict(),
             "delta0": self.delta0.to_dict(),
             "delta_inf": self.delta_inf.to_dict(),
@@ -147,8 +146,6 @@ def build_family(f: LaurentPolynomial, spec: MutationSpec) -> FamilyData:
 def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_adapted: LaurentPolynomial) -> FamilyData:
     n = spec.rank
     sigma = hyp.newton.cone
-    u = (0,) * n + (1,)
-    grading = unit_vector(n + 1, 0)
     tail = kernel_slice(sigma)
     delta0 = level_slice(sigma, tail, 1)
     delta_inf = level_slice(sigma, tail, -1)
@@ -181,8 +178,6 @@ def _family(f: LaurentPolynomial, spec: MutationSpec, hyp: Hypotheses, mutated_a
         f=f,
         spec=spec,
         sigma=sigma,
-        direction=u,
-        grading=grading,
         tail=tail,
         delta0=delta0,
         delta_inf=delta_inf,
@@ -242,9 +237,10 @@ class VerificationReport:
 
 # The consequences verify_main_theorem checks once the hypotheses hold, in report order.
 _CONSEQUENCES = ("family", "mutation_cone_match", "tailcone_preserved", "fiber_class", "dual_lattice_counts")
+DEFAULT_KMAX = 6  # the last dilate whose dual lattice points verify counts
 
 
-def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = 6) -> VerificationReport:
+def verify_main_theorem(f: LaurentPolynomial, spec: MutationSpec, kmax: int = DEFAULT_KMAX) -> VerificationReport:
     """Drive every combinatorial consequence of the construction.
 
     Checks, in order: the hypotheses; the family construction with its

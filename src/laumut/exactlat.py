@@ -22,11 +22,15 @@ MAX_RANK = 1000  # the longest exponent vector read from outside; a kernel pass 
 class DomainError(ValueError):
     """The input is outside the construction's domain: a failed hypothesis,
     not a misused call. ``str()`` is the message and ``payload`` is
-    ``{"error": message, **fields}``, the JSON that the CLI exits 1 with."""
+    ``{"error": str(self), **fields}``, the JSON that the CLI exits 1 with."""
 
     def __init__(self, message: str, **fields):
         super().__init__(message)
-        self.payload = {"error": message, **fields}
+        self.fields = fields
+
+    @property
+    def payload(self) -> dict:
+        return {"error": str(self), **self.fields}
 
 
 def dot(u: Sequence, v: Sequence):
@@ -69,8 +73,8 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
 
 
 def exact_fraction(c) -> Fraction:
-    """``Fraction(c)``, but a float raises TypeError instead of being read as its binary value."""
-    if isinstance(c, float):
+    """``Fraction(c)``, but a float (read as its binary value) or a bool (as 0 or 1) raises TypeError."""
+    if isinstance(c, (float, bool)):
         raise TypeError(f"exact number needed (int, Fraction or string), got {c!r}")
     return Fraction(c)
 
@@ -78,7 +82,7 @@ def exact_fraction(c) -> Fraction:
 def exact_int(c) -> int:
     """The integer that ``c`` (an int, a Fraction or a string such as "3"
     or "6/2") stands for; ValueError if it is not integral, instead of
-    truncating it as ``int`` would, and TypeError for a float."""
+    truncating it as ``int`` would, and TypeError for a float or a bool."""
     q = exact_fraction(c)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {c!r}")

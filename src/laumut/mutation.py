@@ -27,6 +27,7 @@ from .exactlat import (
     dot,
     exact_int,
     inverse_unimodular,
+    lex_positive,
     mat_vec,
     primitive_vector,
     transpose,
@@ -295,5 +296,5 @@ def _facet_spec(facet: FacetInfo) -> MutationSpec:
     """The standard mutation of one facet of a validated polygon: 1 + t
     for t the lex-positive one of the edge's two primitive directions."""
     u1, u2 = facet.direction
-    t = max((u2, -u1), (-u2, u1))
+    t = lex_positive((u2, -u1))
     return MutationSpec.from_direction(facet.direction, LaurentPolynomial.from_terms(2, {(0, 0): 1, t: 1}))

@@ -116,11 +116,11 @@ def mutation_neighbors(f: LaurentPolynomial, p: Optional[Polyhedron] = None) -> 
 
 @dataclass(frozen=True)
 class GraphNode:
-    key: str
     vertices: tuple[IntVec, ...]  # canonical cycle
     representative: LaurentPolynomial
     transform: IntMat  # maps Delta(representative) onto the canonical cycle
     depth: int
+    polygon: Polyhedron = field(compare=False, repr=False)  # Delta(representative)
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,12 @@ class MutationGraph:
     edges: list[GraphEdge] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
     merges: list[MergeRecord] = field(default_factory=list)
-    frontier: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """Nodes sorted by key, without their transforms; each edge, failure
         and merge record as its own fields in order, with string entries in
-        its vectors and matrices."""
+        its vectors and matrices; and the frontier, the keys of the nodes at
+        the last depth in discovery order."""
 
         def row(record, **shown) -> dict:
             return {**vars(record), **shown}
@@ -170,12 +170,12 @@ class MutationGraph:
             "depth": self.depth,
             "nodes": [
                 {
-                    "key": n.key,
+                    "key": key,
                     "vertices": [[str(c) for c in v] for v in n.vertices],
                     "representative": to_string(n.representative),
                     "depth": n.depth,
                 }
-                for n in sorted(self.nodes.values(), key=lambda n: n.key)
+                for key, n in sorted(self.nodes.items())
             ],
             "edges": [row(e, direction=[str(c) for c in e.direction]) for e in self.edges],
             "failures": [
@@ -183,14 +183,14 @@ class MutationGraph:
                 for r in self.failures
             ],
             "merges": [row(m, certificate=[[str(c) for c in v] for v in m.certificate]) for m in self.merges],
-            "frontier": list(self.frontier),
+            "frontier": [key for key, n in self.nodes.items() if n.depth == self.depth],
         }
 
     def to_dot(self) -> str:
         lines = ["digraph mutations {", "  node [shape=box];"]
-        for n in sorted(self.nodes.values(), key=lambda n: n.key):
+        for key, n in sorted(self.nodes.items()):
             label = " ".join(f"({x},{y})" for x, y in n.vertices)
-            lines.append(f'  "{n.key}" [label="{label}"];')
+            lines.append(f'  "{key}" [label="{label}"];')
         for e in self.edges:
             lines.append(f'  "{e.source}" -> "{e.target}" [label="facet {e.facet_index}"];')
         lines.append("}")
@@ -210,22 +210,21 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
     p0 = newton_polytope(f)
     validate_mutable_polygon(p0)
     graph = MutationGraph(depth)
-    polygons: dict[str, Polyhedron] = {}  # Delta(representative) of every node
 
     def arrive(g: LaurentPolynomial, q: Polyhedron, level: int) -> tuple[str, Optional[IntMat]]:
         form, qmap = canonical_form(q)
         key = form.key()
         if key in graph.nodes:
-            return key, certificate_between(q, qmap, polygons[key], graph.nodes[key].transform)
-        graph.nodes[key] = GraphNode(key, form.vertices, g, qmap, level)
-        polygons[key] = q
+            node = graph.nodes[key]
+            return key, certificate_between(q, qmap, node.polygon, node.transform)
+        graph.nodes[key] = GraphNode(form.vertices, g, qmap, level, q)
         return key, None
 
     arrive(f, p0, 0)
     for level in range(depth):
         for key in [k for k, n in graph.nodes.items() if n.depth == level]:
             node = graph.nodes[key]
-            for res in mutation_neighbors(node.representative, polygons[key]):
+            for res in mutation_neighbors(node.representative, node.polygon):
                 if not res.succeeded:
                     reason = "slice not divisible by the divisor power"
                     graph.failures.append(FailureRecord(key, res.facet.index, res.facet.direction, reason, res.failing_levels))
@@ -242,5 +241,4 @@ def explore_graph(f: LaurentPolynomial, depth: int) -> MutationGraph:
                         to_string(res.spec.divisor_in_ambient()),
                     )
                 )
-    graph.frontier = [k for k, n in graph.nodes.items() if n.depth == depth]
     return graph

@@ -652,7 +652,7 @@ SUBCOMMAND_ACTIONS = {
     + [(["--svg"], "svg", None, None, False, "draw input and output polytopes to this SVG path")],
     "family": INPUT_ACTIONS + MUTATION_ACTIONS + [FAMILY_SVG_ACTION],
     "verify": INPUT_ACTIONS + MUTATION_ACTIONS
-    + [(["--kmax"], "kmax", 6, int, False, "dual lattice count horizon (default 6)"), FAMILY_SVG_ACTION],
+    + [(["--kmax"], "kmax", 6, int, False, "dual lattice count horizon (default %(default)s)"), FAMILY_SVG_ACTION],
     "graph": INPUT_ACTIONS + [
         (["--depth"], "depth", None, int, True, "breadth-first depth"),
         (["-o", "--output"], "output", None, None, False, "also write the JSON graph to this path"),

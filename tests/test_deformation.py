@@ -71,8 +71,8 @@ def test_build_family_worked_example():
     ]
     assert [v.status for v in fam.admissibility] == ["yes", "yes"]
     assert general_fiber_is_toric(fam.delta_inf)
-    assert fam.direction == (0, 0, 1)
-    assert fam.grading == (1, 0, 0)
+    assert fam.to_dict()["direction"] == ["0", "0", "1"]
+    assert fam.to_dict()["grading"] == ["1", "0", "0"]
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from laumut.exactlat import (
     inverse_unimodular,
     mat_vec,
     transpose,
+    unit_vector,
 )
 from laumut.laurent import (
     LaurentPolynomial,
@@ -217,8 +218,9 @@ def test_family_slices_match_cone_level_slice(level_slice_oracle):
     # Delta(f); the oracle cuts them out of sigma's facets instead.
     for f, spec in seeded_family_cases():
         fam = build_family(f, spec)
-        assert views(fam.delta0) == views(level_slice_oracle(fam.sigma, fam.direction, 1))
-        assert views(fam.delta_inf) == views(level_slice_oracle(fam.sigma, fam.direction, -1))
+        divided = unit_vector(spec.rank + 1, spec.rank)  # the family frame's last coordinate
+        assert views(fam.delta0) == views(level_slice_oracle(fam.sigma, divided, 1))
+        assert views(fam.delta_inf) == views(level_slice_oracle(fam.sigma, divided, -1))
         assert recession_cone(fam.delta0) == fam.tail and recession_cone(fam.delta_inf) == fam.tail
 
 
@@ -441,6 +443,13 @@ def test_spec_constructors_refuse_non_integers_instead_of_truncating():
         MutationSpec.from_dict({**data, "rank": "29/10"})
     with pytest.raises(TypeError):
         MutationSpec.from_dict({**data, "rank": 2.9})
+    # Bools are refused like floats, not read as 0 and 1.
+    with pytest.raises(TypeError):
+        MutationSpec.from_direction((False, True), g)
+    with pytest.raises(TypeError):
+        MutationSpec.from_adapted((0, 1), ((True, 0), (0, 1)), parse("1 + x"))
+    with pytest.raises(TypeError):
+        MutationSpec.from_dict({**data, "direction": [False, True]})
     # Ints, integral Fractions and integral strings still pass.
     spec = MutationSpec.from_direction(("0", Fraction(2, 2)), g)
     assert spec == MutationSpec.from_direction((0, 1), g)

@@ -422,6 +422,25 @@ def test_facet_mutations_keep_fano_polygons_fano(seed):
     assert fano > 2500 and defined > 4000
 
 
+@pytest.mark.parametrize("text,predicted", [(WORKED_POLYGONS[1], 62), (WORKED_POLYGONS[3], 41), (WORKED_POLYGONS[4], 14)],
+                         ids=["F4", "hexagon", "P1xP1"])
+def test_graph_edges_match_the_combinatorial_mutation(text, predicted):
+    # Every edge whose combinatorial mutation the oracle defines is a
+    # polynomial mutation that succeeds, onto the predicted polygon. Not the
+    # converse: the oracle asks a lattice-point slice at level k for k + 1
+    # points, stricter than the polytope rule, and leaves 2 successful edges
+    # of F4 and 3 of P1xP1 without a prediction.
+    seen = 0
+    for node in explore_graph(parse(text), 3).nodes.values():
+        p = newton_polytope(node.representative)
+        outcomes = mutation_neighbors(node.representative, p)
+        for res, mutated in zip(outcomes, _edge_mutations(lattice_cycle(p)), strict=True):
+            if mutated is not None:
+                seen += 1
+                assert res.succeeded and lattice_cycle(newton_polytope(res.mutated)) == mutated, (node.vertices, res.facet)
+    assert seen == predicted
+
+
 @pytest.mark.parametrize("text", WORKED_POLYGONS)
 def test_every_graph_node_polygon_is_mutable(text):
     # explore_graph validates only the start polygon and relies on this.

@@ -235,11 +235,12 @@ def forged_first_cell(**fields):
         AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "made_up"}),
         AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": -1}),
         AdmissibilityVerdict(STATUS_YES, "forged", certificate={"kind": "lattice_polyhedron", "which": True}),
+        forged_first_cell(cell_rays=[[False, True]] + REFINED.certificate["cells"][0]["cell_rays"][1:]),
     ],
     ids=["no_kind", "which_out_of_range", "which_a_string", "no_cells", "vertex_not_a_number",
          "vertex_over_zero", "float_cell_ray", "witness_too_long", "cone_of_negative_rank",
          "cone_past_the_rank_limit", "pair_not_vertices", "pair_both_fractional", "cell_of_another_pair",
-         "unknown_kind", "which_negative", "which_a_bool"],
+         "unknown_kind", "which_negative", "which_a_bool", "bool_cell_ray"],
 )
 def test_readers_refuse_malformed_evidence(evidence):
     # Malformed evidence is refused: False from the admissibility checker, on
@@ -251,7 +252,8 @@ def test_readers_refuse_malformed_evidence(evidence):
     # does not attain both minima, and a certificate of no known kind.
     # A lattice certificate is read on a pair whose second polytope is a
     # lattice one, so only its index "which" can be at fault: -1 and True
-    # index the pair as 1 does, but "which" names p or q as 0 or 1.
+    # index the pair as 1 does, but "which" names p or q as 0 or 1. A cell
+    # ray of bools is the genuine (0, 1) read as numbers, and is refused.
     assert REFINED.certificate["kind"] == "refinement" and verify_admissibility(REFINED_P, REFINED_Q, REFINED)
     lattice_pair = (REFINED_P, hull(V((-1, 1), (1, 1))))
     genuine = AdmissibilityVerdict(STATUS_YES, "lattice", certificate={"kind": "lattice_polyhedron", "which": 1})
@@ -1475,5 +1477,12 @@ def test_floats_are_refused_at_the_exact_boundary():
         Polyhedron.from_dict({"rank": 1, "vertices": [[0.1]], "rays": []})
     with pytest.raises(TypeError):
         from_halfspaces([((1,), 0.1), ((-1,), -1)], 1)
+    # A JSON true or false is not the number 1 or 0.
+    with pytest.raises(TypeError):
+        Cone.from_dict({"rank": True, "rays": [[True]]})
+    with pytest.raises(TypeError):
+        Polyhedron.from_dict({"rank": 1, "vertices": [[False]], "rays": []})
+    with pytest.raises(TypeError):
+        from_halfspaces([((1,), True), ((-1,), -2)], 1)
     assert Polyhedron.from_dict({"rank": 1, "vertices": [["1/10"]]}).vertices == ((Fraction(1, 10),),)
     assert from_halfspaces([((1,), Fraction(1, 10)), ((-1,), -1)], 1).vertices == ((Fraction(1, 10),), (Fraction(1),))
